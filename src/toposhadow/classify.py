@@ -16,21 +16,44 @@ from .topology import (
 )
 
 
+# the Params fields each stage reads; together they cover every field once
+FRONT_END_FIELDS = (
+    "crop_rows",
+    "sigma_u",
+    "sigma_v",
+    "stack_size",
+    "gamma",
+    "sigma_w",
+    "phi1",
+    "phi2",
+)
+BACK_END_FIELDS = ("epsilon", "triangle_cap", "tau")
+
+
 @dataclass(frozen=True)
 class DetectionResult:
     """Everything the detector produces for one frame.
 
     ``labels`` spans the full frame width (1 = shadow, 0 = visible);
     ``confidence`` covers the cropped region only.  ``simplex_counts``
-    is the per-column triangle count the labels are thresholded from.
+    is the per-column triangle count the labels are thresholded from,
+    and ``triangle_complex`` the triangles over the thinned cloud, in
+    cropped coordinates.
     """
 
     labels: np.ndarray
     confidence: np.ndarray
     mean_confidence: float
     simplex_counts: np.ndarray
-    cloud_size: int
-    triangle_count: int
+    triangle_complex: Complex
+
+    @property
+    def cloud_size(self):
+        return len(self.triangle_complex.vertices)
+
+    @property
+    def triangle_count(self):
+        return len(self.triangle_complex.triangles)
 
 
 def scanline_counts(cx, width):
@@ -60,36 +83,67 @@ def classify_scanlines(counts, tau):
     return (np.asarray(counts) < tau).astype(np.uint8)
 
 
-def detect(img, params=None):
-    """Run the full pipeline on one uncropped frame.
+def front_end_key(params):
+    """The values of the fields the front end reads: two Params with equal
+    keys give every frame the same thinned cloud."""
+    return tuple(getattr(params, name) for name in FRONT_END_FIELDS)
 
-    crop -> filter stack -> std map -> threshold -> density thinning ->
-    triangle build -> occurrence/confidence maps -> scan-line labels.
-    Deterministic: identical inputs give bit-identical results.
+
+def front_end(img, params):
+    """Dense stages of one uncropped frame: crop -> filter stack -> std
+    map -> threshold -> density thinning.
+
+    Reads only the ``FRONT_END_FIELDS`` of ``params``.  Returns the
+    thinned cloud, (N, 2) int64 in cropped coordinates.
     """
-    if params is None:
-        params = Params()
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("expected a 2D image")
-    width = img.shape[1]
     cropped = crop_top(img, params.crop_rows)
     stack = filter_stack(cropped, params)
     saliency = std_map(stack)
     cloud = threshold_points(saliency, params.gamma)
     spacing = density_field(saliency, params)
-    sparse = thin(cloud, spacing)
+    return thin(cloud, spacing)
+
+
+def back_end(sparse, width, params):
+    """Geometric stages over a thinned cloud: triangle build -> scan-line
+    counts -> labels for a frame ``width`` columns wide.
+
+    Reads only the ``BACK_END_FIELDS`` of ``params``.  Returns
+    (complex, counts, labels).
+    """
     cx = rips_triangles(sparse, params.epsilon, params.triangle_cap)
-    height, cwidth = saliency.shape
-    occ = occurrence_map(cx, cwidth, height)
-    conf = confidence_map(occ)
     counts = scanline_counts(cx, width)
-    labels = classify_scanlines(counts, params.tau)
+    return cx, counts, classify_scanlines(counts, params.tau)
+
+
+def detect_labels(img, params=None):
+    """The labels of ``detect(img, params)``, without the occurrence and
+    confidence maps."""
+    if params is None:
+        params = Params()
+    sparse = front_end(img, params)
+    return back_end(sparse, np.shape(img)[1], params)[2]
+
+
+def detect(img, params=None):
+    """Run the full pipeline on one uncropped frame.
+
+    ``front_end`` -> ``back_end`` -> occurrence/confidence maps.
+    Deterministic: identical inputs give bit-identical results.
+    """
+    if params is None:
+        params = Params()
+    sparse = front_end(img, params)
+    height, width = np.shape(img)
+    cx, counts, labels = back_end(sparse, width, params)
+    conf = confidence_map(occurrence_map(cx, width, height - params.crop_rows))
     return DetectionResult(
         labels=labels,
         confidence=conf,
         mean_confidence=mean_confidence(conf),
         simplex_counts=counts,
-        cloud_size=len(sparse),
-        triangle_count=len(cx.triangles),
+        triangle_complex=cx,
     )

@@ -2,7 +2,7 @@
 
 Data outputs (files/stdout) are byte-reproducible; timing and progress
 diagnostics go to stderr.  Exit codes: 0 success, 1 usage, 2 I/O,
-3 data/format, 4 resource cap.
+3 data/format, 4 resource exhaustion (triangle cap or out of memory).
 """
 
 import argparse
@@ -29,13 +29,10 @@ from .evaluation import (
     trajectory_rmse,
     write_folds,
 )
-from .saliency import Params, filter_stack, std_map, threshold_points
-from .sparsify import density_field, thin
+from .saliency import INT_FIELDS, Params
 from .synth import PhantomSpec, make_dataset, synth_tilt_sequence
-from .topology import rips_triangles
 
-_PARAM_FIELDS = {f.name: f.type for f in fields(Params)}
-_INT_PARAMS = {"stack_size", "tau", "crop_rows", "triangle_cap"}
+_PARAM_FIELDS = {f.name for f in fields(Params)}
 _METHODS = ("topol", "thresh", "oracle")
 
 
@@ -54,7 +51,7 @@ def _diag(message):
 
 def parse_config(path):
     """Read ``key = value`` lines; unknown keys are rejected."""
-    known = set(_PARAM_FIELDS) | {"method"}
+    known = _PARAM_FIELDS | {"method"}
     config = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -80,7 +77,7 @@ def params_from_config(config):
         if key == "method":
             continue
         try:
-            kwargs[key] = int(raw) if key in _INT_PARAMS else float(raw)
+            kwargs[key] = int(raw) if key in INT_FIELDS else float(raw)
         except ValueError:
             raise FormatError(f"config key {key!r}: bad value {raw!r}") from None
     try:
@@ -151,7 +148,7 @@ def cmd_detect(args):
     if args.out_confidence:
         frame_io.write_map(result.confidence, args.out_confidence, args.confidence_format)
     if args.overlay:
-        _write_overlay_full(img, result, params, args.overlay)
+        _write_overlay(img, result, params.crop_rows, args.overlay)
     print(f"mean_confidence={_float_repr(result.mean_confidence)}")
     print(
         f"detect: {elapsed_ms:.2f} ms, cloud {result.cloud_size}, "
@@ -161,7 +158,7 @@ def cmd_detect(args):
     return 0
 
 
-def _write_overlay_full(img, result, params, path):
+def _write_overlay(img, result, crop_rows, path):
     """Overlay with triangle edges; vertices live in cropped coordinates."""
     base = np.asarray(img)
     height, width = base.shape
@@ -171,11 +168,7 @@ def _write_overlay_full(img, result, params, path):
     rgb[:, cols, 0] = rgb[:, cols, 0] // 3
     rgb[:, cols, 1] = (rgb[:, cols, 1] + 255) // 2
     rgb[:, cols, 2] = (rgb[:, cols, 2] + 255) // 2
-    # re-run the cheap geometric stages to recover the complex for drawing
-    cropped = frame_io.crop_top(np.asarray(img, dtype=np.float64), params.crop_rows)
-    saliency = std_map(filter_stack(cropped, params))
-    sparse = thin(threshold_points(saliency, params.gamma), density_field(saliency, params))
-    cx = rips_triangles(sparse, params.epsilon, params.triangle_cap)
+    cx = result.triangle_complex
     edge_color = np.array([255, 96, 32], dtype=np.int64)
     seen = set()
     for i, j, k in cx.triangles:
@@ -187,7 +180,7 @@ def _write_overlay_full(img, result, params, path):
             r0, c0 = cx.vertices[a]
             r1, c1 = cx.vertices[b]
             for r, c in _bresenham(int(r0), int(c0), int(r1), int(c1)):
-                rr = r + params.crop_rows
+                rr = r + crop_rows
                 if 0 <= rr < height and 0 <= c < width:
                     rgb[rr, c] = edge_color
     with open(path, "wb") as fh:
@@ -422,6 +415,9 @@ def main(argv=None):
         return args.func(args)
     except TriangleCapError as exc:
         _diag(exc)
+        return 4
+    except MemoryError as exc:
+        _diag(f"{args.command} ran out of memory" + (f": {exc}" if str(exc) else ""))
         return 4
     except FormatError as exc:
         _diag(exc)

@@ -7,13 +7,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .classify import detect
+from .classify import back_end, detect_labels, front_end, front_end_key
 from .errors import FormatError
-from .saliency import Params
+from .saliency import INT_FIELDS, Params
 
 SWEEPABLE = ("sigma_u", "sigma_v", "gamma", "phi1", "phi2", "sigma_w", "epsilon", "tau")
-
-_INT_FIELDS = {"stack_size", "tau", "crop_rows", "triangle_cap"}
 
 
 @dataclass(frozen=True)
@@ -180,22 +178,33 @@ def evaluate_folds(dataset, folds, make_predict, workers=1):
     ``predict(img, truth) -> labels`` callable; confusion counts are
     pooled over the frames of each (fold, role) cell and the four
     ratios averaged across folds per role.
+
+    A fold-independent ``make_predict`` returns the same callable for
+    every fold; each frame is then predicted once and its labels reused
+    in every fold, so that callable must give the same labels for the
+    same frame each time.  A new callable per fold (a predictor fitted
+    on the seen frames) predicts each frame once per fold.
     """
     missing = [fid for fid in folds.frame_ids() if fid not in dataset]
     if missing:
         raise FormatError("missing annotations for: " + ", ".join(missing))
     rows = []
+    predict, labels = None, {}
     for fold in folds.folds():
         seen_ids = folds.members(fold, "seen")
         unseen_ids = folds.members(fold, "unseen")
-        predict = make_predict(fold, {fid: dataset[fid] for fid in seen_ids})
+        fold_predict = make_predict(fold, {fid: dataset[fid] for fid in seen_ids})
+        if fold_predict is not predict:
+            predict, labels = fold_predict, {}
         for role, ids in (("seen", seen_ids), ("unseen", unseen_ids)):
             if not ids:
                 continue
-            preds = _map_ordered(lambda fid: predict(*dataset[fid]), ids, workers)
+            todo = [fid for fid in ids if fid not in labels]
+            preds = _map_ordered(lambda fid: predict(*dataset[fid]), todo, workers)
+            labels.update(zip(todo, preds))
             pooled = MetricsReport(0, 0, 0, 0)
-            for fid, pred in zip(ids, preds):
-                pooled = pooled + confusion(pred, dataset[fid][1])
+            for fid in ids:
+                pooled = pooled + confusion(labels[fid], dataset[fid][1])
             rows.append(FoldResult(fold, role, pooled))
     averages = {}
     for role in ("seen", "unseen"):
@@ -216,21 +225,24 @@ def _map_ordered(fn, items, workers):
 
 
 def topol_predictor(params=None):
-    """make_predict for the pipeline detector (fold-independent)."""
+    """make_predict for the pipeline detector: one callable for every fold."""
 
-    def make_predict(fold, seen):
-        del fold, seen
-        return lambda img, truth: detect(img, params).labels
+    def predict(img, truth):
+        del truth
+        return detect_labels(img, params)
 
-    return make_predict
+    return _every_fold(predict)
 
 
 def oracle_predictor():
     """make_predict that returns the ground truth (upper bound)."""
+    return _every_fold(lambda img, truth: truth)
 
+
+def _every_fold(predict):
     def make_predict(fold, seen):
         del fold, seen
-        return lambda img, truth: truth
+        return predict
 
     return make_predict
 
@@ -272,11 +284,8 @@ def perturb_sweep(dataset, name, values, base=None, workers=1):
         raise ValueError(f"unknown parameter {name!r}")
     if base is None:
         base = Params()
-    rows = []
-    for value in values:
-        params = replace(base, **{name: _coerce(name, value)})
-        rows.append((value, _pooled(dataset, params, workers)))
-    return rows
+    combos = [replace(base, **{name: _coerce(name, value)}) for value in values]
+    return list(zip(values, _pooled_each(dataset, combos, workers)))
 
 
 def grid_search(dataset, grid, base=None, workers=1):
@@ -297,28 +306,48 @@ def grid_search(dataset, grid, base=None, workers=1):
         if name not in valid:
             raise ValueError(f"unknown parameter {name!r}")
     names = list(grid)
+    combos = [
+        replace(base, **{n: _coerce(n, v) for n, v in zip(names, combo)})
+        for combo in itertools.product(*(grid[name] for name in names))
+    ]
     best = None
-    for combo in itertools.product(*(grid[name] for name in names)):
-        assignment = {n: _coerce(n, v) for n, v in zip(names, combo)}
-        params = replace(base, **assignment)
-        score = _pooled(dataset, params, workers).acc
-        if best is None or score > best[1]:
-            best = (params, score)
+    for params, pooled in zip(combos, _pooled_each(dataset, combos, workers)):
+        if best is None or pooled.acc > best[1]:
+            best = (params, pooled.acc)
     return best
 
 
 def _coerce(name, value):
-    if name in _INT_FIELDS:
+    if name in INT_FIELDS:
         if float(value) != int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         return int(value)
     return float(value)
 
 
-def _pooled(dataset, params, workers=1):
+def _pooled_each(dataset, combos, workers=1):
+    """Pooled confusion over the dataset for each Params in ``combos``.
+
+    Combinations with equal ``front_end_key`` share one front end per
+    frame: group by group, in order of first appearance, every frame's
+    thinned cloud is built once (over ``workers`` threads) and each
+    combination of the group runs only the back end on it.  Only one
+    group's clouds are alive at a time.
+    """
     ids = sorted(dataset)
-    preds = _map_ordered(lambda fid: detect(dataset[fid][0], params).labels, ids, workers)
-    pooled = MetricsReport(0, 0, 0, 0)
-    for fid, pred in zip(ids, preds):
-        pooled = pooled + confusion(pred, dataset[fid][1])
+    groups = {}
+    for index, params in enumerate(combos):
+        groups.setdefault(front_end_key(params), []).append(index)
+    pooled = [None] * len(combos)
+    for members in groups.values():
+        head = combos[members[0]]
+        clouds = _map_ordered(lambda fid: front_end(dataset[fid][0], head), ids, workers)
+        for index in members:
+            total = MetricsReport(0, 0, 0, 0)
+            for fid, cloud in zip(ids, clouds):
+                img, truth = dataset[fid]
+                labels = back_end(cloud, np.shape(img)[1], combos[index])[2]
+                total = total + confusion(labels, truth)
+            pooled[index] = total
+        del clouds
     return pooled

@@ -7,11 +7,12 @@ speckle lives.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import _kernels
+from .topology import DEFAULT_TRIANGLE_CAP
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class Params:
     epsilon: float = 60.0
     tau: int = 2
     crop_rows: int = 100
-    triangle_cap: int = 2_000_000
+    triangle_cap: int = DEFAULT_TRIANGLE_CAP
 
     def __post_init__(self):
         if self.sigma_u <= 0 or self.sigma_v <= 0 or self.sigma_w <= 0:
@@ -55,6 +56,10 @@ class Params:
             raise ValueError("crop_rows must be non-negative")
         if self.triangle_cap < 1:
             raise ValueError("triangle_cap must be positive")
+
+
+# the integer-valued Params fields; every other field is a float
+INT_FIELDS = frozenset(f.name for f in fields(Params) if f.type is int)
 
 
 def gaussian_kernel_1d(sigma):

@@ -1,6 +1,18 @@
+from dataclasses import fields
+
 import numpy as np
 
-from toposhadow.classify import classify_scanlines, detect, scanline_counts
+from toposhadow.classify import (
+    BACK_END_FIELDS,
+    FRONT_END_FIELDS,
+    back_end,
+    classify_scanlines,
+    detect,
+    detect_labels,
+    front_end,
+    front_end_key,
+    scanline_counts,
+)
 from toposhadow.saliency import Params
 from toposhadow.synth import PhantomSpec, synth_phantom
 from toposhadow.topology import Complex
@@ -85,3 +97,50 @@ def test_detect_counts_consistent():
     img, _ = synth_phantom(spec)
     res = detect(img)
     assert np.array_equal(res.labels, (res.simplex_counts < 2).astype(np.uint8))
+
+
+# ---------------------------------------------------------------- stages
+
+
+class _Reads:
+    """Params stand-in that records which fields are read."""
+
+    def __init__(self, params):
+        self._params = params
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._params, name)
+
+
+def test_every_field_in_exactly_one_stage():
+    names = [f.name for f in fields(Params)]
+    stages = list(FRONT_END_FIELDS) + list(BACK_END_FIELDS)
+    assert sorted(stages) == sorted(names)
+
+
+def test_stages_read_only_their_fields():
+    img, _ = synth_phantom(PhantomSpec(seed=3))
+    front = _Reads(Params())
+    sparse = front_end(img, front)
+    assert front.read == set(FRONT_END_FIELDS)
+    back = _Reads(Params())
+    back_end(sparse, img.shape[1], back)
+    assert back.read == set(BACK_END_FIELDS)
+    assert front_end_key(Params(epsilon=50.0, tau=3, triangle_cap=9)) == front_end_key(Params())
+    assert front_end_key(Params(gamma=5.0)) != front_end_key(Params())
+
+
+def test_detect_is_the_two_stages():
+    img, _ = synth_phantom(PhantomSpec(seed=4))
+    p = Params(epsilon=50.0)
+    res = detect(img, p)
+    cx, counts, labels = back_end(front_end(img, p), img.shape[1], p)
+    assert np.array_equal(res.triangle_complex.vertices, cx.vertices)
+    assert np.array_equal(res.triangle_complex.triangles, cx.triangles)
+    assert np.array_equal(res.simplex_counts, counts)
+    assert np.array_equal(res.labels, labels)
+    assert np.array_equal(detect_labels(img, p), labels)
+    assert res.cloud_size == len(cx.vertices)
+    assert res.triangle_count == len(cx.triangles)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from toposhadow import classify, cli
 from toposhadow.frame_io import load_image, write_image
 
 
@@ -68,6 +69,50 @@ def test_detect_confidence_map(tmp_path):
     img = load_image(conf)
     assert img.shape == (200, 600)  # cropped region only
     assert not img.any()
+
+
+def test_overlay_reuses_the_detection(tmp_path, monkeypatch):
+    out = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(out), "--frames", "1"]) == 0
+    calls = []
+    real = classify.filter_stack
+
+    def counting(img, params):
+        calls.append(1)
+        return real(img, params)
+
+    monkeypatch.setattr(classify, "filter_stack", counting)
+    frame = next(out.glob("*.pgm"))
+    overlay = tmp_path / "o.ppm"
+    assert cli.main(["detect", "--input", str(frame), "--overlay", str(overlay)]) == 0
+    assert len(calls) == 1
+    assert overlay.stat().st_size > 0
+
+
+def test_out_of_memory_exit_4(tmp_path, monkeypatch, capsys):
+    frame = tmp_path / "f.pgm"
+    write_constant_frame(frame)
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--frames", "2"]) == 0
+
+    def boom(message):
+        def stage(*args, **kwargs):
+            raise MemoryError(*message)
+
+        return stage
+
+    monkeypatch.setattr(classify, "filter_stack", boom(["Unable to allocate 847. PiB"]))
+    capsys.readouterr()
+    assert cli.main(["detect", "--input", str(frame)]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: detect ran out of memory: Unable to allocate 847. PiB\n"
+
+    monkeypatch.undo()
+    monkeypatch.setattr(classify, "rips_triangles", boom([]))
+    assert cli.main(["gridsearch", "--dataset", str(data), "--grid", "tau=1,2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: gridsearch ran out of memory\n"
+    assert captured.out == ""
 
 
 def test_usage_error_exit_1():

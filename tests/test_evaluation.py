@@ -1,8 +1,13 @@
+import itertools
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from toposhadow import evaluation
+from toposhadow.classify import detect
 from toposhadow.errors import FormatError
 from toposhadow.evaluation import (
     FoldSpec,
@@ -19,12 +24,40 @@ from toposhadow.evaluation import (
     write_folds,
 )
 from toposhadow.saliency import Params
-from toposhadow.synth import make_dataset
+from toposhadow.synth import PhantomSpec, make_dataset, synth_phantom
 
 
 def small_dataset(n=6):
     frames, entries = make_dataset(n_frames=n, seed=3, n_groups=3, n_folds=3)
     return frames, entries, FoldSpec(entries)
+
+
+def clean_dataset(n=2):
+    """All-tissue phantoms: no shadow columns at all."""
+    return {
+        f"frame{i:03d}": synth_phantom(PhantomSpec(shadow_intervals=(), seed=20 + i))
+        for i in range(n)
+    }
+
+
+def plain_pooled(dataset, params):
+    """Pooled confusion of full detect() runs, one per frame."""
+    pooled = MetricsReport(0, 0, 0, 0)
+    for fid in sorted(dataset):
+        img, truth = dataset[fid]
+        pooled = pooled + confusion(detect(img, params).labels, truth)
+    return pooled
+
+
+def plain_grid_search(dataset, grid):
+    """Row-major grid search over detect(); ties keep the earlier point."""
+    best = None
+    for combo in itertools.product(*grid.values()):
+        params = replace(Params(), **dict(zip(grid, combo)))
+        acc = plain_pooled(dataset, params).acc
+        if best is None or acc > best[1]:
+            best = (params, acc)
+    return best
 
 
 # ---------------------------------------------------------------- metrics
@@ -185,6 +218,34 @@ def test_average_is_mean_of_fold_ratios():
         )
 
 
+def test_fold_independent_predictor_runs_once_per_frame(monkeypatch):
+    dataset, entries, folds = small_dataset()
+    calls = []
+    frame_of = {id(img): fid for fid, (img, _) in dataset.items()}
+    real = evaluation.detect_labels
+
+    def counting(img, params=None):
+        calls.append(frame_of[id(img)])
+        return real(img, params)
+
+    monkeypatch.setattr(evaluation, "detect_labels", counting)
+
+    def per_fold(fold, seen):
+        del fold, seen
+        return lambda img, truth: counting(img)
+
+    reports = {}
+    for workers in (1, 3):
+        calls.clear()
+        reports["shared", workers] = evaluate_folds(dataset, folds, topol_predictor(), workers)
+        assert Counter(calls) == Counter(folds.frame_ids())
+        calls.clear()
+        reports["per fold", workers] = evaluate_folds(dataset, folds, per_fold, workers)
+        assert Counter(calls) == Counter(fid for fid, _, _, _ in entries)
+        assert len(calls) == len(folds.frame_ids()) * len(folds.folds())
+    assert all(report == reports["shared", 1] for report in reports.values())
+
+
 # ---------------------------------------------------------------- targets
 
 
@@ -273,13 +334,7 @@ def test_grid_search_single_point():
 def test_grid_search_prefers_earlier_tie():
     # an all-tissue miniature: tau=1 and tau=2 both classify perfectly,
     # so the first grid point must win the tie
-    from toposhadow.synth import PhantomSpec, synth_phantom
-
-    clean = {}
-    for i in range(2):
-        img, lab = synth_phantom(PhantomSpec(shadow_intervals=(), seed=20 + i))
-        clean[f"frame{i:03d}"] = (img, lab)
-    best, score = grid_search(clean, {"tau": [1, 2]})
+    best, score = grid_search(clean_dataset(), {"tau": [1, 2]})
     assert score == 1.0
     assert best.tau == 1
 
@@ -294,3 +349,43 @@ def test_grid_search_argmax_property():
         if rep.acc == score:
             break
     assert best.epsilon in grid["epsilon"]
+
+
+# ---------------------------------------------------------------- stage reuse
+
+
+def test_grid_search_matches_plain_loop():
+    dataset, _, _ = small_dataset(n=4)
+    grid = {"gamma": [4.0, 3.0], "epsilon": [50.0, 60.0], "tau": [1, 3]}
+    expect = plain_grid_search(dataset, grid)
+    assert grid_search(dataset, grid) == expect
+    assert grid_search(dataset, grid, workers=2) == expect
+
+
+def test_perturb_sweep_matches_plain_loop():
+    dataset, _, _ = small_dataset(n=4)
+    for name, values in (("gamma", [3.0, 4.0, 3.0]), ("epsilon", [40.0, 70.0]), ("tau", [1, 3])):
+        rows = perturb_sweep(dataset, name, values, workers=2)
+        assert [v for v, _ in rows] == values
+        for value, rep in rows:
+            assert rep == plain_pooled(dataset, replace(Params(), **{name: value}))
+
+
+def test_grid_search_tie_across_front_ends_keeps_earlier():
+    # gamma=100 leaves no salient point, so it labels every clean column
+    # shadow; both tau values classify perfectly at gamma=4
+    clean = clean_dataset()
+    grid = {"tau": [1, 2], "gamma": [100.0, 4.0]}
+    best, score = grid_search(clean, grid)
+    assert (best.tau, best.gamma, score) == (1, 4.0, 1.0)
+    assert (best, score) == plain_grid_search(clean, grid)
+
+
+def test_grid_search_rejects_bad_point_before_any_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("front end ran")
+
+    monkeypatch.setattr(evaluation, "front_end", fail)
+    dataset, _, _ = small_dataset(n=3)
+    with pytest.raises(ValueError, match="epsilon"):
+        grid_search(dataset, {"tau": [1, 2], "epsilon": [60.0, -1.0]})
