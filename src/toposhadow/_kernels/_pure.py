@@ -94,18 +94,19 @@ def rips_triangles(points, epsilon, cap):
         return np.zeros((0, 3), dtype=np.int32)
     pts = np.asarray(points, dtype=np.int64)
     eps_sq = float(epsilon) * float(epsilon)
-    dr = pts[:, 0:1] - pts[:, 0:1].T
-    dc = pts[:, 1:2] - pts[:, 1:2].T
-    adj = (dr * dr + dc * dc).astype(np.float64) <= eps_sq
-    np.fill_diagonal(adj, False)
+
+    def near(d):
+        return (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).astype(np.float64) <= eps_sq
+
     out = []
     count = 0
     for i in range(n - 2):
-        nbrs = np.nonzero(adj[i, i + 1 :])[0] + i + 1
+        # memory stays linear in n plus the square of one neighbourhood
+        nbrs = np.nonzero(near(pts[i + 1 :] - pts[i]))[0] + i + 1
         if len(nbrs) < 2:
             continue
-        sub = adj[np.ix_(nbrs, nbrs)]
-        jj, kk = np.nonzero(np.triu(sub, 1))
+        block = pts[nbrs]
+        jj, kk = np.nonzero(np.triu(near(block[:, None, :] - block[None, :, :]), 1))
         if len(jj) == 0:
             continue
         count += len(jj)

@@ -9,10 +9,7 @@ def thresh_classify(img, kappa, crop_rows=100):
     """Label a column shadow (1) iff its cropped intensity sum is
     strictly below kappa; a sum exactly equal to kappa is visible.
     """
-    img = np.asarray(img, dtype=np.float64)
-    cropped = crop_top(img, crop_rows)
-    sums = cropped.sum(axis=0)
-    return (sums < kappa).astype(np.uint8)
+    return (column_sums(img, crop_rows) < kappa).astype(np.uint8)
 
 
 def column_sums(img, crop_rows=100):

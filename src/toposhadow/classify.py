@@ -17,16 +17,8 @@ from .topology import (
 
 
 # the Params fields each stage reads; together they cover every field once
-FRONT_END_FIELDS = (
-    "crop_rows",
-    "sigma_u",
-    "sigma_v",
-    "stack_size",
-    "gamma",
-    "sigma_w",
-    "phi1",
-    "phi2",
-)
+TEXTURE_FIELDS = ("crop_rows", "sigma_u", "sigma_v", "stack_size")
+CLOUD_FIELDS = ("gamma", "sigma_w", "phi1", "phi2")
 BACK_END_FIELDS = ("epsilon", "triangle_cap", "tau")
 
 
@@ -83,25 +75,26 @@ def classify_scanlines(counts, tau):
     return (np.asarray(counts) < tau).astype(np.uint8)
 
 
-def front_end_key(params):
-    """The values of the fields the front end reads: two Params with equal
-    keys give every frame the same thinned cloud."""
-    return tuple(getattr(params, name) for name in FRONT_END_FIELDS)
+def texture(img, params):
+    """Dense texture stages of one uncropped frame: crop -> filter stack
+    -> std map.
 
-
-def front_end(img, params):
-    """Dense stages of one uncropped frame: crop -> filter stack -> std
-    map -> threshold -> density thinning.
-
-    Reads only the ``FRONT_END_FIELDS`` of ``params``.  Returns the
-    thinned cloud, (N, 2) int64 in cropped coordinates.
+    Reads only the ``TEXTURE_FIELDS`` of ``params``.  Returns the
+    deviation map, float64 over the cropped frame.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("expected a 2D image")
     cropped = crop_top(img, params.crop_rows)
-    stack = filter_stack(cropped, params)
-    saliency = std_map(stack)
+    return std_map(filter_stack(cropped, params))
+
+
+def salient_cloud(saliency, params):
+    """Salient points of a deviation map: threshold -> density thinning.
+
+    Reads only the ``CLOUD_FIELDS`` of ``params``.  Returns the thinned
+    cloud, (N, 2) int64 in cropped coordinates.
+    """
     cloud = threshold_points(saliency, params.gamma)
     spacing = density_field(saliency, params)
     return thin(cloud, spacing)
@@ -124,19 +117,20 @@ def detect_labels(img, params=None):
     confidence maps."""
     if params is None:
         params = Params()
-    sparse = front_end(img, params)
+    sparse = salient_cloud(texture(img, params), params)
     return back_end(sparse, np.shape(img)[1], params)[2]
 
 
 def detect(img, params=None):
     """Run the full pipeline on one uncropped frame.
 
-    ``front_end`` -> ``back_end`` -> occurrence/confidence maps.
-    Deterministic: identical inputs give bit-identical results.
+    ``texture`` -> ``salient_cloud`` -> ``back_end`` -> occurrence and
+    confidence maps.  Deterministic: identical inputs give bit-identical
+    results.
     """
     if params is None:
         params = Params()
-    sparse = front_end(img, params)
+    sparse = salient_cloud(texture(img, params), params)
     height, width = np.shape(img)
     cx, counts, labels = back_end(sparse, width, params)
     conf = confidence_map(occurrence_map(cx, width, height - params.crop_rows))

@@ -9,7 +9,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import fields
 
 import numpy as np
 
@@ -29,10 +28,9 @@ from .evaluation import (
     trajectory_rmse,
     write_folds,
 )
-from .saliency import INT_FIELDS, Params
+from .saliency import INT_FIELDS, PARAM_FIELDS, Params
 from .synth import PhantomSpec, make_dataset, synth_tilt_sequence
 
-_PARAM_FIELDS = {f.name for f in fields(Params)}
 _METHODS = ("topol", "thresh", "oracle")
 
 
@@ -51,7 +49,7 @@ def _diag(message):
 
 def parse_config(path):
     """Read ``key = value`` lines; unknown keys are rejected."""
-    known = _PARAM_FIELDS | {"method"}
+    known = PARAM_FIELDS | {"method"}
     config = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -422,12 +420,6 @@ def main(argv=None):
     except FormatError as exc:
         _diag(exc)
         return 3
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-        _diag(exc)
-        return 2
-    except PermissionError as exc:
-        _diag(exc)
-        return 2
     except OSError as exc:
         _diag(exc)
         return 2

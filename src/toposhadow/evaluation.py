@@ -3,13 +3,21 @@
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
-from .classify import back_end, detect_labels, front_end, front_end_key
+from .classify import (
+    CLOUD_FIELDS,
+    TEXTURE_FIELDS,
+    back_end,
+    detect_labels,
+    salient_cloud,
+    texture,
+)
 from .errors import FormatError
-from .saliency import INT_FIELDS, Params
+from .saliency import INT_FIELDS, PARAM_FIELDS, Params
 
 SWEEPABLE = ("sigma_u", "sigma_v", "gamma", "phi1", "phi2", "sigma_w", "epsilon", "tau")
 
@@ -284,7 +292,7 @@ def perturb_sweep(dataset, name, values, base=None, workers=1):
         raise ValueError(f"unknown parameter {name!r}")
     if base is None:
         base = Params()
-    combos = [replace(base, **{name: _coerce(name, value)}) for value in values]
+    combos = _combos(base, (name,), zip(values))
     return list(zip(values, _pooled_each(dataset, combos, workers)))
 
 
@@ -301,20 +309,19 @@ def grid_search(dataset, grid, base=None, workers=1):
         raise ValueError("empty grid")
     if base is None:
         base = Params()
-    valid = {f.name for f in fields(Params)}
     for name in grid:
-        if name not in valid:
+        if name not in PARAM_FIELDS:
             raise ValueError(f"unknown parameter {name!r}")
-    names = list(grid)
-    combos = [
-        replace(base, **{n: _coerce(n, v) for n, v in zip(names, combo)})
-        for combo in itertools.product(*(grid[name] for name in names))
-    ]
+    combos = _combos(base, list(grid), itertools.product(*grid.values()))
     best = None
     for params, pooled in zip(combos, _pooled_each(dataset, combos, workers)):
         if best is None or pooled.acc > best[1]:
             best = (params, pooled.acc)
     return best
+
+
+def _combos(base, names, rows):
+    return [replace(base, **{n: _coerce(n, v) for n, v in zip(names, row)}) for row in rows]
 
 
 def _coerce(name, value):
@@ -328,26 +335,30 @@ def _coerce(name, value):
 def _pooled_each(dataset, combos, workers=1):
     """Pooled confusion over the dataset for each Params in ``combos``.
 
-    Combinations with equal ``front_end_key`` share one front end per
-    frame: group by group, in order of first appearance, every frame's
-    thinned cloud is built once (over ``workers`` threads) and each
-    combination of the group runs only the back end on it.  Only one
-    group's clouds are alive at a time.
+    Frames are mapped over ``workers`` threads.  Each frame visits the
+    combinations grouped by ``TEXTURE_FIELDS`` values, so it holds one
+    deviation map at a time, builds a thinned cloud once per distinct
+    ``CLOUD_FIELDS`` values within the group and runs only the back end
+    per combination.  An empty dataset gives an all-zero report for each.
     """
-    ids = sorted(dataset)
-    groups = {}
-    for index, params in enumerate(combos):
-        groups.setdefault(front_end_key(params), []).append(index)
-    pooled = [None] * len(combos)
-    for members in groups.values():
-        head = combos[members[0]]
-        clouds = _map_ordered(lambda fid: front_end(dataset[fid][0], head), ids, workers)
-        for index in members:
-            total = MetricsReport(0, 0, 0, 0)
-            for fid, cloud in zip(ids, clouds):
-                img, truth = dataset[fid]
-                labels = back_end(cloud, np.shape(img)[1], combos[index])[2]
-                total = total + confusion(labels, truth)
-            pooled[index] = total
-        del clouds
-    return pooled
+    texture_key, cloud_key = attrgetter(*TEXTURE_FIELDS), attrgetter(*CLOUD_FIELDS)
+    textures = [texture_key(params) for params in combos]
+    order = sorted(range(len(combos)), key=textures.__getitem__)
+
+    def frame_reports(fid):
+        img, truth = dataset[fid]
+        current, reports = None, [None] * len(combos)
+        for index in order:
+            params = combos[index]
+            if textures[index] != current:
+                current, saliency, clouds = textures[index], texture(img, params), {}
+            key = cloud_key(params)
+            if key not in clouds:
+                clouds[key] = salient_cloud(saliency, params)
+            labels = back_end(clouds[key], np.shape(img)[1], params)[2]
+            reports[index] = confusion(labels, truth)
+        return reports
+
+    per_frame = _map_ordered(frame_reports, sorted(dataset), workers)
+    zero = MetricsReport(0, 0, 0, 0)
+    return [sum((reports[i] for reports in per_frame), zero) for i in range(len(combos))]

@@ -58,7 +58,8 @@ class Params:
             raise ValueError("triangle_cap must be positive")
 
 
-# the integer-valued Params fields; every other field is a float
+# the Params field names, and the integer-valued ones; the rest are floats
+PARAM_FIELDS = frozenset(f.name for f in fields(Params))
 INT_FIELDS = frozenset(f.name for f in fields(Params) if f.type is int)
 
 

@@ -4,14 +4,15 @@ import numpy as np
 
 from toposhadow.classify import (
     BACK_END_FIELDS,
-    FRONT_END_FIELDS,
+    CLOUD_FIELDS,
+    TEXTURE_FIELDS,
     back_end,
     classify_scanlines,
     detect,
     detect_labels,
-    front_end,
-    front_end_key,
+    salient_cloud,
     scanline_counts,
+    texture,
 )
 from toposhadow.saliency import Params
 from toposhadow.synth import PhantomSpec, synth_phantom
@@ -116,27 +117,28 @@ class _Reads:
 
 def test_every_field_in_exactly_one_stage():
     names = [f.name for f in fields(Params)]
-    stages = list(FRONT_END_FIELDS) + list(BACK_END_FIELDS)
+    stages = list(TEXTURE_FIELDS) + list(CLOUD_FIELDS) + list(BACK_END_FIELDS)
     assert sorted(stages) == sorted(names)
 
 
 def test_stages_read_only_their_fields():
     img, _ = synth_phantom(PhantomSpec(seed=3))
-    front = _Reads(Params())
-    sparse = front_end(img, front)
-    assert front.read == set(FRONT_END_FIELDS)
+    tex = _Reads(Params())
+    saliency = texture(img, tex)
+    assert tex.read == set(TEXTURE_FIELDS)
+    cloud = _Reads(Params())
+    sparse = salient_cloud(saliency, cloud)
+    assert cloud.read == set(CLOUD_FIELDS)
     back = _Reads(Params())
     back_end(sparse, img.shape[1], back)
     assert back.read == set(BACK_END_FIELDS)
-    assert front_end_key(Params(epsilon=50.0, tau=3, triangle_cap=9)) == front_end_key(Params())
-    assert front_end_key(Params(gamma=5.0)) != front_end_key(Params())
 
 
-def test_detect_is_the_two_stages():
+def test_detect_is_the_three_stages():
     img, _ = synth_phantom(PhantomSpec(seed=4))
     p = Params(epsilon=50.0)
     res = detect(img, p)
-    cx, counts, labels = back_end(front_end(img, p), img.shape[1], p)
+    cx, counts, labels = back_end(salient_cloud(texture(img, p), p), img.shape[1], p)
     assert np.array_equal(res.triangle_complex.vertices, cx.vertices)
     assert np.array_equal(res.triangle_complex.triangles, cx.triangles)
     assert np.array_equal(res.simplex_counts, counts)

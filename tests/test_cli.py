@@ -251,6 +251,19 @@ def test_sweep_single_value(tmp_path):
     assert len(lines) == 2
 
 
+def test_sweep_empty_dataset_prints_nan_rows(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    argv = ["sweep", "--dataset", str(empty), "--param", "gamma", "--values", "3,4,5"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (
+        "value,acc,tnr,tpr,ppv\n"
+        "3.0,nan,nan,nan,nan\n"
+        "4.0,nan,nan,nan,nan\n"
+        "5.0,nan,nan,nan,nan\n"
+    )
+
+
 def test_gridsearch_single_point(tmp_path):
     out = tmp_path / "data"
     assert run_cli("synth", "--out", str(out), "--frames", "3").returncode == 0

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from toposhadow import evaluation
+from toposhadow import classify, evaluation
 from toposhadow.classify import detect
 from toposhadow.errors import FormatError
 from toposhadow.evaluation import (
@@ -385,7 +385,40 @@ def test_grid_search_rejects_bad_point_before_any_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("front end ran")
 
-    monkeypatch.setattr(evaluation, "front_end", fail)
+    monkeypatch.setattr(evaluation, "texture", fail)
     dataset, _, _ = small_dataset(n=3)
     with pytest.raises(ValueError, match="epsilon"):
         grid_search(dataset, {"tau": [1, 2], "epsilon": [60.0, -1.0]})
+
+
+def count_filter_stacks(monkeypatch):
+    calls = []
+    real = classify.filter_stack
+
+    def counting(img, params):
+        calls.append((params.sigma_u, params.sigma_v, params.stack_size))
+        return real(img, params)
+
+    monkeypatch.setattr(classify, "filter_stack", counting)
+    return calls
+
+
+def test_sweep_shares_filter_stack_across_cloud_fields(monkeypatch):
+    dataset, _, _ = small_dataset(n=3)
+    calls = count_filter_stacks(monkeypatch)
+    for name, values, workers in (("gamma", [3.0, 4.0, 5.0], 1), ("sigma_w", [10.0, 20.0], 2)):
+        calls.clear()
+        rows = perturb_sweep(dataset, name, values, workers=workers)
+        assert len(rows) == len(values)
+        assert len(calls) == len(dataset), name
+
+
+def test_grid_over_texture_field_builds_one_filter_stack_per_texture(monkeypatch):
+    dataset, _, _ = small_dataset(n=3)
+    calls = count_filter_stacks(monkeypatch)
+    grid = {"gamma": [3.0, 4.0], "sigma_u": [1.5, 1.8], "tau": [1, 2]}
+    best = grid_search(dataset, grid)
+    assert len(calls) == 2 * len(dataset)
+    assert sorted(Counter(calls).values()) == [len(dataset)] * 2
+    assert best == plain_grid_search(dataset, grid)
+

@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from toposhadow._kernels import _pure
 from toposhadow.errors import TriangleCapError
 from toposhadow.topology import (
     Complex,
@@ -153,6 +155,21 @@ def test_rips_cap():
     with pytest.raises(TriangleCapError) as exc:
         rips_triangles(pts, 60.0, cap=119)
     assert exc.value.cap == 119
+
+
+def test_pure_rips_memory_is_not_quadratic():
+    # 2,000 points: dense n x n distance matrices would take over 100 MiB
+    rng = np.random.default_rng(7)
+    pts = np.unique(rng.integers(0, 400, size=(2100, 2)), axis=0)[:2000]
+    assert len(pts) == 2000
+    tracemalloc.start()
+    try:
+        with pytest.raises(TriangleCapError):
+            _pure.rips_triangles(pts, 60.0, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_rips_matches_brute_force():
