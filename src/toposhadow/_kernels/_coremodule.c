@@ -462,36 +462,18 @@ static PyObject *rips_triangles(PyObject *self, PyObject *args, PyObject *kwds)
 
 /* ----------------------------------------------------------- occurrence */
 
-/* Python's floor division for b > 0. */
+/* Python's floor division, for any b != 0. */
 static inline i64 floor_div(i64 a, i64 b)
 {
     i64 q = a / b;
-    return (a % b != 0 && a < 0) ? q - 1 : q;
-}
-
-/* Keep (num, den) as the running min / max of the row's edge crossings;
- * den > 0 throughout, so fractions compare by cross-multiplication. */
-static inline void span_update(int *have, i64 num, i64 den,
-                               i64 *nmin, i64 *dmin, i64 *nmax, i64 *dmax)
-{
-    if (!*have) {
-        *nmin = *nmax = num;
-        *dmin = *dmax = den;
-        *have = 1;
-        return;
-    }
-    if (num * *dmin < *nmin * den) {
-        *nmin = num;
-        *dmin = den;
-    }
-    if (num * *dmax > *nmax * den) {
-        *nmax = num;
-        *dmax = den;
-    }
+    return (a % b != 0 && (a < 0) != (b < 0)) ? q - 1 : q;
 }
 
 /* Rasterize one closed triangle (vertices inside the frame) into the
- * (h, w + 1) difference rows: exact integer spans per row. */
+ * (h, w + 1) difference rows.  Each edge meeting row r crosses it at the
+ * exact column num/den; a flat edge takes den = 1 and so crosses at its
+ * first end (its other end starts the next edge).  The row's span is
+ * [min ceil, max floor] over the crossings, as in ``_pure``. */
 static void rasterize(const i64 r0[3], const i64 c0[3], i32 *diff, Py_ssize_t w)
 {
     i64 rmin = r0[0], rmax = r0[0];
@@ -500,31 +482,17 @@ static void rasterize(const i64 r0[3], const i64 c0[3], i32 *diff, Py_ssize_t w)
         if (r0[e] > rmax) rmax = r0[e];
     }
     for (i64 r = rmin; r <= rmax; r++) {
-        int have = 0;
-        i64 nmin = 1, dmin = 1, nmax = 1, dmax = 1;
+        i64 cmin = NPY_MAX_INT64, cmax = NPY_MIN_INT64;
         for (int e = 0; e < 3; e++) {
             i64 r1 = r0[e], c1 = c0[e], r2 = r0[(e + 1) % 3], c2 = c0[(e + 1) % 3];
-            if (r1 == r2) {
-                if (r1 != r)
-                    continue;
-                span_update(&have, c1, 1, &nmin, &dmin, &nmax, &dmax);
-                span_update(&have, c2, 1, &nmin, &dmin, &nmax, &dmax);
-            } else {
-                if ((r1 < r2 && (r < r1 || r > r2)) || (r2 < r1 && (r < r2 || r > r1)))
-                    continue;
-                i64 den = r2 - r1;
-                i64 num = c1 * den + (c2 - c1) * (r - r1);
-                if (den < 0) {
-                    num = -num;
-                    den = -den;
-                }
-                span_update(&have, num, den, &nmin, &dmin, &nmax, &dmax);
-            }
+            if ((r - r1) * (r - r2) > 0)
+                continue;
+            i64 den = r1 == r2 ? 1 : r2 - r1;
+            i64 num = c1 * den + (c2 - c1) * (r - r1);
+            i64 fl = floor_div(num, den), cl = fl + (fl * den != num);
+            if (cl < cmin) cmin = cl;
+            if (fl > cmax) cmax = fl;
         }
-        if (!have)
-            continue;
-        i64 cmin = -floor_div(-nmin, dmin);
-        i64 cmax = floor_div(nmax, dmax);
         if (cmin > cmax)
             continue;
         diff[r * (w + 1) + cmin] += 1;

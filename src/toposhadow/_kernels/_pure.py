@@ -5,11 +5,22 @@ the C extension ``_core`` (source ``_coremodule.c``) and must stay
 bit-identical to it: same arithmetic, same accumulation order, same tie
 rules.  The compiled core exists for speed only; the cross-backend
 equality tests hold both sides to that contract.
+
+Python loops here run over a correlation's taps, the triangle search's
+anchor points, the points a thinning keeps and blocks of rasterized
+rows; thinning and rasterizing never loop per candidate or per triangle
+row.  Both backends
+rasterize with one integer rule: each edge that meets row r crosses it
+at the exact column num/den, a flat edge at its first end (den = 1; its
+other end starts the next edge), and the row's span is [min ceil, max
+floor] over those crossings.
 """
 
 import numpy as np
 
 from ..errors import TriangleCapError
+
+_BLOCK = 1 << 16  # (triangle, row) pairs per numpy pass in occurrence_counts
 
 
 def correlate1d_replicate(img, weights, axis):
@@ -23,22 +34,21 @@ def correlate1d_replicate(img, weights, axis):
     which preserves constant inputs exactly (every deviation is 0.0).
     `weights` is the full odd-length kernel; it must be symmetric.
     """
-    img = np.ascontiguousarray(img, dtype=np.float64)
+    img = np.asarray(img, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     radius = (len(weights) - 1) // 2
-    if axis == 1:
-        return correlate1d_replicate(img.T, weights, 0).T.copy()
     if radius == 0:
         return img.copy()
-    padded = np.pad(img, ((radius, radius), (0, 0)), mode="edge")
-    height = img.shape[0]
-    acc = np.zeros_like(img)
-    center = padded[radius : radius + height]
+    x = np.ascontiguousarray(np.moveaxis(img, axis, 0))
+    padded = np.pad(x, ((radius, radius), (0, 0)), mode="edge")
+    length = x.shape[0]
+    center = padded[radius : radius + length]
+    acc = np.zeros_like(center)
     for k in range(1, radius + 1):
-        before = padded[radius - k : radius - k + height]
-        after = padded[radius + k : radius + k + height]
+        before = padded[radius - k : radius - k + length]
+        after = padded[radius + k : radius + k + length]
         acc += weights[radius + k] * ((before - center) + (after - center))
-    return center + acc
+    return np.ascontiguousarray(np.moveaxis(center + acc, 0, axis))
 
 
 def thin_points(points, spacing):
@@ -46,39 +56,26 @@ def thin_points(points, spacing):
 
     `points` must already be in processing order; a candidate is kept iff
     no previously kept point lies within its own spacing threshold
-    (Euclidean, inclusive).  Returns the kept indices in order.
+    (Euclidean, inclusive).  Returns the kept indices in order.  Each
+    kept point rules out every later candidate within reach in one step;
+    the first candidate still live is kept next.
     """
-    n = len(points)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    cell = float(np.max(spacing))
-    if cell <= 0.0:
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    n = len(pts)
+    spacing = np.asarray(spacing, dtype=np.float64).reshape(n)
+    if np.isnan(spacing).any():
+        raise ValueError("spacing must not contain NaN")
+    if n == 0 or spacing.max() <= 0.0:
         return np.arange(n, dtype=np.int64)
+    rows, cols, limit_sq = pts[:, 0], pts[:, 1], spacing * spacing
+    live = np.ones(n + 1, dtype=bool)  # live[n] ends the scan
     kept = []
-    grid = {}
-    for i in range(n):
-        r = int(points[i, 0])
-        c = int(points[i, 1])
-        limit = float(spacing[i])
-        limit_sq = limit * limit
-        gr = int(r // cell)
-        gc = int(c // cell)
-        ok = True
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                for (pr, pc) in grid.get((gr + dr, gc + dc), ()):
-                    dy = r - pr
-                    dx = c - pc
-                    if dy * dy + dx * dx <= limit_sq:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            kept.append(i)
-            grid.setdefault((gr, gc), []).append((r, c))
+    i = 0
+    while i < n:
+        kept.append(i)
+        dr, dc = rows[i:] - rows[i], cols[i:] - cols[i]
+        live[i:n] &= ~((dr * dr + dc * dc).astype(np.float64) <= limit_sq[i:])
+        i += 1 + int(np.argmax(live[i + 1 :]))
     return np.asarray(kept, dtype=np.int64)
 
 
@@ -122,66 +119,49 @@ def rips_triangles(points, epsilon, cap):
     return np.concatenate(out)
 
 
-def _row_span(tri_pts, r):
-    """Exact column span [cmin, cmax] of a closed triangle at integer row r.
-
-    Intersections are tracked as integer fractions; ceil/floor are exact.
-    Returns None when the span contains no integer column.
-    """
-    best_min = None  # (num, den), den > 0
-    best_max = None
-    for e in range(3):
-        r1, c1 = tri_pts[e]
-        r2, c2 = tri_pts[(e + 1) % 3]
-        if r1 == r2:
-            if r1 != r:
-                continue
-            for c in (c1, c2):
-                frac = (c, 1)
-                if best_min is None or frac[0] * best_min[1] < best_min[0] * frac[1]:
-                    best_min = frac
-                if best_max is None or frac[0] * best_max[1] > best_max[0] * frac[1]:
-                    best_max = frac
-        else:
-            lo, hi = (r1, r2) if r1 < r2 else (r2, r1)
-            if not lo <= r <= hi:
-                continue
-            den = r2 - r1
-            num = c1 * den + (c2 - c1) * (r - r1)
-            if den < 0:
-                num, den = -num, -den
-            frac = (num, den)
-            if best_min is None or frac[0] * best_min[1] < best_min[0] * frac[1]:
-                best_min = frac
-            if best_max is None or frac[0] * best_max[1] > best_max[0] * frac[1]:
-                best_max = frac
-    if best_min is None:
-        return None
-    cmin = -((-best_min[0]) // best_min[1])  # ceil
-    cmax = best_max[0] // best_max[1]  # floor
-    if cmin > cmax:
-        return None
-    return cmin, cmax
-
-
 def occurrence_counts(points, triangles, height, width):
     """Per-pixel count of closed triangles containing the pixel center.
 
-    Rasterizes each triangle row by row with exact integer arithmetic and
-    accumulates spans into a difference array; degenerate triangles cover
-    exactly the pixel centers on their segment.
+    Rasterizes every (triangle, row) pair with exact integer arithmetic
+    and accumulates the spans into difference rows; degenerate triangles
+    cover exactly the pixel centers on their segment.  A block holds at
+    most _BLOCK + height pairs, so memory stays bounded by the frame.
     """
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     diff = np.zeros((height, width + 1), dtype=np.int32)
-    pts = np.asarray(points, dtype=np.int64)
-    for t in np.asarray(triangles, dtype=np.int64):
-        tri = [(int(pts[i, 0]), int(pts[i, 1])) for i in t]
-        rmin = min(p[0] for p in tri)
-        rmax = max(p[0] for p in tri)
-        for r in range(rmin, rmax + 1):
-            span = _row_span(tri, r)
-            if span is None:
-                continue
-            cmin, cmax = span
-            diff[r, cmin] += 1
-            diff[r, cmax + 1] -= 1
+    if len(tris):
+        if tris.min() < 0 or tris.max() >= len(pts):
+            raise IndexError("triangle vertex outside the points or the frame")
+        rows, cols = pts[tris, 0], pts[tris, 1]
+        if rows.min() < 0 or rows.max() >= height or cols.min() < 0 or cols.max() >= width:
+            raise IndexError("triangle vertex outside the points or the frame")
+        top = rows.min(axis=1)
+        count = rows.max(axis=1) - top + 1
+        ends = np.cumsum(count)
+        shift = ends - count - top  # a pair's number minus its row
+        cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1] + _BLOCK, _BLOCK), "right"))
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            t = np.repeat(np.arange(a, b), count[a:b])
+            r = np.arange(ends[a] - count[a], ends[b - 1]) - shift[t]
+            _add_spans(r, rows[t], cols[t], diff)
     return np.cumsum(diff[:, :-1], axis=1, dtype=np.int32)
+
+
+def _add_spans(r, rows, cols, diff):
+    """Add each triangle's span on its row r to the difference rows, by
+    the span rule in the module docstring."""
+    cmin = np.full(len(r), np.iinfo(np.int64).max)
+    cmax = np.full(len(r), np.iinfo(np.int64).min)
+    for e in range(3):
+        r1, c1, r2, c2 = rows[:, e], cols[:, e], rows[:, (e + 1) % 3], cols[:, (e + 1) % 3]
+        den = np.where(r1 == r2, 1, r2 - r1)
+        num = c1 * den + (c2 - c1) * (r - r1)
+        floor = num // den
+        meets = (r - r1) * (r - r2) <= 0
+        np.minimum(cmin, floor + (floor * den != num), out=cmin, where=meets)
+        np.maximum(cmax, floor, out=cmax, where=meets)
+    ok = cmin <= cmax
+    # int32 increments, as diff holds, keep np.add.at off its casting path
+    np.add.at(diff, (r[ok], cmin[ok]), np.int32(1))
+    np.add.at(diff, (r[ok], cmax[ok] + 1), np.int32(-1))

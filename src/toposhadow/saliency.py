@@ -40,6 +40,10 @@ class Params:
     triangle_cap: int = DEFAULT_TRIANGLE_CAP
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.sigma_u <= 0 or self.sigma_v <= 0 or self.sigma_w <= 0:
             raise ValueError("sigma values must be positive")
         if self.stack_size < 2:

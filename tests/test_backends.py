@@ -34,11 +34,26 @@ def test_correlate_identical():
 
 def test_thin_identical():
     rng = np.random.default_rng(202)
-    for trial in range(12):
+    cases = []
+    for _ in range(12):
         cloud = random_cloud(rng, int(rng.integers(5, 300)))
-        spacing = rng.uniform(15.0, 35.0, size=len(cloud))
-        a = _core.thin_points(cloud, spacing)
-        b = _pure.thin_points(cloud, spacing)
+        cases.append((cloud, rng.uniform(15.0, 35.0, size=len(cloud))))
+    # duplicates, negative coordinates and a shuffled order, each against
+    # zero, negative, mixed integer-tie, 5.0 and sqrt(5) spacings
+    cloud = random_cloud(rng, 150, extent=40)
+    for pts in (np.repeat(cloud, 2, axis=0), cloud - 20, rng.permutation(cloud)):
+        n = len(pts)
+        for spacing in (
+            np.zeros(n),
+            -rng.uniform(0.0, 9.0, size=n),
+            rng.integers(-2, 8, size=n).astype(np.float64),
+            np.full(n, 5.0),
+            np.full(n, np.sqrt(5.0)),
+        ):
+            cases.append((pts, spacing))
+    for trial, (pts, spacing) in enumerate(cases):
+        a = _core.thin_points(pts, spacing)
+        b = _pure.thin_points(pts, spacing)
         assert np.array_equal(a, b), trial
 
 
@@ -78,13 +93,33 @@ def test_rips_cap_parity():
 
 def test_occurrence_identical():
     rng = np.random.default_rng(404)
-    for trial in range(12):
+    cases = []
+    for _ in range(12):
         cloud = random_cloud(rng, int(rng.integers(4, 40)), extent=60)
-        tris = _pure.rips_triangles(cloud, 25.0, 2_000_000)
-        a = _core.occurrence_counts(cloud, tris, 70, 70)
-        b = _pure.occurrence_counts(cloud, tris, 70, 70)
+        cases.append((cloud, _pure.rips_triangles(cloud, 25.0, 2_000_000), 70, 70))
+    # flat, vertical and repeated-vertex triangles, and one-row and
+    # one-column frames, where every triangle is flat or vertical
+    shapes = np.array(
+        [[3, 1], [3, 7], [3, 4], [0, 5], [8, 5], [4, 5], [2, 2], [2, 2], [6, 7],
+         [1, 1], [1, 8], [7, 4], [1, 2], [7, 2], [4, 8], [5, 5], [5, 5], [5, 5]],
+        dtype=np.int64,
+    )
+    cases.append((shapes, np.arange(18).reshape(6, 3), 9, 9))
+    for h, w in ((1, 30), (30, 1), (9, 9)):
+        pts = np.stack([rng.integers(0, h, 12), rng.integers(0, w, 12)], axis=1)
+        cases.append((pts, rng.integers(0, 12, size=(60, 3)), h, w))
+    for trial, (pts, tris, h, w) in enumerate(cases):
+        a = _core.occurrence_counts(pts, tris, h, w)
+        b = _pure.occurrence_counts(pts, tris, h, w)
         assert np.array_equal(a, b), trial
         assert a.dtype == b.dtype
+
+
+def test_occurrence_rejects_negative_index():
+    cloud = np.array([[0, 0], [1, 1], [2, 2]], dtype=np.int64)
+    for mod in (_core, _pure):
+        with pytest.raises(IndexError):
+            mod.occurrence_counts(cloud, np.array([[0, 1, -1]]), 5, 5)
 
 
 def test_occurrence_identical_degenerate():
@@ -99,35 +134,18 @@ def test_occurrence_identical_degenerate():
     assert np.array_equal(a, b)
 
 
-def test_full_pipeline_identical():
+def test_full_pipeline_identical(monkeypatch):
     from toposhadow.saliency import Params
     from toposhadow.synth import PhantomSpec, synth_phantom
-    from toposhadow import classify
+    from toposhadow import _kernels, classify
 
     img, _ = synth_phantom(PhantomSpec(seed=17))
     res_default = classify.detect(img, Params())
-    # re-run with the pure backend forced through the dispatch helper
-    from toposhadow import _kernels as dispatch
-
-    saved = (
-        dispatch.correlate1d_replicate,
-        dispatch.thin_points,
-        dispatch.rips_triangles,
-        dispatch.occurrence_counts,
-    )
-    try:
-        dispatch.correlate1d_replicate = _pure.correlate1d_replicate
-        dispatch.thin_points = _pure.thin_points
-        dispatch.rips_triangles = _pure.rips_triangles
-        dispatch.occurrence_counts = _pure.occurrence_counts
-        res_pure = classify.detect(img, Params())
-    finally:
-        (
-            dispatch.correlate1d_replicate,
-            dispatch.thin_points,
-            dispatch.rips_triangles,
-            dispatch.occurrence_counts,
-        ) = saved
+    # re-run with the pure backend forced through the dispatch names
+    pure = _kernels.get_backend("pure")
+    for name in ("correlate1d_replicate", "thin_points", "rips_triangles", "occurrence_counts"):
+        monkeypatch.setattr(_kernels, name, getattr(pure, name))
+    res_pure = classify.detect(img, Params())
 
     assert np.array_equal(res_default.labels, res_pure.labels)
     assert np.array_equal(res_default.confidence, res_pure.confidence)

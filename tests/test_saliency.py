@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from toposhadow.saliency import (
+    INT_FIELDS,
+    PARAM_FIELDS,
     Params,
     filter_stack,
     gaussian_kernel_1d,
@@ -123,6 +125,10 @@ def test_params_validation():
         Params(tau=0)
     with pytest.raises(ValueError):
         Params(crop_rows=-1)
+    for name in sorted(PARAM_FIELDS - INT_FIELDS):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                Params(**{name: value})
 
 
 def test_params_defaults_frozen():

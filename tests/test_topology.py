@@ -172,6 +172,23 @@ def test_pure_rips_memory_is_not_quadratic():
     assert peak < 8 * 2**20, peak
 
 
+def test_pure_occurrence_memory_is_bounded_by_the_frame():
+    # 100,000 small triangles span about 1.1 M (triangle, row) pairs;
+    # rasterizing them all in one numpy pass would take over 100 MiB
+    rng = np.random.default_rng(8)
+    corners = rng.integers(0, [180, 580], size=(100_000, 1, 2))
+    pts = (corners + rng.integers(0, 20, size=(100_000, 3, 2))).reshape(-1, 2)
+    tris = np.arange(len(pts)).reshape(-1, 3)
+    tracemalloc.start()
+    try:
+        counts = _pure.occurrence_counts(pts, tris, 200, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.max() > 0
+    assert peak < 32 * 2**20, peak
+
+
 def test_rips_matches_brute_force():
     rng = np.random.default_rng(20240811)
     for trial in range(40):
