@@ -30,10 +30,16 @@ else:
         _impl = _pure
         BACKEND = "pure"
 
-correlate1d_replicate = _impl.correlate1d_replicate
-thin_points = _impl.thin_points
-rips_triangles = _impl.rips_triangles
-occurrence_counts = _impl.occurrence_counts
+# the dispatch table: every kernel name, bound to the chosen backend
+KERNELS = (
+    "correlate1d_replicate",
+    "correlate1d_points",
+    "stack_std",
+    "thin_points",
+    "rips_triangles",
+    "occurrence_counts",
+)
+globals().update((name, getattr(_impl, name)) for name in KERNELS)
 
 
 def get_backend(name="auto"):

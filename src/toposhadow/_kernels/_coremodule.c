@@ -226,6 +226,128 @@ done:
     return (PyObject *)out;
 }
 
+/* Same formula along axis 1, only at the given points: point i reads row
+ * pts[i, 0] at column pts[i, 1] - col0, with taps clamped to the row. */
+static void correlate_points(const double *restrict x, Py_ssize_t w,
+                             const double *restrict wt, Py_ssize_t radius,
+                             const i64 *restrict pts, Py_ssize_t n, Py_ssize_t col0,
+                             double *restrict out)
+{
+    for (Py_ssize_t i = 0; i < n; i++) {
+        const double *restrict row = x + pts[2 * i] * w;
+        const Py_ssize_t c = pts[2 * i + 1] - col0;
+        const double xc = row[c];
+        if (radius == 0) {
+            out[i] = xc;
+            continue;
+        }
+        double acc = 0.0;
+        for (Py_ssize_t k = 1; k <= radius; k++) {
+            const double xl = row[c - k < 0 ? 0 : c - k];
+            const double xh = row[c + k > w - 1 ? w - 1 : c + k];
+            acc += wt[radius + k] * ((xl - xc) + (xh - xc));
+        }
+        out[i] = xc + acc;
+    }
+}
+
+static PyObject *correlate1d_points(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"img", "weights", "points", "col0", NULL};
+    PyObject *img_obj, *w_obj, *p_obj;
+    Py_ssize_t col0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOn", kwlist, &img_obj, &w_obj, &p_obj, &col0))
+        return NULL;
+    PyArrayObject *img = AS_ARRAY(img_obj, NPY_DOUBLE);
+    if (img == NULL)
+        return NULL;
+    PyArrayObject *wts = AS_ARRAY(w_obj, NPY_DOUBLE);
+    Py_ssize_t n = 0;
+    PyArrayObject *pts = wts == NULL ? NULL : as_points(p_obj, &n);
+    PyArrayObject *out = NULL;
+    if (pts == NULL)
+        goto done;
+    if (PyArray_NDIM(img) != 2 || PyArray_NDIM(wts) != 1 || PyArray_DIM(wts, 0) == 0) {
+        PyErr_SetString(PyExc_ValueError, "expected a 2D image and a non-empty 1D kernel");
+        goto done;
+    }
+    Py_ssize_t h = PyArray_DIM(img, 0), w = PyArray_DIM(img, 1);
+    const i64 *p = PyArray_DATA(pts);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (p[2 * i] < 0 || p[2 * i] >= h || p[2 * i + 1] - col0 < 0 || p[2 * i + 1] - col0 >= w) {
+            PyErr_SetString(PyExc_IndexError, "point outside the image");
+            goto done;
+        }
+    }
+    npy_intp dims[1] = {n};
+    out = (PyArrayObject *)PyArray_SimpleNew(1, dims, NPY_DOUBLE);
+    if (out == NULL)
+        goto done;
+    const double *x = PyArray_DATA(img), *wt = PyArray_DATA(wts);
+    double *o = PyArray_DATA(out);
+    Py_ssize_t radius = (PyArray_DIM(wts, 0) - 1) / 2;
+    Py_BEGIN_ALLOW_THREADS
+    correlate_points(x, w, wt, radius, p, n, col0, o);
+    Py_END_ALLOW_THREADS
+done:
+    Py_DECREF(img);
+    Py_XDECREF(wts);
+    Py_XDECREF(pts);
+    return (PyObject *)out;
+}
+
+/* ------------------------------------------------------------ stack std */
+
+/* Population standard deviation across the L layers of an (L, h*w) stack,
+ * layer by layer as numpy reduces a contiguous stack of more than one pixel
+ * per layer: the mean sums the layers from layer 0 and divides by L, the
+ * variance sums the squared deviations in the same order and divides by L.
+ * Pixel by pixel, so no stack-sized temporary exists. */
+static void std_layers(const double *restrict s, double *restrict out, Py_ssize_t L,
+                       Py_ssize_t plane)
+{
+    for (Py_ssize_t p = 0; p < plane; p++) {
+        double m = s[p];
+        for (Py_ssize_t l = 1; l < L; l++)
+            m += s[l * plane + p];
+        m /= (double)L;
+        double q = (s[p] - m) * (s[p] - m);
+        for (Py_ssize_t l = 1; l < L; l++) {
+            const double d = s[l * plane + p] - m;
+            q += d * d;
+        }
+        out[p] = sqrt(q / (double)L);
+    }
+}
+
+static PyObject *stack_std(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"stack", NULL};
+    PyObject *s_obj;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &s_obj))
+        return NULL;
+    PyArrayObject *stack = AS_ARRAY(s_obj, NPY_DOUBLE);
+    if (stack == NULL)
+        return NULL;
+    PyArrayObject *out = NULL;
+    if (PyArray_NDIM(stack) != 3 || PyArray_DIM(stack, 0) == 0) {
+        PyErr_SetString(PyExc_ValueError, "expected a non-empty (layers, H, W) stack");
+        goto done;
+    }
+    out = (PyArrayObject *)PyArray_SimpleNew(2, PyArray_DIMS(stack) + 1, NPY_DOUBLE);
+    if (out == NULL)
+        goto done;
+    const double *s = PyArray_DATA(stack);
+    double *o = PyArray_DATA(out);
+    Py_ssize_t L = PyArray_DIM(stack, 0), plane = PyArray_DIM(stack, 1) * PyArray_DIM(stack, 2);
+    Py_BEGIN_ALLOW_THREADS
+    std_layers(s, o, L, plane);
+    Py_END_ALLOW_THREADS
+done:
+    Py_DECREF(stack);
+    return (PyObject *)out;
+}
+
 /* ----------------------------------------------------------------- thin */
 
 /* Greedy row-major thinning: keep a candidate iff no already-kept point
@@ -575,6 +697,14 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "Symmetric 1D correlation with clamp-to-edge borders, evaluated in\n"
      "center-deviation form (see the pure twin for the exact formula)."},
+    {"correlate1d_points", (PyCFunction)(void (*)(void))correlate1d_points,
+     METH_VARARGS | METH_KEYWORDS,
+     "The axis-1 correlation of correlate1d_replicate, evaluated only at\n"
+     "the given (row, col) points; `col0` is the frame column of img[:, 0]."},
+    {"stack_std", (PyCFunction)(void (*)(void))stack_std, METH_VARARGS | METH_KEYWORDS,
+     "Per-pixel population standard deviation across the layers of an\n"
+     "(L, H, W) stack, summed layer by layer, without stack-sized\n"
+     "temporaries."},
     {"thin_points", (PyCFunction)(void (*)(void))thin_points, METH_VARARGS | METH_KEYWORDS,
      "Greedy row-major thinning: keep a candidate iff no already-kept\n"
      "point lies within the candidate's own spacing threshold (inclusive)."},

@@ -6,11 +6,12 @@ bit-identical to it: same arithmetic, same accumulation order, same tie
 rules.  The compiled core exists for speed only; the cross-backend
 equality tests hold both sides to that contract.
 
-Python loops here run over a correlation's taps, the triangle search's
+Python loops here run over a correlation's taps (also when it is
+evaluated only at given points), a stack's layers, the triangle search's
 anchor points, the points a thinning keeps and blocks of rasterized
 rows; thinning and rasterizing never loop per candidate or per triangle
-row.  Both backends
-rasterize with one integer rule: each edge that meets row r crosses it
+row, and no loop runs per pixel.  Both backends rasterize with one
+integer rule: each edge that meets row r crosses it
 at the exact column num/den, a flat edge at its first end (den = 1; its
 other end starts the next edge), and the row's span is [min ceil, max
 floor] over those crossings.
@@ -49,6 +50,71 @@ def correlate1d_replicate(img, weights, axis):
         after = padded[radius + k : radius + k + length]
         acc += weights[radius + k] * ((before - center) + (after - center))
     return np.ascontiguousarray(np.moveaxis(center + acc, 0, axis))
+
+
+def correlate1d_points(img, weights, points, col0):
+    """The axis-1 pass of `correlate1d_replicate`, only at `points`.
+
+    Point i reads row points[i, 0] of `img` at column points[i, 1] - col0,
+    so `img` may be a column slice of a frame whose first column is frame
+    column `col0`; taps clamp to the slice.  Each value is the same sum,
+    in the same order, as the dense pass at that pixel.  Raises IndexError
+    for a point outside `img`.
+    """
+    img = np.asarray(img, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    height, width = img.shape
+    rows, cols = pts[:, 0], pts[:, 1] - col0
+    if len(pts) and (rows.min() < 0 or rows.max() >= height or cols.min() < 0 or cols.max() >= width):
+        raise IndexError("point outside the image")
+    flat = img.ravel()
+    first = rows * width  # flat index of each point's row ends
+    last = first + (width - 1)
+    at = first + cols
+    center = flat.take(at)
+    radius = (len(weights) - 1) // 2
+    if radius == 0:
+        return center
+    acc = np.zeros_like(center)
+    for k in range(1, radius + 1):
+        before = flat.take(np.maximum(at - k, first))
+        after = flat.take(np.minimum(at + k, last))
+        # w[k] * ((before - center) + (after - center)), in place
+        before -= center
+        after -= center
+        before += after
+        before *= weights[radius + k]
+        acc += before
+    return center + acc
+
+
+def stack_std(stack):
+    """Per-pixel population standard deviation across the layers of an
+    (L, H, W) stack.
+
+    Layer by layer, which is numpy's order for a contiguous stack of more
+    than one pixel per layer: the mean sums the layers from layer 0 and
+    divides by L; the variance sums the squared deviations in the same
+    order and divides by L.  Only layer-sized temporaries are allocated.
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 3 or stack.shape[0] == 0:
+        raise ValueError("expected a non-empty (layers, H, W) stack")
+    layers = len(stack)
+    mean = stack[0].copy()
+    for layer in stack[1:]:
+        mean += layer
+    mean /= layers
+    out = stack[0] - mean
+    out *= out
+    dev = np.empty_like(mean)
+    for layer in stack[1:]:
+        np.subtract(layer, mean, out=dev)
+        dev *= dev
+        out += dev
+    out /= layers
+    return np.sqrt(out, out=out)
 
 
 def thin_points(points, spacing):

@@ -96,7 +96,7 @@ def salient_cloud(saliency, params):
     cloud, (N, 2) int64 in cropped coordinates.
     """
     cloud = threshold_points(saliency, params.gamma)
-    spacing = density_field(saliency, params)
+    spacing = density_field(saliency, cloud, params)
     return thin(cloud, spacing)
 
 

@@ -7,6 +7,7 @@ speckle lives.
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -44,8 +45,14 @@ class Params:
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.sigma_u <= 0 or self.sigma_v <= 0 or self.sigma_w <= 0:
-            raise ValueError("sigma values must be positive")
+        for name in ("sigma_u", "sigma_v", "sigma_w"):
+            sigma = getattr(self, name)
+            if sigma <= 0:
+                raise ValueError("sigma values must be positive")
+            # gaussian_kernel_1d divides by 2 sigma^2, which must be a
+            # normal float: below that the division overflows or is by 0
+            if 2.0 * sigma * sigma < sys.float_info.min:
+                raise ValueError(f"{name} is too small for Gaussian taps, got {sigma!r}")
         if self.stack_size < 2:
             raise ValueError("stack_size must be at least 2")
         if not 0.0 < self.gamma <= 100.0:
@@ -99,13 +106,20 @@ def filter_stack(img, params):
 
 
 def std_map(stack):
-    """Per-pixel population standard deviation across the stack layers."""
+    """Per-pixel population standard deviation across the stack layers.
+
+    Equal to ``np.sqrt(((stack - mean) ** 2).mean(axis=0))`` of a
+    contiguous stack, bit for bit, without its stack-sized temporaries.
+    """
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3 or stack.shape[0] == 0:
         raise ValueError("expected a non-empty (layers, H, W) stack")
-    mean = stack.mean(axis=0)
-    dev = stack - mean[None, :, :]
-    return np.sqrt((dev * dev).mean(axis=0))
+    if stack.shape[1] * stack.shape[2] == 1:
+        # numpy sums a one-pixel stack pairwise from 8 layers on, not
+        # layer by layer as the kernel does; it is cheap here, so use it
+        dev = stack - stack.mean(axis=0)
+        return np.sqrt((dev * dev).mean(axis=0))
+    return _kernels.stack_std(stack)
 
 
 def threshold_points(saliency, gamma):

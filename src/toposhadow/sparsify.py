@@ -11,32 +11,43 @@ from . import _kernels
 from .saliency import gaussian_kernel_1d
 
 
-def density_field(saliency, params):
-    """Per-pixel spacing threshold in [phi1, phi1 + phi2].
+def density_field(saliency, points, params):
+    """Spacing threshold in [phi1, phi1 + phi2] at each (row, col) point.
 
     The saliency map is normalized to [0, 1], blurred isotropically with
     sigma_w, clamped, and mapped so high saliency gives the minimum
-    spacing phi1.
+    spacing phi1.  Only what the points read is computed: the axis-0
+    pass runs over the columns within the kernel radius of a point, and
+    the axis-1 pass, clamp and map at the points alone.  Each value is
+    bit-identical to the full-frame field at its point, since columns
+    are independent in the axis-0 pass and a point's axis-1 taps clamp
+    inside that column slice exactly where they clamp in the frame.
+    Returns a float64 vector, one value per point.
     """
-    s_hat = np.asarray(saliency, dtype=np.float64) / 255.0
+    s = np.asarray(saliency, dtype=np.float64)
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    if len(pts) == 0:
+        return np.zeros(0, dtype=np.float64)
     kw = gaussian_kernel_1d(params.sigma_w)
-    blurred = _kernels.correlate1d_replicate(s_hat, kw, 0)
-    blurred = _kernels.correlate1d_replicate(blurred, kw, 1)
+    radius = (len(kw) - 1) // 2
+    c0 = max(0, int(pts[:, 1].min()) - radius)
+    c1 = min(s.shape[1], int(pts[:, 1].max()) + radius + 1)
+    blurred = _kernels.correlate1d_replicate(s[:, c0:c1] / 255.0, kw, 0)
+    blurred = _kernels.correlate1d_points(blurred, kw, pts, c0)
     np.clip(blurred, 0.0, 1.0, out=blurred)
     return params.phi1 + params.phi2 * (1.0 - blurred)
 
 
-def thin(cloud, density):
+def thin(cloud, spacing):
     """Greedy row-major thinning against each candidate's own spacing.
 
-    A candidate survives iff no previously kept point lies within
-    (inclusive) the density value at the candidate.  The result is an
+    ``spacing`` holds one threshold per cloud point, as
+    ``density_field`` returns it.  A candidate survives iff no previously
+    kept point lies within (inclusive) its spacing.  The result is an
     order-preserving subset of the input cloud.
     """
     pts = np.asarray(cloud, dtype=np.int64)
     if pts.size == 0:
         return pts.reshape(0, 2)
-    field = np.asarray(density, dtype=np.float64)
-    spacing = field[pts[:, 0], pts[:, 1]]
     kept = _kernels.thin_points(pts, spacing)
     return pts[kept]

@@ -5,10 +5,12 @@ to differ; nothing else is.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toposhadow._kernels import _pure
 from toposhadow.errors import TriangleCapError
-from toposhadow.saliency import gaussian_kernel_1d
+from toposhadow.saliency import gaussian_kernel_1d, std_map
 
 _core = pytest.importorskip("toposhadow._kernels._core")
 
@@ -30,6 +32,119 @@ def test_correlate_identical():
                 a = _core.correlate1d_replicate(img, weights, axis)
                 b = _pure.correlate1d_replicate(img, weights, axis)
                 assert np.array_equal(a, b), (sigma, axis)
+
+
+def dense_std(stack):
+    """The deviation map as plain numpy reductions over the whole stack."""
+    mean = stack.mean(axis=0)
+    dev = stack - mean[None, :, :]
+    return np.sqrt((dev * dev).mean(axis=0))
+
+
+def assert_stack_std_identical(stack):
+    a = _core.stack_std(stack)
+    b = _pure.stack_std(stack)
+    assert np.array_equal(a, b)
+    # numpy sums layer by layer except over a one-pixel stack of 8 or more
+    # layers, where it goes pairwise; std_map keeps numpy's result there
+    if stack.shape[1] * stack.shape[2] != 1:
+        assert np.array_equal(a, dense_std(stack))
+    assert np.array_equal(std_map(stack), dense_std(stack))
+    assert a.shape == stack.shape[1:] and a.dtype == np.float64
+
+
+def test_stack_std_identical():
+    rng = np.random.default_rng(505)
+    for layers in range(2, 9):
+        for shape in ((1, 1), (7, 1), (1, 9), (13, 17), (40, 60)):
+            stack = rng.uniform(0.0, 255.0, size=(layers,) + shape)
+            assert_stack_std_identical(stack)
+            # a constant stack of 8-bit values deviates by exactly 0
+            layer = rng.integers(0, 256, size=(1,) + shape).astype(np.float64)
+            const = np.repeat(layer, layers, axis=0)
+            assert_stack_std_identical(const)
+            assert not _core.stack_std(const).any()
+    # one-pixel stacks deep enough for numpy's pairwise sum
+    for layers in range(8, 20):
+        assert_stack_std_identical(rng.uniform(-1e6, 1e6, size=(layers, 1, 1)))
+    # an empty frame, and the validation both backends share
+    assert_stack_std_identical(np.zeros((3, 0, 4)))
+    for bad in (np.zeros((0, 2, 2)), np.zeros((2, 2))):
+        for mod in (_core, _pure):
+            with pytest.raises(ValueError):
+                mod.stack_std(bad)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.integers(2, 8),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 255.0, 1e6]),
+)
+def test_stack_std_identical_property(layers, h, w, seed, scale):
+    rng = np.random.default_rng(seed)
+    assert_stack_std_identical(rng.uniform(-scale, scale, size=(layers, h, w)))
+
+
+def dense_at_points(img, weights, pts, col0):
+    """The dense axis-1 pass of the frame slice, gathered at the points."""
+    dense = _pure.correlate1d_replicate(img, weights, 1)
+    return dense[pts[:, 0], pts[:, 1] - col0]
+
+
+def assert_points_identical(img, weights, pts, col0):
+    a = _core.correlate1d_points(img, weights, pts, col0)
+    b = _pure.correlate1d_points(img, weights, pts, col0)
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, dense_at_points(img, weights, pts, col0))
+    assert a.shape == (len(pts),) and a.dtype == np.float64
+
+
+def test_correlate_points_identical():
+    rng = np.random.default_rng(606)
+    for sigma in (0.2, 1.8, 5.0, 20.0):
+        weights = gaussian_kernel_1d(sigma)
+        # 1-column and narrow frames: the radius reaches past both edges
+        for h, w in ((1, 1), (12, 1), (5, 9), (30, 70)):
+            img = rng.uniform(0.0, 1.0, size=(h, w))
+            for col0 in (0, 13):
+                rows = rng.integers(0, h, 40)
+                cols = rng.integers(0, w, 40)
+                # the first and last column are always among the points
+                cols[:2] = (0, w - 1)
+                pts = np.stack([rows, cols + col0], axis=1)
+                assert_points_identical(img, weights, pts, col0)
+    # no points at all, and a radius-0 kernel, which copies
+    img = rng.uniform(0.0, 1.0, size=(4, 5))
+    assert_points_identical(img, gaussian_kernel_1d(1.0), np.zeros((0, 2), np.int64), 0)
+    assert_points_identical(img, np.ones(1), np.array([[1, 2], [3, 4]]), 0)
+
+
+def test_correlate_points_rejects_point_outside_the_image():
+    img = np.zeros((4, 5))
+    weights = gaussian_kernel_1d(1.0)
+    for pts, col0 in (([[4, 0]], 0), ([[0, 5]], 0), ([[-1, 0]], 0), ([[0, 2]], 3), ([[0, 8]], 3)):
+        for mod in (_core, _pure):
+            with pytest.raises(IndexError):
+                mod.correlate1d_points(img, weights, np.array(pts), col0)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 12),
+    st.integers(0, 20),
+    st.integers(1, 30),
+    st.sampled_from([0.2, 0.9, 3.0, 20.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_correlate_points_identical_property(h, w, col0, n, sigma, seed):
+    rng = np.random.default_rng(seed)
+    img = rng.uniform(-2.0, 2.0, size=(h, w))
+    pts = np.stack([rng.integers(0, h, n), rng.integers(0, w, n) + col0], axis=1)
+    assert_points_identical(img, gaussian_kernel_1d(sigma), pts, col0)
 
 
 def test_thin_identical():
@@ -141,9 +256,9 @@ def test_full_pipeline_identical(monkeypatch):
 
     img, _ = synth_phantom(PhantomSpec(seed=17))
     res_default = classify.detect(img, Params())
-    # re-run with the pure backend forced through the dispatch names
+    # re-run with the pure backend forced through every dispatch name
     pure = _kernels.get_backend("pure")
-    for name in ("correlate1d_replicate", "thin_points", "rips_triangles", "occurrence_counts"):
+    for name in _kernels.KERNELS:
         monkeypatch.setattr(_kernels, name, getattr(pure, name))
     res_pure = classify.detect(img, Params())
 

@@ -136,12 +136,18 @@ def test_invalid_param_value_exit_3(tmp_path):
     frame = tmp_path / "f.pgm"
     write_constant_frame(frame)
     cfg = tmp_path / "bad.cfg"
-    for key, value in (("gamma", "0"), ("epsilon", "nan"), ("sigma_u", "inf")):
+    for key, value in (
+        ("gamma", "0"),
+        ("epsilon", "nan"),
+        ("sigma_u", "inf"),
+        ("sigma_w", "1e-300"),
+    ):
         cfg.write_text(f"{key} = {value}\n")
         r = run_cli("detect", "--input", str(frame), "--config", str(cfg))
         assert r.returncode == 3, (key, r.stderr)
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
         assert key in r.stderr
+        assert "Warning" not in r.stderr
 
 
 def test_triangle_cap_exit_4(tmp_path):

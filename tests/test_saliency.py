@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from toposhadow import _kernels
 from toposhadow.saliency import (
     INT_FIELDS,
     PARAM_FIELDS,
@@ -80,6 +82,24 @@ def test_std_map_identical_layers():
     assert not std_map(stack).any()
 
 
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_std_map_allocates_no_stack_sized_temporary(backend, monkeypatch):
+    try:
+        impl = _kernels.get_backend(backend)
+    except ImportError:
+        pytest.skip("compiled core not built")
+    monkeypatch.setattr(_kernels, "stack_std", impl.stack_std)
+    stack = np.random.default_rng(8).uniform(0.0, 255.0, size=(6, 200, 600))
+    tracemalloc.start()
+    try:
+        s = std_map(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.shape == (200, 600)
+    assert peak < stack.nbytes, (peak, stack.nbytes)
+
+
 def test_threshold_empty_when_flat():
     assert threshold_points(np.zeros((5, 5)), 4.0).shape == (0, 2)
 
@@ -129,6 +149,15 @@ def test_params_validation():
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 Params(**{name: value})
+    # a sigma so small that 2 sigma^2 is not a normal float (1e-300: 0)
+    for name in ("sigma_u", "sigma_v", "sigma_w"):
+        for value in (1e-300, 5e-324, 1e-155):
+            with pytest.raises(ValueError, match=f"{name} is too small"):
+                Params(**{name: value})
+        # the smallest accepted sigma still gives finite taps, silently
+        with np.errstate(all="raise", under="ignore"):
+            taps = gaussian_kernel_1d(getattr(Params(**{name: 1e-153}), name))
+        assert taps.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_params_defaults_frozen():
