@@ -121,26 +121,60 @@ static inline double dist_sq(const i64 *pts, Py_ssize_t a, Py_ssize_t b)
 
 /* out[p] = x[p] + sum_{k=1..radius} w[k] * ((x[p-k]-x[p]) + (x[p+k]-x[p])),
  * accumulated from k = 1 outward in a per-row accumulator so that the
- * column loop vectorizes without changing any element's operation order. */
-static void correlate_axis0(const double *restrict x, double *restrict out,
-                            Py_ssize_t h, Py_ssize_t w,
-                            const double *restrict wt, Py_ssize_t radius)
+ * column loop over [c0, c1) vectorizes without changing any element's
+ * operation order. */
+static void correlate_axis0_cols(const double *restrict x, double *restrict out,
+                                 Py_ssize_t h, Py_ssize_t w, Py_ssize_t c0, Py_ssize_t c1,
+                                 const double *restrict wt, Py_ssize_t radius)
 {
     for (Py_ssize_t r = 0; r < h; r++) {
         const double *restrict xc = x + r * w;
         double *restrict acc = out + r * w;
-        for (Py_ssize_t c = 0; c < w; c++)
+        for (Py_ssize_t c = c0; c < c1; c++)
             acc[c] = 0.0;
         for (Py_ssize_t k = 1; k <= radius; k++) {
             const double *restrict xl = x + (r - k < 0 ? 0 : r - k) * w;
             const double *restrict xh = x + (r + k > h - 1 ? h - 1 : r + k) * w;
             const double wk = wt[radius + k];
-            for (Py_ssize_t c = 0; c < w; c++)
+            for (Py_ssize_t c = c0; c < c1; c++)
                 acc[c] += wk * ((xl[c] - xc[c]) + (xh[c] - xc[c]));
         }
-        for (Py_ssize_t c = 0; c < w; c++)
+        for (Py_ssize_t c = c0; c < c1; c++)
             acc[c] = xc[c] + acc[c];
     }
+}
+
+/* The same formula over bands of AXIS0_BAND columns.  A band's rows are
+ * 128-byte strips, so the 2 * radius + 1 strips an output row reads stay
+ * in L1 and its accumulators in registers.  Streaming whole rows instead
+ * made the pass bound by L2, and its time swung with the load on the
+ * shared caches.  The last, narrower band takes the general loop. */
+#define AXIS0_BAND 16
+
+static void correlate_axis0(const double *restrict x, double *restrict out,
+                            Py_ssize_t h, Py_ssize_t w,
+                            const double *restrict wt, Py_ssize_t radius)
+{
+    Py_ssize_t c0 = 0;
+    for (; c0 + AXIS0_BAND <= w; c0 += AXIS0_BAND) {
+        for (Py_ssize_t r = 0; r < h; r++) {
+            const double *restrict xc = x + r * w + c0;
+            double acc[AXIS0_BAND];
+            for (int c = 0; c < AXIS0_BAND; c++)
+                acc[c] = 0.0;
+            for (Py_ssize_t k = 1; k <= radius; k++) {
+                const double *restrict xl = x + (r - k < 0 ? 0 : r - k) * w + c0;
+                const double *restrict xh = x + (r + k > h - 1 ? h - 1 : r + k) * w + c0;
+                const double wk = wt[radius + k];
+                for (int c = 0; c < AXIS0_BAND; c++)
+                    acc[c] += wk * ((xl[c] - xc[c]) + (xh[c] - xc[c]));
+            }
+            for (int c = 0; c < AXIS0_BAND; c++)
+                out[r * w + c0 + c] = xc[c] + acc[c];
+        }
+    }
+    if (c0 < w)
+        correlate_axis0_cols(x, out, h, w, c0, w, wt, radius);
 }
 
 /* Same formula along each row; `pad` holds the row with `radius`

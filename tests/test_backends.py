@@ -24,10 +24,13 @@ def random_cloud(rng, n, extent=200):
 
 def test_correlate_identical():
     rng = np.random.default_rng(101)
+    # the compiled axis-0 pass works in bands of 16 columns: widths below,
+    # at and past a band edge, with and without a narrower last band
+    shapes = [(45, 60)] * 6 + [(45, 15), (45, 32), (3, 16), (1, 17), (70, 1)]
     for sigma in (0.2, 1.8, 5.0, 20.0):
         weights = gaussian_kernel_1d(sigma)
-        for _ in range(6):
-            img = rng.uniform(0.0, 255.0, size=(45, 60))
+        for shape in shapes:
+            img = rng.uniform(0.0, 255.0, size=shape)
             for axis in (0, 1):
                 a = _core.correlate1d_replicate(img, weights, axis)
                 b = _pure.correlate1d_replicate(img, weights, axis)
