@@ -4,9 +4,10 @@ The extension is compiled from the committed C source by ``setup.py
 build_ext`` into a session temporary directory, so the source tree stays
 untouched, and an import hook resolves ``toposhadow._kernels._core`` to
 that build.  Where no C compiler works the session runs on the pure numpy
-backend.  The report header names the backend that ran and where it came
-from.  Tests that start the CLI in a subprocess use whichever backend a
-fresh interpreter finds.
+backend.  The report header names the backend that ran, where it came
+from and, for the compiled core, the vector width it picked.  Tests that
+start the CLI in a subprocess use whichever backend a fresh interpreter
+finds.
 """
 
 import importlib.abc
@@ -77,5 +78,7 @@ def pytest_unconfigure(config):
 def pytest_report_header(config):
     from toposhadow import _kernels
 
-    origin = getattr(_kernels.get_backend(), "__file__", "?")
-    return f"toposhadow kernels: {_kernels.BACKEND} from {origin} ({_session['note']})"
+    backend = _kernels.get_backend()
+    origin = getattr(backend, "__file__", "?")
+    simd = f", simd {backend.SIMD}" if hasattr(backend, "SIMD") else ""
+    return f"toposhadow kernels: {_kernels.BACKEND}{simd} from {origin} ({_session['note']})"

@@ -3,6 +3,9 @@ same values, same emission order, same cap behaviour.  Speed is allowed
 to differ; nothing else is.
 """
 
+import platform
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,9 +35,40 @@ def test_correlate_identical():
         for shape in shapes:
             img = rng.uniform(0.0, 255.0, size=shape)
             for axis in (0, 1):
-                a = _core.correlate1d_replicate(img, weights, axis)
                 b = _pure.correlate1d_replicate(img, weights, axis)
-                assert np.array_equal(a, b), (sigma, axis)
+                for fn in (_core.correlate1d_replicate, _core._baseline_correlate1d_replicate):
+                    assert np.array_equal(fn(img, weights, axis), b), (sigma, axis)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 70),
+    st.sampled_from([0.2, 1.8, 5.0, 20.0]),
+    st.sampled_from([0, 1]),
+    st.integers(0, 2**32 - 1),
+)
+def test_correlate_identical_property(h, w, sigma, axis, seed):
+    # heights below the radius clamp most taps; widths cross the 16, 32
+    # and 48 column band edges of the compiled axis-0 pass.  The baseline
+    # entry runs the 2-lane instance, which an AVX-512 host would not pick.
+    img = np.random.default_rng(seed).uniform(-255.0, 255.0, size=(h, w))
+    weights = gaussian_kernel_1d(sigma)
+    b = _pure.correlate1d_replicate(img, weights, axis)
+    assert np.array_equal(_core.correlate1d_replicate(img, weights, axis), b)
+    assert np.array_equal(_core._baseline_correlate1d_replicate(img, weights, axis), b)
+
+
+def test_simd_names_the_instance():
+    # Linux lists avx512f among a CPU's flags only where the kernel enables it
+    try:
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        flags = None
+    if platform.machine() in ("x86_64", "AMD64") and flags is not None:
+        assert _core.SIMD == ("avx512f" if "avx512f" in flags else "baseline")
+    else:
+        assert _core.SIMD in ("avx512f", "baseline")
 
 
 def dense_std(stack):
@@ -59,7 +93,9 @@ def assert_stack_std_identical(stack):
 def test_stack_std_identical():
     rng = np.random.default_rng(505)
     for layers in range(2, 9):
-        for shape in ((1, 1), (7, 1), (1, 9), (13, 17), (40, 60)):
+        # planes of 15, 16, 17 and 33 pixels: below, at and past the
+        # compiled kernel's 16-pixel block, and a tail after two blocks
+        for shape in ((1, 1), (7, 1), (1, 9), (3, 5), (4, 4), (1, 17), (3, 11), (13, 17), (40, 60)):
             stack = rng.uniform(0.0, 255.0, size=(layers,) + shape)
             assert_stack_std_identical(stack)
             # a constant stack of 8-bit values deviates by exactly 0
@@ -264,9 +300,15 @@ def test_full_pipeline_identical(monkeypatch):
     for name in _kernels.KERNELS:
         monkeypatch.setattr(_kernels, name, getattr(pure, name))
     res_pure = classify.detect(img, Params())
+    # and on the compiled core's baseline-width axis-0 pass
+    for name in _kernels.KERNELS:
+        monkeypatch.setattr(_kernels, name, getattr(_core, name))
+    monkeypatch.setattr(_kernels, "correlate1d_replicate", _core._baseline_correlate1d_replicate)
+    res_baseline = classify.detect(img, Params())
 
-    assert np.array_equal(res_default.labels, res_pure.labels)
-    assert np.array_equal(res_default.confidence, res_pure.confidence)
-    assert res_default.mean_confidence == res_pure.mean_confidence
-    assert res_default.cloud_size == res_pure.cloud_size
-    assert res_default.triangle_count == res_pure.triangle_count
+    for res in (res_pure, res_baseline):
+        assert np.array_equal(res_default.labels, res.labels)
+        assert np.array_equal(res_default.confidence, res.confidence)
+        assert res_default.mean_confidence == res.mean_confidence
+        assert res_default.cloud_size == res.cloud_size
+        assert res_default.triangle_count == res.triangle_count
