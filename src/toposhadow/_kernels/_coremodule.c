@@ -240,12 +240,63 @@ static void correlate_axis1(const double *restrict x, double *restrict out,
     }
 }
 
+/* The byte range [*lo, *hi) an array's elements span; empty when it has
+ * none.  Bounds only, as numpy.may_share_memory compares them. */
+static void extent(PyArrayObject *a, char **lo, char **hi)
+{
+    *lo = *hi = PyArray_BYTES(a);
+    if (PyArray_SIZE(a) == 0)
+        return;
+    for (int d = 0; d < PyArray_NDIM(a); d++) {
+        npy_intp span = PyArray_STRIDE(a, d) * (PyArray_DIM(a, d) - 1);
+        if (span < 0)
+            *lo += span;
+        else
+            *hi += span;
+    }
+    *hi += PyArray_ITEMSIZE(a);
+}
+
+/* `out_obj` as the destination of a pass over `img` (converted from
+ * `img_obj`): a writeable C-contiguous float64 array of the image's
+ * shape whose bytes may not overlap the caller's input.  Returns a new
+ * reference, or NULL with ValueError set. */
+static PyArrayObject *as_out(PyObject *out_obj, PyObject *img_obj, PyArrayObject *img)
+{
+    if (!PyArray_Check(out_obj)) {
+        PyErr_SetString(PyExc_ValueError, "out must be a numpy array");
+        return NULL;
+    }
+    PyArrayObject *out = (PyArrayObject *)out_obj;
+    if (PyArray_TYPE(out) != NPY_DOUBLE || PyArray_NDIM(out) != 2
+        || PyArray_DIM(out, 0) != PyArray_DIM(img, 0) || PyArray_DIM(out, 1) != PyArray_DIM(img, 1)) {
+        PyErr_SetString(PyExc_ValueError, "out must be a float64 array of the image's shape");
+        return NULL;
+    }
+    if (!PyArray_IS_C_CONTIGUOUS(out) || !PyArray_ISWRITEABLE(out)) {
+        PyErr_SetString(PyExc_ValueError, "out must be C-contiguous and writeable");
+        return NULL;
+    }
+    if (PyArray_Check(img_obj)) {
+        char *a0, *a1, *b0, *b1;
+        extent(out, &a0, &a1);
+        extent((PyArrayObject *)img_obj, &b0, &b1);
+        if (a0 < b1 && b0 < a1) {
+            PyErr_SetString(PyExc_ValueError, "out must not overlap the image");
+            return NULL;
+        }
+    }
+    Py_INCREF(out);
+    return out;
+}
+
 static PyObject *correlate1d_with(axis0_fn axis0, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"img", "weights", "axis", NULL};
-    PyObject *img_obj, *w_obj;
+    static char *kwlist[] = {"img", "weights", "axis", "out", NULL};
+    PyObject *img_obj, *w_obj, *out_obj = Py_None;
     int axis;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOi", kwlist, &img_obj, &w_obj, &axis))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOi|O", kwlist, &img_obj, &w_obj, &axis,
+                                     &out_obj))
         return NULL;
     if (axis != 0 && axis != 1) {
         PyErr_SetString(PyExc_ValueError, "axis must be 0 or 1");
@@ -266,7 +317,10 @@ static PyObject *correlate1d_with(axis0_fn axis0, PyObject *args, PyObject *kwds
     }
     Py_ssize_t h = PyArray_DIM(img, 0), w = PyArray_DIM(img, 1);
     Py_ssize_t radius = (PyArray_DIM(wts, 0) - 1) / 2;
-    out = (PyArrayObject *)PyArray_SimpleNew(2, PyArray_DIMS(img), NPY_DOUBLE);
+    if (out_obj == Py_None)
+        out = (PyArrayObject *)PyArray_SimpleNew(2, PyArray_DIMS(img), NPY_DOUBLE);
+    else
+        out = as_out(out_obj, img_obj, img);
     if (out == NULL)
         goto done;
     const double *x = PyArray_DATA(img), *wt = PyArray_DATA(wts);
@@ -323,10 +377,17 @@ static void correlate_points(const double *restrict x, Py_ssize_t w,
             continue;
         }
         double acc = 0.0;
-        for (Py_ssize_t k = 1; k <= radius; k++) {
-            const double xl = row[c - k < 0 ? 0 : c - k];
-            const double xh = row[c + k > w - 1 ? w - 1 : c + k];
-            acc += wt[radius + k] * ((xl - xc) + (xh - xc));
+        if (radius <= c && c + radius <= w - 1) {
+            /* no tap reaches a slice edge: the same sum without clamps */
+            const double *restrict at = row + c;
+            for (Py_ssize_t k = 1; k <= radius; k++)
+                acc += wt[radius + k] * ((at[-k] - xc) + (at[k] - xc));
+        } else {
+            for (Py_ssize_t k = 1; k <= radius; k++) {
+                const double xl = row[c - k < 0 ? 0 : c - k];
+                const double xh = row[c + k > w - 1 ? w - 1 : c + k];
+                acc += wt[radius + k] * ((xl - xc) + (xh - xc));
+            }
         }
         out[i] = xc + acc;
     }
@@ -796,7 +857,8 @@ static PyMethodDef methods[] = {
     {"correlate1d_replicate", (PyCFunction)(void (*)(void))correlate1d_replicate,
      METH_VARARGS | METH_KEYWORDS,
      "Symmetric 1D correlation with clamp-to-edge borders, evaluated in\n"
-     "center-deviation form (see the pure twin for the exact formula)."},
+     "center-deviation form (see the pure twin for the exact formula);\n"
+     "written into `out` when one is given."},
     {"_baseline_correlate1d_replicate",
      (PyCFunction)(void (*)(void))baseline_correlate1d_replicate, METH_VARARGS | METH_KEYWORDS,
      "correlate1d_replicate on the baseline-width axis-0 pass, for tests."},

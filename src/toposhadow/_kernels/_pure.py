@@ -24,7 +24,7 @@ from ..errors import TriangleCapError
 _BLOCK = 1 << 16  # (triangle, row) pairs per numpy pass in occurrence_counts
 
 
-def correlate1d_replicate(img, weights, axis):
+def correlate1d_replicate(img, weights, axis, out=None):
     """Symmetric 1D correlation along `axis` with clamp-to-edge borders.
 
     Evaluated in center-deviation form with tap pairs accumulated from the
@@ -33,13 +33,22 @@ def correlate1d_replicate(img, weights, axis):
         out[p] = x[p] + sum_{k=1..r} w[k] * ((x[p-k]-x[p]) + (x[p+k]-x[p]))
 
     which preserves constant inputs exactly (every deviation is 0.0).
-    `weights` is the full odd-length kernel; it must be symmetric.
+    `weights` is the full odd-length kernel; it must be symmetric.  The
+    result goes into `out` when one is given, a writeable C-contiguous
+    float64 array of the image's shape that does not overlap `img`, and
+    `out` is returned; ValueError otherwise.
     """
+    src = img
     img = np.asarray(img, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(img, order="C")
+    else:
+        _check_out(out, img, src)
     radius = (len(weights) - 1) // 2
     if radius == 0:
-        return img.copy()
+        np.copyto(out, img)
+        return out
     x = np.ascontiguousarray(np.moveaxis(img, axis, 0))
     padded = np.pad(x, ((radius, radius), (0, 0)), mode="edge")
     length = x.shape[0]
@@ -49,7 +58,21 @@ def correlate1d_replicate(img, weights, axis):
         before = padded[radius - k : radius - k + length]
         after = padded[radius + k : radius + k + length]
         acc += weights[radius + k] * ((before - center) + (after - center))
-    return np.ascontiguousarray(np.moveaxis(center + acc, 0, axis))
+    np.add(center, acc, out=np.moveaxis(out, axis, 0))
+    return out
+
+
+def _check_out(out, img, src):
+    """Raise ValueError unless `out` can take a pass over `img`; `src` is
+    the caller's input, whose bytes `out` may not overlap."""
+    if not isinstance(out, np.ndarray):
+        raise ValueError("out must be a numpy array")
+    if out.dtype != np.float64 or out.shape != img.shape:
+        raise ValueError("out must be a float64 array of the image's shape")
+    if not (out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError("out must be C-contiguous and writeable")
+    if isinstance(src, np.ndarray) and np.may_share_memory(out, src):
+        raise ValueError("out must not overlap the image")
 
 
 def correlate1d_points(img, weights, points, col0):

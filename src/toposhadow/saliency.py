@@ -99,9 +99,12 @@ def filter_stack(img, params):
     kv = gaussian_kernel_1d(params.sigma_v)
     stack = np.empty((params.stack_size,) + img.shape, dtype=np.float64)
     stack[0] = img
+    # the vertical pass goes into one reused layer, the horizontal one
+    # straight into the stack: no frame-sized array per layer
+    scratch = np.empty(img.shape, dtype=np.float64)
     for f in range(1, params.stack_size):
-        layer = _kernels.correlate1d_replicate(stack[f - 1], ku, 0)
-        stack[f] = _kernels.correlate1d_replicate(layer, kv, 1)
+        _kernels.correlate1d_replicate(stack[f - 1], ku, 0, out=scratch)
+        _kernels.correlate1d_replicate(scratch, kv, 1, out=stack[f])
     return stack
 
 
@@ -126,10 +129,17 @@ def threshold_points(saliency, gamma):
     """All (row, col) with saliency >= gamma percent of 255, row-major.
 
     The comparison is inclusive; a pixel sitting exactly on the threshold
-    is salient.  Returns an (N, 2) int64 array.
+    is salient.  Returns a C-contiguous (N, 2) int64 array, equal to
+    ``np.argwhere(saliency >= thr)`` (whose result is transposed in
+    memory), so the kernels read it without a copy.
     """
     if not 0.0 < gamma <= 100.0:
         raise ValueError("gamma must lie in (0, 100]")
     s = np.asarray(saliency, dtype=np.float64)
+    if s.ndim != 2:
+        raise ValueError("expected a 2D saliency map")
     thr = gamma * 255.0 / 100.0
-    return np.argwhere(s >= thr)
+    flat = np.flatnonzero(s >= thr)
+    pts = np.empty((len(flat), 2), dtype=np.int64)
+    np.divmod(flat, s.shape[1], out=(pts[:, 0], pts[:, 1]))
+    return pts

@@ -3,7 +3,9 @@ same values, same emission order, same cap behaviour.  Speed is allowed
 to differ; nothing else is.
 """
 
+import contextlib
 import platform
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +13,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toposhadow import _kernels, classify
 from toposhadow._kernels import _pure
 from toposhadow.errors import TriangleCapError
-from toposhadow.saliency import gaussian_kernel_1d, std_map
+from toposhadow.saliency import Params, filter_stack, gaussian_kernel_1d, std_map
 
 _core = pytest.importorskip("toposhadow._kernels._core")
+
+# every entry to the dense correlation: both backends and the compiled
+# core's baseline-width instance
+CORRELATE = {
+    "compiled": _core.correlate1d_replicate,
+    "baseline": _core._baseline_correlate1d_replicate,
+    "pure": _pure.correlate1d_replicate,
+}
+
+
+@contextlib.contextmanager
+def on_backend(impl):
+    """Point every dispatch name at `impl` for a while."""
+    saved = {name: getattr(_kernels, name) for name in _kernels.KERNELS}
+    for name in _kernels.KERNELS:
+        setattr(_kernels, name, getattr(impl, name))
+    try:
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(_kernels, name, fn)
 
 
 def random_cloud(rng, n, extent=200):
@@ -57,6 +81,89 @@ def test_correlate_identical_property(h, w, sigma, axis, seed):
     b = _pure.correlate1d_replicate(img, weights, axis)
     assert np.array_equal(_core.correlate1d_replicate(img, weights, axis), b)
     assert np.array_equal(_core._baseline_correlate1d_replicate(img, weights, axis), b)
+
+
+@pytest.mark.parametrize("entry", sorted(CORRELATE))
+def test_correlate_out_matches_return(entry):
+    fn = CORRELATE[entry]
+    rng = np.random.default_rng(111)
+    kernels = [np.ones(1)] + [gaussian_kernel_1d(s) for s in (0.2, 1.8, 5.0)]
+    for shape in ((45, 60), (1, 17), (70, 1), (1, 1), (3, 16)):
+        img = rng.uniform(-255.0, 255.0, size=shape)
+        for weights in kernels:
+            for axis in (0, 1):
+                returned = fn(img, weights, axis)
+                out = np.full(shape, np.nan)
+                assert fn(img, weights, axis, out=out) is out
+                assert out.tobytes() == returned.tobytes(), (shape, len(weights), axis)
+                assert out.tobytes() == _pure.correlate1d_replicate(img, weights, axis).tobytes()
+
+
+@pytest.mark.parametrize("entry", sorted(CORRELATE))
+def test_correlate_out_rejects_bad_destination(entry):
+    fn = CORRELATE[entry]
+    weights = gaussian_kernel_1d(1.8)
+    img = np.random.default_rng(112).uniform(0.0, 255.0, size=(4, 5))
+    read_only = np.empty((4, 5))
+    read_only.flags.writeable = False
+    shared = np.zeros((8, 5))  # rows 0-3 are the input, rows 2-5 the output
+    bad = [
+        (img, np.empty((5, 4))),
+        (img, np.empty((4, 6))),
+        (img, np.empty(20)),
+        (img, np.empty((4, 5), dtype=np.float32)),
+        (img, np.empty((4, 5), order="F")),
+        (img, np.empty((4, 10))[:, ::2]),
+        (img, read_only),
+        (img, img),
+        (shared[:4], shared[2:6]),
+        (img, [[0.0] * 5] * 4),
+    ]
+    for axis in (0, 1):
+        for src, out in bad:
+            with pytest.raises(ValueError):
+                fn(src, weights, axis, out=out)
+    # rows next to the input, sharing no byte with it, are fine
+    fn(shared[:4], weights, 0, out=shared[4:])
+
+
+def test_filter_stack_allocates_one_scratch_frame(monkeypatch):
+    monkeypatch.setattr(_kernels, "correlate1d_replicate", _core.correlate1d_replicate)
+    img = np.random.default_rng(113).uniform(0.0, 255.0, size=(200, 600))
+    params = Params()
+    tracemalloc.start()
+    try:
+        stack = filter_stack(img, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (params.stack_size, 200, 600)
+    assert peak < stack.nbytes + 2 * img.nbytes, (peak, stack.nbytes, img.nbytes)
+
+
+def test_dispatch_table_covers_both_backends(monkeypatch):
+    for name in _kernels.KERNELS:
+        assert callable(getattr(_core, name)) and callable(getattr(_pure, name)), name
+    img = np.arange(12.0).reshape(3, 4)
+    for mod in (_core, _pure):
+        out = np.empty_like(img)
+        assert mod.correlate1d_replicate(img, gaussian_kernel_1d(1.0), 0, out=out) is out
+    # filter_stack and density_field call the kernel through its dispatch
+    # name, two calls per smoothed layer and one for the spacing field, so
+    # a wrapper installed there sees every call; it records their axes
+    calls = []
+    inner = _kernels.correlate1d_replicate
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "correlate1d_replicate", counted)
+    from toposhadow.synth import PhantomSpec, synth_phantom
+
+    img, _ = synth_phantom(PhantomSpec(seed=5))
+    classify.detect(img, Params())
+    assert calls == [0, 1] * (Params().stack_size - 1) + [0]
 
 
 def test_simd_names_the_instance():
@@ -155,6 +262,23 @@ def test_correlate_points_identical():
                 cols[:2] = (0, w - 1)
                 pts = np.stack([rows, cols + col0], axis=1)
                 assert_points_identical(img, weights, pts, col0)
+    # the unclamped tap loop takes a point whose taps all stay inside the
+    # slice: exactly `radius` columns from an edge, one column inside and
+    # one outside that bound, on both sides
+    for sigma in (0.2, 1.8, 5.0, 20.0):
+        weights = gaussian_kernel_1d(sigma)
+        radius = (len(weights) - 1) // 2
+        for w in (2 * radius + 1, 2 * radius + 2, 2 * radius + 9):
+            img = rng.uniform(0.0, 1.0, size=(7, w))
+            cols = [radius - 1, radius, radius + 1, w - 2 - radius, w - 1 - radius, w - radius]
+            cols = [c for c in cols if 0 <= c < w]
+            for col0 in (0, 13):
+                pts = np.array([(r, c + col0) for r in range(7) for c in cols])
+                assert_points_identical(img, weights, pts, col0)
+        # a slice narrower than 2 radius + 1: every point clamps
+        img = rng.uniform(0.0, 1.0, size=(5, 2 * radius))
+        pts = np.array([(r, c) for r in range(5) for c in range(2 * radius)])
+        assert_points_identical(img, weights, pts, 0)
     # no points at all, and a radius-0 kernel, which copies
     img = rng.uniform(0.0, 1.0, size=(4, 5))
     assert_points_identical(img, gaussian_kernel_1d(1.0), np.zeros((0, 2), np.int64), 0)
@@ -312,3 +436,36 @@ def test_full_pipeline_identical(monkeypatch):
         assert res_default.mean_confidence == res.mean_confidence
         assert res_default.cloud_size == res.cloud_size
         assert res_default.triangle_count == res.triangle_count
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.integers(2, 48),
+    st.integers(1, 40),
+    st.sampled_from(["noise", "constant", "bands"]),
+    st.sampled_from(["none", "some", "all but one"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_full_pipeline_identical_property(h, w, kind, crop, seed):
+    # 1-column frames, crop_rows = H - 1 (one row left) and constant frames,
+    # through every dispatch name on each backend
+    rng = np.random.default_rng(seed)
+    if kind == "noise":
+        img = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
+    elif kind == "constant":
+        img = np.full((h, w), rng.integers(0, 256), dtype=np.uint8)
+    else:
+        img = np.repeat(rng.integers(0, 256, size=(1, w)), h, axis=0).astype(np.uint8)
+    crop_rows = {"none": 0, "some": int(rng.integers(0, h)), "all but one": h - 1}[crop]
+    params = Params(crop_rows=crop_rows, gamma=float(rng.choice([0.5, 4.0, 30.0])))
+    results = []
+    for impl in (_core, _pure):
+        with on_backend(impl):
+            results.append(classify.detect(img, params))
+    a, b = results
+    assert np.array_equal(a.labels, b.labels)
+    assert a.confidence.tobytes() == b.confidence.tobytes()
+    assert a.mean_confidence == b.mean_confidence
+    assert np.array_equal(a.simplex_counts, b.simplex_counts)
+    assert np.array_equal(a.triangle_complex.vertices, b.triangle_complex.vertices)
+    assert np.array_equal(a.triangle_complex.triangles, b.triangle_complex.triangles)

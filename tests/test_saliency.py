@@ -126,6 +126,33 @@ def test_threshold_row_major_order():
     assert order == sorted(order)
 
 
+def test_threshold_layout_is_c_contiguous_int64():
+    s = np.random.default_rng(12).uniform(0.0, 30.0, size=(30, 40))
+    pts = threshold_points(s, 4.0)
+    assert pts.dtype == np.int64 and pts.ndim == 2 and pts.shape[1] == 2
+    assert pts.flags.c_contiguous
+    assert len(pts) > 0
+
+
+def test_threshold_equals_argwhere():
+    rng = np.random.default_rng(13)
+    thr = 4.0 * 255.0 / 100.0
+    maps = [rng.uniform(0.0, 20.0, size=shape)
+            for shape in ((1, 1), (1, 37), (29, 1), (17, 23), (64, 600))]
+    maps += [np.zeros(shape) for shape in ((0, 0), (0, 5), (5, 0), (4, 6))]  # empty
+    maps += [np.full((3, 5), 255.0), np.full((1, 1), thr)]  # all salient
+    on = rng.uniform(0.0, 20.0, size=(12, 9))
+    on[rng.random(on.shape) < 0.3] = thr  # pixels exactly on the threshold
+    on[0, 0], on[-1, -1] = np.nextafter(thr, 0.0), thr
+    maps.append(on)
+    for s in maps:
+        pts = threshold_points(s, 4.0)
+        expected = np.argwhere(s >= thr)
+        assert pts.shape == expected.shape and pts.dtype == np.int64, s.shape
+        assert np.array_equal(pts, expected), s.shape
+        assert pts.flags.c_contiguous
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         Params(sigma_u=0.0)
