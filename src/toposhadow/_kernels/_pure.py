@@ -7,11 +7,14 @@ rules.  The compiled core exists for speed only; the cross-backend
 equality tests hold both sides to that contract.
 
 Python loops here run over a correlation's taps (also when it is
-evaluated only at given points), a stack's layers, the triangle search's
-anchor points, the points a thinning keeps and blocks of rasterized
-rows; thinning and rasterizing never loop per candidate or per triangle
-row, and no loop runs per pixel.  Both backends rasterize with one
-integer rule: each edge that meets row r crosses it
+evaluated only at given points), a stack's layers, blocks of output rows
+in the dense passes, the triangle search's anchor points, the points a
+thinning keeps and blocks of rasterized rows; thinning and rasterizing
+never loop per candidate or per triangle row, and no loop runs per
+pixel.  A dense pass works on blocks of about _ROW_BLOCK doubles, which
+stay in cache across its taps or layers, and reads the image in its own
+row-major layout along either axis: no pass transposes.  Both backends
+rasterize with one integer rule: each edge that meets row r crosses it
 at the exact column num/den, a flat edge at its first end (den = 1; its
 other end starts the next edge), and the row's span is [min ceil, max
 floor] over those crossings.
@@ -22,6 +25,7 @@ import numpy as np
 from ..errors import TriangleCapError
 
 _BLOCK = 1 << 16  # (triangle, row) pairs per numpy pass in occurrence_counts
+_ROW_BLOCK = 1 << 14  # doubles per block of output rows in the dense passes
 
 
 def correlate1d_replicate(img, weights, axis, out=None):
@@ -37,6 +41,10 @@ def correlate1d_replicate(img, weights, axis, out=None):
     result goes into `out` when one is given, a writeable C-contiguous
     float64 array of the image's shape that does not overlap `img`, and
     `out` is returned; ValueError otherwise.
+
+    The taps read row or column offsets of one edge-padded copy of the
+    image, a block of output rows at a time, through three block-sized
+    buffers reused for every tap and block.
     """
     src = img
     img = np.asarray(img, dtype=np.float64)
@@ -46,19 +54,44 @@ def correlate1d_replicate(img, weights, axis, out=None):
     else:
         _check_out(out, img, src)
     radius = (len(weights) - 1) // 2
-    if radius == 0:
+    if radius == 0 or img.size == 0:
         np.copyto(out, img)
         return out
-    x = np.ascontiguousarray(np.moveaxis(img, axis, 0))
-    padded = np.pad(x, ((radius, radius), (0, 0)), mode="edge")
-    length = x.shape[0]
-    center = padded[radius : radius + length]
-    acc = np.zeros_like(center)
-    for k in range(1, radius + 1):
-        before = padded[radius - k : radius - k + length]
-        after = padded[radius + k : radius + k + length]
-        acc += weights[radius + k] * ((before - center) + (after - center))
-    np.add(center, acc, out=np.moveaxis(out, axis, 0))
+    height, width = img.shape
+    if axis == 0:
+        padded = np.empty((height + 2 * radius, width))
+        padded[radius : radius + height] = img
+        padded[:radius] = img[0]
+        padded[radius + height :] = img[-1]
+
+        def tap(k, r0, r1):  # rows r0 + k .. r1 + k of the image, clamped
+            return padded[radius + r0 + k : radius + r1 + k]
+
+    else:
+        padded = np.empty((height, width + 2 * radius))
+        padded[:, radius : radius + width] = img
+        padded[:, :radius] = img[:, :1]
+        padded[:, radius + width :] = img[:, -1:]
+
+        def tap(k, r0, r1):  # columns shifted by k, clamped
+            return padded[r0:r1, radius + k : radius + k + width]
+
+    rows = max(1, _ROW_BLOCK // width)
+    acc, lo, hi = (np.empty((min(rows, height), width)) for _ in range(3))
+    for r0 in range(0, height, rows):
+        r1 = min(r0 + rows, height)
+        n = r1 - r0
+        a, d, e = acc[:n], lo[:n], hi[:n]
+        center = tap(0, r0, r1)
+        a.fill(0.0)
+        for k in range(1, radius + 1):
+            # w[k] * ((before - center) + (after - center)), in place
+            np.subtract(tap(-k, r0, r1), center, out=d)
+            np.subtract(tap(k, r0, r1), center, out=e)
+            d += e
+            d *= weights[radius + k]
+            a += d
+        np.add(center, a, out=out[r0:r1])
     return out
 
 
@@ -119,25 +152,32 @@ def stack_std(stack):
     Layer by layer, which is numpy's order for a contiguous stack of more
     than one pixel per layer: the mean sums the layers from layer 0 and
     divides by L; the variance sums the squared deviations in the same
-    order and divides by L.  Only layer-sized temporaries are allocated.
+    order and divides by L.  Blocks of rows are reduced one at a time, so
+    only two block-sized buffers are allocated besides the result.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 3 or stack.shape[0] == 0:
         raise ValueError("expected a non-empty (layers, H, W) stack")
-    layers = len(stack)
-    mean = stack[0].copy()
-    for layer in stack[1:]:
-        mean += layer
-    mean /= layers
-    out = stack[0] - mean
-    out *= out
-    dev = np.empty_like(mean)
-    for layer in stack[1:]:
-        np.subtract(layer, mean, out=dev)
-        dev *= dev
-        out += dev
-    out /= layers
-    return np.sqrt(out, out=out)
+    layers, height, width = stack.shape
+    out = np.empty((height, width))
+    rows = max(1, _ROW_BLOCK // max(1, width))
+    mean, dev = (np.empty((min(rows, height), width)) for _ in range(2))
+    for r0 in range(0, height, rows):
+        r1 = min(r0 + rows, height)
+        m, d, o = mean[: r1 - r0], dev[: r1 - r0], out[r0:r1]
+        np.copyto(m, stack[0, r0:r1])
+        for layer in stack[1:, r0:r1]:
+            m += layer
+        m /= layers
+        np.subtract(stack[0, r0:r1], m, out=o)
+        o *= o
+        for layer in stack[1:, r0:r1]:
+            np.subtract(layer, m, out=d)
+            d *= d
+            o += d
+        o /= layers
+        np.sqrt(o, out=o)
+    return out
 
 
 def thin_points(points, spacing):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame_io import crop_top
-from .saliency import Params, filter_stack, std_map, threshold_points
+from .saliency import Params, as_real, filter_stack, std_map, threshold_points
 from .sparsify import density_field, thin
 from .topology import (
     Complex,
@@ -80,9 +80,10 @@ def texture(img, params):
     -> std map.
 
     Reads only the ``TEXTURE_FIELDS`` of ``params``.  Returns the
-    deviation map, float64 over the cropped frame.
+    deviation map, float64 over the cropped frame.  The frame is cropped
+    in its own dtype; only the kept rows are cast, into the stack.
     """
-    img = np.asarray(img, dtype=np.float64)
+    img = as_real(img)
     if img.ndim != 2:
         raise ValueError("expected a 2D image")
     cropped = crop_top(img, params.crop_rows)

@@ -87,12 +87,23 @@ def gaussian_kernel_1d(sigma):
     return w / w.sum()
 
 
+def as_real(img):
+    """`img` as an array whose values cast to float64 exactly as
+    ``np.asarray(img, dtype=np.float64)`` gives them: a bool, integer or
+    float array keeps its dtype, anything else is converted here."""
+    img = np.asarray(img)
+    if img.dtype.kind not in "biuf":
+        img = np.asarray(img, dtype=np.float64)
+    return img
+
+
 def filter_stack(img, params):
     """Iterated anisotropic blur: layer 0 is the input, each later layer
     is the previous one smoothed vertically by sigma_u then horizontally
     by sigma_v (replicate borders).  Returns (stack_size, H, W) float64.
+    Layer 0 is cast from the input in place, with no float64 copy first.
     """
-    img = np.asarray(img, dtype=np.float64)
+    img = as_real(img)
     if img.ndim != 2:
         raise ValueError("expected a 2D image")
     ku = gaussian_kernel_1d(params.sigma_u)

@@ -52,8 +52,10 @@ def random_cloud(rng, n, extent=200):
 def test_correlate_identical():
     rng = np.random.default_rng(101)
     # the compiled axis-0 pass works in bands of 16 columns: widths below,
-    # at and past a band edge, with and without a narrower last band
-    shapes = [(45, 60)] * 6 + [(45, 15), (45, 32), (3, 16), (1, 17), (70, 1)]
+    # at and past a band edge, with and without a narrower last band; the
+    # last two frames split the pure pass into default-size row blocks
+    # (234 rows and 27 rows) with a short last block
+    shapes = [(45, 60)] * 6 + [(45, 15), (45, 32), (3, 16), (1, 17), (70, 1), (300, 70), (120, 600)]
     for sigma in (0.2, 1.8, 5.0, 20.0):
         weights = gaussian_kernel_1d(sigma)
         for shape in shapes:
@@ -66,16 +68,18 @@ def test_correlate_identical():
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(
-    st.integers(1, 40),
+    st.integers(1, 300),
     st.integers(1, 70),
     st.sampled_from([0.2, 1.8, 5.0, 20.0]),
     st.sampled_from([0, 1]),
     st.integers(0, 2**32 - 1),
 )
 def test_correlate_identical_property(h, w, sigma, axis, seed):
-    # heights below the radius clamp most taps; widths cross the 16, 32
-    # and 48 column band edges of the compiled axis-0 pass.  The baseline
-    # entry runs the 2-lane instance, which an AVX-512 host would not pick.
+    # heights below the radius clamp most taps, and frames of more than
+    # _pure._ROW_BLOCK pixels split the pure pass into row blocks; widths
+    # cross the 16, 32 and 48 column band edges of the compiled axis-0
+    # pass.  The baseline entry runs the 2-lane instance, which an
+    # AVX-512 host would not pick.
     img = np.random.default_rng(seed).uniform(-255.0, 255.0, size=(h, w))
     weights = gaussian_kernel_1d(sigma)
     b = _pure.correlate1d_replicate(img, weights, axis)
@@ -139,6 +143,61 @@ def test_filter_stack_allocates_one_scratch_frame(monkeypatch):
         tracemalloc.stop()
     assert stack.shape == (params.stack_size, 200, 600)
     assert peak < stack.nbytes + 2 * img.nbytes, (peak, stack.nbytes, img.nbytes)
+
+
+def test_pure_dense_passes_allocate_block_buffers(monkeypatch):
+    # the pure twins of the test above: one padded copy and three row-block
+    # buffers per correlation pass, two row-block buffers in stack_std
+    monkeypatch.setattr(_kernels, "correlate1d_replicate", _pure.correlate1d_replicate)
+    monkeypatch.setattr(_kernels, "stack_std", _pure.stack_std)
+    img = np.random.default_rng(114).uniform(0.0, 255.0, size=(200, 600))
+    tracemalloc.start()
+    try:
+        stack = filter_stack(img, Params())
+        stack_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        s = std_map(stack)
+        std_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert stack_peak < stack.nbytes + 3 * img.nbytes, (stack_peak, stack.nbytes, img.nbytes)
+    assert s.shape == img.shape
+    assert std_peak < 1.5 * img.nbytes, (std_peak, img.nbytes)
+
+
+# pure row-block sizes, in doubles: one-row blocks, 7 doubles (a few rows
+# of a narrow frame) and 250 doubles, which gives a 60-column frame
+# 4-row blocks and its 45 rows a short last block
+SMALL_BLOCKS = (1, 7, 250)
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_correlate_identical_across_row_blocks(block, monkeypatch):
+    monkeypatch.setattr(_pure, "_ROW_BLOCK", block)
+    rng = np.random.default_rng(121)
+    # sigma 20 reaches past every one of these frames, and past every
+    # block; an empty frame gives an empty result on both backends
+    for sigma in (0.2, 1.8, 20.0):
+        weights = gaussian_kernel_1d(sigma)
+        for shape in ((45, 60), (71, 1), (45, 3), (1, 17), (1, 1), (0, 5), (5, 0)):
+            img = rng.uniform(-255.0, 255.0, size=shape)
+            for axis in (0, 1):
+                expected = _core.correlate1d_replicate(img, weights, axis).tobytes()
+                assert _pure.correlate1d_replicate(img, weights, axis).tobytes() == expected
+                out = np.full(shape, np.nan)
+                assert _pure.correlate1d_replicate(img, weights, axis, out=out) is out
+                assert out.tobytes() == expected, (sigma, shape, axis)
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_stack_std_identical_across_row_blocks(block, monkeypatch):
+    monkeypatch.setattr(_pure, "_ROW_BLOCK", block)
+    rng = np.random.default_rng(122)
+    for layers in range(2, 9):
+        for shape in ((45, 60), (71, 1), (45, 3), (1, 17)):
+            stack = rng.uniform(-255.0, 255.0, size=(layers,) + shape)
+            assert _pure.stack_std(stack).tobytes() == _core.stack_std(stack).tobytes()
 
 
 def test_dispatch_table_covers_both_backends(monkeypatch):
@@ -344,6 +403,12 @@ def test_rips_identical():
         b = _pure.rips_triangles(cloud, eps, 2_000_000)
         assert np.array_equal(a, b), trial
         assert a.dtype == b.dtype
+    # coincident points, at distance 0 from each other
+    cloud = np.repeat(random_cloud(rng, 25, extent=40), 2, axis=0)
+    for eps in (1e-3, 5.0, 20.0):
+        a = _core.rips_triangles(cloud, eps, 2_000_000)
+        assert np.array_equal(a, _pure.rips_triangles(cloud, eps, 2_000_000)), eps
+        assert len(a) or eps < 5.0
 
 
 def test_rips_exact_tie_distance():
@@ -463,6 +528,48 @@ def test_full_pipeline_identical_property(h, w, kind, crop, seed):
         with on_backend(impl):
             results.append(classify.detect(img, params))
     a, b = results
+    assert np.array_equal(a.labels, b.labels)
+    assert a.confidence.tobytes() == b.confidence.tobytes()
+    assert a.mean_confidence == b.mean_confidence
+    assert np.array_equal(a.simplex_counts, b.simplex_counts)
+    assert np.array_equal(a.triangle_complex.vertices, b.triangle_complex.vertices)
+    assert np.array_equal(a.triangle_complex.triangles, b.triangle_complex.triangles)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.integers(2, 40),
+    st.integers(1, 24),
+    st.sampled_from([1.0, 2.0, 5.0, 60.0, 1e-3, 1e300]),
+    st.sampled_from([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0), (15.0, 20.0), (0.0, 1e6), (1e6, 0.0)]),
+    st.sampled_from([(1.8, 20.0), (13.0, 40.0), (40.0, 0.5)]),
+    st.sampled_from([7, _pure._ROW_BLOCK]),
+    st.integers(0, 2**32 - 1),
+)
+def test_detect_identical_at_ties_and_extremes(h, w, epsilon, phi, sigmas, block, seed):
+    # integer epsilon and an integer phi1 with phi2 = 0 put distances on the
+    # inclusive boundary of both the triangle build and the thinning;
+    # sigma_u = 13 and 40 (radius 39 and 120) and sigma_w = 20 and 40 reach
+    # past the frame's height and past the rows of a 7-double pure block
+    img = np.random.default_rng(seed).integers(0, 256, size=(h, w)).astype(np.uint8)
+    (phi1, phi2), (sigma_u, sigma_w) = phi, sigmas
+    params = Params(
+        sigma_u=sigma_u, sigma_w=sigma_w, epsilon=epsilon, phi1=phi1, phi2=phi2,
+        gamma=0.5, crop_rows=0, triangle_cap=20_000,
+    )
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_pure, "_ROW_BLOCK", block)
+        for impl in (_core, _pure):
+            with on_backend(impl):
+                try:
+                    outcomes.append(classify.detect(img, params))
+                except TriangleCapError as exc:
+                    outcomes.append(exc.cap)
+    a, b = outcomes
+    if not isinstance(a, classify.DetectionResult):
+        assert a == b
+        return
     assert np.array_equal(a.labels, b.labels)
     assert a.confidence.tobytes() == b.confidence.tobytes()
     assert a.mean_confidence == b.mean_confidence

@@ -146,3 +146,15 @@ def test_detect_is_the_three_stages():
     assert np.array_equal(detect_labels(img, p), labels)
     assert res.cloud_size == len(cx.vertices)
     assert res.triangle_count == len(cx.triangles)
+
+
+def test_texture_casts_after_cropping():
+    # the frame is cropped in its own dtype and cast into the stack; the
+    # deviation map is the same bytes as for a float64 frame, and strings
+    # and objects still convert as np.asarray(img, dtype=np.float64) does
+    img, _ = synth_phantom(PhantomSpec(seed=6))
+    assert img.dtype == np.uint8
+    p = Params()
+    expected = texture(img.astype(np.float64), p).tobytes()
+    for frame in (img, img.astype(np.int64), img.astype(str), img.astype(object)):
+        assert texture(frame, p).tobytes() == expected, frame.dtype
