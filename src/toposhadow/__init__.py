@@ -26,7 +26,6 @@ from .evaluation import (
 )
 from .frame_io import (
     crop_top,
-    load_annotations,
     load_dataset,
     load_image,
     load_labels,
@@ -68,7 +67,6 @@ __all__ = [
     "fit_normal_target",
     "gaussian_kernel_1d",
     "grid_search",
-    "load_annotations",
     "load_dataset",
     "load_folds",
     "load_image",

@@ -6,6 +6,7 @@ diagnostics go to stderr.  Exit codes: 0 success, 1 usage, 2 I/O,
 """
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -17,7 +18,7 @@ from .baseline import select_kappa, thresh_classify
 from .classify import detect
 from .errors import FormatError, TriangleCapError
 from .evaluation import (
-    SWEEPABLE,
+    RATIOS,
     evaluate_folds,
     fit_normal_target,
     grid_search,
@@ -28,7 +29,7 @@ from .evaluation import (
     trajectory_rmse,
     write_folds,
 )
-from .saliency import INT_FIELDS, PARAM_FIELDS, Params
+from .saliency import PARAM_FIELDS, Params, field_value
 from .synth import PhantomSpec, make_dataset, synth_tilt_sequence
 
 _METHODS = ("topol", "thresh", "oracle")
@@ -69,24 +70,21 @@ def parse_config(path):
     return config
 
 
-def params_from_config(config):
-    kwargs = {}
-    for key, raw in config.items():
-        if key == "method":
-            continue
-        try:
-            kwargs[key] = int(raw) if key in INT_FIELDS else float(raw)
-        except ValueError:
-            raise FormatError(f"config key {key!r}: bad value {raw!r}") from None
-    try:
-        return Params(**kwargs)
-    except ValueError as exc:
-        raise FormatError(f"config: {exc}") from None
-
-
 def _load_params(args):
     config = parse_config(args.config) if args.config else {}
-    return params_from_config(config), config
+    try:
+        params = Params(**{k: field_value(k, v) for k, v in config.items() if k != "method"})
+    except ValueError as exc:
+        raise FormatError(f"config: {exc}") from None
+    return params, config
+
+
+def _value_list(name, text):
+    """The comma-separated values in `text`, coerced for Params field `name`."""
+    values = [field_value(name, v) for v in text.split(",") if v != ""]
+    if not values:
+        raise FormatError(f"empty value list for {name!r}")
+    return values
 
 
 def _float_repr(value):
@@ -94,22 +92,18 @@ def _float_repr(value):
 
 
 def _metric_row(metrics):
-    return [
-        str(metrics.tp),
-        str(metrics.tn),
-        str(metrics.fp),
-        str(metrics.fn),
-        _float_repr(metrics.acc),
-        _float_repr(metrics.tnr),
-        _float_repr(metrics.tpr),
-        _float_repr(metrics.ppv),
-    ]
+    counts = [metrics.tp, metrics.tn, metrics.fp, metrics.fn]
+    return [str(n) for n in counts] + [_float_repr(getattr(metrics, n)) for n in RATIOS]
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """stdout for no path or ``-``, otherwise a file closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="ascii") as out:
+            yield out
 
 
 def _bresenham(r0, c0, r1, c1):
@@ -213,27 +207,18 @@ def cmd_evaluate(args):
             return lambda img, truth: thresh_classify(img, kappa, params.crop_rows)
 
     report = evaluate_folds(dataset, folds, make_predict, workers=args.workers)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for fold in sorted(chosen_kappa):
             out.write(f"# fold {fold} kappa={_float_repr(chosen_kappa[fold])}\n")
-        out.write("fold,role,tp,tn,fp,fn,acc,tnr,tpr,ppv\n")
+        out.write(",".join(["fold", "role", "tp", "tn", "fp", "fn", *RATIOS]) + "\n")
         for row in report.rows:
             out.write(",".join([str(row.fold), row.role] + _metric_row(row.metrics)) + "\n")
         for role in ("seen", "unseen"):
             if role not in report.averages:
                 continue
             avg = report.averages[role]
-            out.write(
-                ",".join(
-                    ["avg", role, "", "", "", ""]
-                    + [_float_repr(avg[name]) for name in ("acc", "tnr", "tpr", "ppv")]
-                )
-                + "\n"
-            )
-    finally:
-        if close:
-            out.close()
+            ratios = [_float_repr(avg[name]) for name in RATIOS]
+            out.write(",".join(["avg", role, "", "", "", ""] + ratios) + "\n")
     return 0
 
 
@@ -248,50 +233,25 @@ def cmd_trajectory(args):
         means.append(detect(img, params).mean_confidence)
     target = fit_normal_target(means)
     rmse = trajectory_rmse(means, target)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write("frame,mean_confidence,target\n")
         for name, measured, fitted in zip(names, means, target):
             stem = name[: -len(".pgm")]
             out.write(f"{stem},{_float_repr(measured)},{_float_repr(fitted)}\n")
         out.write(f"# rmse={_float_repr(rmse)}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def cmd_sweep(args):
     params, _ = _load_params(args)
-    if args.param not in SWEEPABLE:
-        raise FormatError(
-            f"unknown parameter {args.param!r}; choose from {', '.join(SWEEPABLE)}"
-        )
-    try:
-        values = [float(v) for v in args.values.split(",") if v != ""]
-    except ValueError:
-        raise FormatError(f"bad --values list {args.values!r}") from None
-    if not values:
-        raise FormatError("empty --values list")
+    values = _value_list(args.param, args.values)
     dataset = frame_io.load_dataset(args.dataset)
     rows = perturb_sweep(dataset, args.param, values, params, workers=args.workers)
-    out, close = _open_out(args.out)
-    try:
-        out.write("value,acc,tnr,tpr,ppv\n")
+    with _output(args.out) as out:
+        out.write(",".join(["value", *RATIOS]) + "\n")
         for value, metrics in rows:
-            out.write(
-                ",".join(
-                    [_float_repr(value)]
-                    + [
-                        _float_repr(getattr(metrics, name))
-                        for name in ("acc", "tnr", "tpr", "ppv")
-                    ]
-                )
-                + "\n"
-            )
-    finally:
-        if close:
-            out.close()
+            ratios = [getattr(metrics, name) for name in RATIOS]
+            out.write(",".join(_float_repr(v) for v in [value, *ratios]) + "\n")
     return 0
 
 
@@ -305,12 +265,7 @@ def cmd_gridsearch(args):
         name = name.strip()
         if name in grid:
             raise FormatError(f"duplicate grid parameter {name!r}")
-        try:
-            grid[name] = [float(v) for v in raw.split(",") if v != ""]
-        except ValueError:
-            raise FormatError(f"bad value list in {spec!r}") from None
-        if not grid[name]:
-            raise FormatError(f"empty value list in {spec!r}")
+        grid[name] = _value_list(name, raw)
     dataset = frame_io.load_dataset(args.dataset)
     best_params, best_score = grid_search(dataset, grid, params, workers=args.workers)
     for name in grid:

@@ -17,9 +17,10 @@ from .classify import (
     texture,
 )
 from .errors import FormatError
-from .saliency import INT_FIELDS, PARAM_FIELDS, Params
+from .saliency import Params, field_value
 
-SWEEPABLE = ("sigma_u", "sigma_v", "gamma", "phi1", "phi2", "sigma_w", "epsilon", "tau")
+# the ratios a MetricsReport derives from its counts, in report order
+RATIOS = ("acc", "tnr", "tpr", "ppv")
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,7 @@ def evaluate_folds(dataset, folds, make_predict, workers=1):
         if per_fold:
             averages[role] = {
                 name: sum(getattr(m, name) for m in per_fold) / len(per_fold)
-                for name in ("acc", "tnr", "tpr", "ppv")
+                for name in RATIOS
             }
     return EvalReport(rows=tuple(rows), averages=averages)
 
@@ -286,14 +287,11 @@ def trajectory_rmse(measured, target):
 def perturb_sweep(dataset, name, values, base=None, workers=1):
     """One pooled evaluation per parameter value, everything else at base.
 
-    Returns a list of (value, MetricsReport) rows in input order.
+    Returns a list of (value, MetricsReport) rows in input order, each
+    value coerced by ``field_value``.
     """
-    if name not in SWEEPABLE:
-        raise ValueError(f"unknown parameter {name!r}")
-    if base is None:
-        base = Params()
-    combos = _combos(base, (name,), zip(values))
-    return list(zip(values, _pooled_each(dataset, combos, workers)))
+    rows = _grid_rows(dataset, {name: values}, base, workers)
+    return [(getattr(params, name), pooled) for params, pooled in rows]
 
 
 def grid_search(dataset, grid, base=None, workers=1):
@@ -307,29 +305,21 @@ def grid_search(dataset, grid, base=None, workers=1):
         raise ValueError("empty dataset")
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValueError("empty grid")
+    # max keeps the first of equal keys, as a strict > scan would
+    params, pooled = max(_grid_rows(dataset, grid, base, workers), key=lambda row: row[1].acc)
+    return params, pooled.acc
+
+
+def _grid_rows(dataset, grid, base, workers):
+    """(Params, pooled MetricsReport) for every combination of ``grid``,
+    a dict of value lists, in row-major order.  Every value is coerced
+    and every combination built, so checked, before any frame runs.
+    """
     if base is None:
         base = Params()
-    for name in grid:
-        if name not in PARAM_FIELDS:
-            raise ValueError(f"unknown parameter {name!r}")
-    combos = _combos(base, list(grid), itertools.product(*grid.values()))
-    best = None
-    for params, pooled in zip(combos, _pooled_each(dataset, combos, workers)):
-        if best is None or pooled.acc > best[1]:
-            best = (params, pooled.acc)
-    return best
-
-
-def _combos(base, names, rows):
-    return [replace(base, **{n: _coerce(n, v) for n, v in zip(names, row)}) for row in rows]
-
-
-def _coerce(name, value):
-    if name in INT_FIELDS:
-        if float(value) != int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        return int(value)
-    return float(value)
+    values = [[field_value(name, v) for v in grid[name]] for name in grid]
+    combos = [replace(base, **dict(zip(grid, row))) for row in itertools.product(*values)]
+    return list(zip(combos, _pooled_each(dataset, combos, workers)))
 
 
 def _pooled_each(dataset, combos, workers=1):

@@ -19,7 +19,6 @@ __all__ = [
     "write_image",
     "crop_top",
     "load_labels",
-    "load_annotations",
     "write_labels",
     "write_map",
     "load_dataset",
@@ -140,25 +139,6 @@ def write_labels(labels, path):
     with open(path, "w") as fh:
         fh.write("".join("1" if v else "0" for v in labels))
         fh.write("\n")
-
-
-def load_annotations(directory):
-    """Load every ``<frame>.labels`` sidecar in a directory.
-
-    Returns {frame_id: label vector}; the frame id is the sidecar stem.
-    When a matching ``<frame>.pgm`` exists its width is enforced.
-    """
-    entries = {}
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".labels"):
-            continue
-        frame_id = name[: -len(".labels")]
-        width = None
-        pgm = os.path.join(directory, frame_id + ".pgm")
-        if os.path.exists(pgm):
-            width = load_image(pgm).shape[1]
-        entries[frame_id] = load_labels(os.path.join(directory, name), width)
-    return entries
 
 
 def load_dataset(directory):

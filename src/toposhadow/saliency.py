@@ -67,11 +67,44 @@ class Params:
             raise ValueError("crop_rows must be non-negative")
         if self.triangle_cap < 1:
             raise ValueError("triangle_cap must be positive")
+        # the compiled core reads the cap as a C long long
+        if self.triangle_cap > 2**63 - 1:
+            raise ValueError(
+                f"triangle_cap must be at most 2**63 - 1, got {self.triangle_cap!r}"
+            )
 
 
 # the Params field names, and the integer-valued ones; the rest are floats
 PARAM_FIELDS = frozenset(f.name for f in fields(Params))
 INT_FIELDS = frozenset(f.name for f in fields(Params) if f.type is int)
+
+
+def field_value(name, value):
+    """`value`, a number or its text, as the type of Params field `name`.
+
+    A float field takes any finite number.  An integer field takes a
+    whole one, written as ``2``, ``2.0`` or ``1e3``; integer text keeps
+    every digit.  Anything else raises ValueError naming the field: an
+    unknown name (with the choices), a fraction on an integer field, or
+    a value that is not a finite number (``nan``, ``inf``, ``1e400``).
+    """
+    if name not in PARAM_FIELDS:
+        choices = ", ".join(f.name for f in fields(Params))
+        raise ValueError(f"unknown parameter {name!r}; choose from {choices}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name}: bad value {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if name not in INT_FIELDS:
+        return number
+    if not number.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    try:
+        return int(value)  # exact for integer text, past float precision
+    except ValueError:  # text such as "2.0" or "1e3"
+        return int(number)
 
 
 def gaussian_kernel_1d(sigma):

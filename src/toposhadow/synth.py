@@ -78,14 +78,19 @@ def synth_phantom(spec):
     return np.floor(img + 0.5).astype(np.uint8), labels
 
 
-def synth_tilt_sequence(n, spec=None, w_min=0.1, w_max=0.9, band_step=60):
+# the tilt band's width as a fraction of the frame at the ends and at the
+# middle of the sequence, and the step its pixel width snaps to
+_W_MIN, _W_MAX, _BAND_STEP = 0.1, 0.9, 60
+
+
+def synth_tilt_sequence(n, spec=None):
     """Frames of a simulated probe tilt: a centred visible band whose
     width follows a bell curve over the sequence, on fixed texture.
 
     The band is widest at the middle frame and narrowest at the ends;
     texture is identical across frames (same seed) so the confidence
     trajectory reflects geometry, not noise.  The width is snapped to
-    multiples of ``band_step``: frames sharing a width are then
+    multiples of ``_BAND_STEP``: frames sharing a width are then
     bit-identical, and the area change between adjacent width levels is
     large enough to dominate the point-thinning jitter a few-pixel edge
     shift would otherwise cause.  Returns a list of (image, labels)
@@ -93,19 +98,15 @@ def synth_tilt_sequence(n, spec=None, w_min=0.1, w_max=0.9, band_step=60):
     """
     if n < 3:
         raise ValueError("need at least 3 frames")
-    if not 0.0 < w_min <= w_max <= 1.0:
-        raise ValueError("need 0 < w_min <= w_max <= 1")
-    if band_step < 1:
-        raise ValueError("band_step must be positive")
     if spec is None:
         spec = PhantomSpec()
     mu = (n - 1) / 2.0
     s = n / 6.0
     frames = []
     for i in range(n):
-        frac = w_min + (w_max - w_min) * math.exp(-((i - mu) ** 2) / (2.0 * s * s))
-        band = band_step * int(round(frac * spec.width / band_step))
-        band = max(band_step, min(band, spec.width))
+        frac = _W_MIN + (_W_MAX - _W_MIN) * math.exp(-((i - mu) ** 2) / (2.0 * s * s))
+        band = _BAND_STEP * int(round(frac * spec.width / _BAND_STEP))
+        band = max(_BAND_STEP, min(band, spec.width))
         start = (spec.width - band) // 2
         intervals = []
         if start > 0:

@@ -141,6 +141,7 @@ def test_invalid_param_value_exit_3(tmp_path):
         ("epsilon", "nan"),
         ("sigma_u", "inf"),
         ("sigma_w", "1e-300"),
+        ("triangle_cap", "100000000000000000000"),
     ):
         cfg.write_text(f"{key} = {value}\n")
         r = run_cli("detect", "--input", str(frame), "--config", str(cfg))
@@ -148,6 +149,37 @@ def test_invalid_param_value_exit_3(tmp_path):
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
         assert key in r.stderr
         assert "Warning" not in r.stderr
+
+
+def test_invalid_grid_or_sweep_value_exit_3(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--frames", "1"]) == 0
+    for key, argv in (
+        ("tau", ["gridsearch", "--grid", "tau=inf"]),
+        ("tau", ["gridsearch", "--grid", "tau=nan"]),
+        ("tau", ["gridsearch", "--grid", "tau=2.5"]),
+        ("tau", ["gridsearch", "--grid", "tau=1e400"]),
+        ("triangle_cap", ["gridsearch", "--grid", "triangle_cap=1e30"]),
+        ("tau", ["sweep", "--param", "tau", "--values", "inf"]),
+        ("kappa", ["sweep", "--param", "kappa", "--values", "1"]),
+    ):
+        capsys.readouterr()
+        assert cli.main(argv + ["--dataset", str(data)]) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        assert key in captured.err, argv
+
+
+def test_integer_fields_take_whole_numbers(tmp_path, capsys):
+    frame = tmp_path / "f.pgm"
+    write_constant_frame(frame)
+    cfg = tmp_path / "whole.cfg"
+    cfg.write_text("tau = 2.0\ncrop_rows = 1e2\nstack_size = 6\n")
+    assert cli.main(["detect", "--input", str(frame)]) == 0
+    default = capsys.readouterr().out
+    assert cli.main(["detect", "--input", str(frame), "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_triangle_cap_exit_4(tmp_path):
@@ -263,14 +295,15 @@ def test_sweep_single_value(tmp_path):
 def test_sweep_empty_dataset_prints_nan_rows(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
-    argv = ["sweep", "--dataset", str(empty), "--param", "gamma", "--values", "3,4,5"]
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == (
-        "value,acc,tnr,tpr,ppv\n"
-        "3.0,nan,nan,nan,nan\n"
-        "4.0,nan,nan,nan,nan\n"
-        "5.0,nan,nan,nan,nan\n"
-    )
+    for name, values in (("gamma", "3,4,5"), ("stack_size", "3,4.0,5e0")):
+        argv = ["sweep", "--dataset", str(empty), "--param", name, "--values", values]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (
+            "value,acc,tnr,tpr,ppv\n"
+            "3.0,nan,nan,nan,nan\n"
+            "4.0,nan,nan,nan,nan\n"
+            "5.0,nan,nan,nan,nan\n"
+        )
 
 
 def test_gridsearch_single_point(tmp_path):

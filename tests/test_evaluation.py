@@ -364,7 +364,12 @@ def test_grid_search_matches_plain_loop():
 
 def test_perturb_sweep_matches_plain_loop():
     dataset, _, _ = small_dataset(n=4)
-    for name, values in (("gamma", [3.0, 4.0, 3.0]), ("epsilon", [40.0, 70.0]), ("tau", [1, 3])):
+    for name, values in (
+        ("gamma", [3.0, 4.0, 3.0]),
+        ("epsilon", [40.0, 70.0]),
+        ("tau", [1, 3]),
+        ("stack_size", [4, 6]),
+    ):
         rows = perturb_sweep(dataset, name, values, workers=2)
         assert [v for v, _ in rows] == values
         for value, rep in rows:

@@ -9,6 +9,7 @@ from toposhadow.saliency import (
     INT_FIELDS,
     PARAM_FIELDS,
     Params,
+    field_value,
     filter_stack,
     gaussian_kernel_1d,
     std_map,
@@ -185,6 +186,32 @@ def test_params_validation():
         with np.errstate(all="raise", under="ignore"):
             taps = gaussian_kernel_1d(getattr(Params(**{name: 1e-153}), name))
         assert taps.tolist() == [0.0, 1.0, 0.0]
+    # the compiled core reads the cap as a C long long
+    assert Params(triangle_cap=2**63 - 1).triangle_cap == 2**63 - 1
+    with pytest.raises(ValueError, match="triangle_cap"):
+        Params(triangle_cap=2**63)
+
+
+def test_field_value_coerces_by_field_type():
+    for value in (2, "2", 2.0, "2.0", " 2 ", "2e0"):
+        got = field_value("tau", value)
+        assert got == 2 and type(got) is int, value
+    assert field_value("crop_rows", "1e3") == 1000
+    # integer text keeps every digit, past float precision
+    assert field_value("triangle_cap", "12345678901234567891") == 12345678901234567891
+    for value in (60, "60", 60.0, "6e1"):
+        got = field_value("epsilon", value)
+        assert got == 60.0 and type(got) is float, value
+    for name in sorted(PARAM_FIELDS):
+        for value in ("nan", "inf", "-inf", "1e400", float("nan"), "abc", "", None):
+            with pytest.raises(ValueError, match=name):
+                field_value(name, value)
+    for name in sorted(INT_FIELDS):
+        for value in (2.5, "2.5", "1e-3"):
+            with pytest.raises(ValueError, match=name):
+                field_value(name, value)
+    with pytest.raises(ValueError, match="kappa.*choose from sigma_u, "):
+        field_value("kappa", 1.0)
 
 
 def test_params_defaults_frozen():
