@@ -33,7 +33,14 @@ from .frame_io import (
     write_labels,
     write_map,
 )
-from .saliency import Params, filter_stack, gaussian_kernel_1d, std_map, threshold_points
+from .saliency import (
+    Params,
+    deviation_map,
+    filter_stack,
+    gaussian_kernel_1d,
+    std_map,
+    threshold_points,
+)
 from .sparsify import density_field, thin
 from .synth import PhantomSpec, make_dataset, synth_phantom, synth_tilt_sequence
 from .topology import (
@@ -62,6 +69,7 @@ __all__ = [
     "crop_top",
     "density_field",
     "detect",
+    "deviation_map",
     "evaluate_folds",
     "filter_stack",
     "fit_normal_target",

@@ -13,7 +13,9 @@
  * and multiplies, nothing is contracted, and every element sees the same
  * operations in the same order at either width.
  *
- * Every kernel releases the GIL around its loops.
+ * Every kernel releases the GIL around its loops.  The dense passes of
+ * the deviation map and the spacing field split a large call into two
+ * parts, the second run by one helper thread (see "two parts" below).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -23,8 +25,12 @@
 #include <numpy/arrayobject.h>
 
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
 #include <stdlib.h>
 #include <string.h>
+#include <unistd.h>
 
 typedef npy_int64 i64;
 typedef npy_int32 i32;
@@ -124,6 +130,139 @@ static inline double dist_sq(const i64 *pts, Py_ssize_t a, Py_ssize_t b)
     return (double)(dy * dy + dx * dx);
 }
 
+/* ------------------------------------------------------------ two parts */
+
+/* A dense call splits its columns (or points) into a left and a right
+ * part: the calling thread runs the left one and a helper thread the right
+ * one.  There is at most one helper per process.  It starts on the first
+ * split call, sleeps on `wake` while idle, and touches no Python object.
+ * A call that finds the helper busy with another thread's call runs both
+ * parts itself, and a caller whose right part the helper has not picked
+ * up by the time its left part is done takes it back, so a busy second
+ * core costs at most the serial time.  Parts write disjoint outputs, so
+ * the result does not depend on who ran which part. */
+typedef void (*part_fn)(void *job, int part);
+
+enum { HELPER_IDLE, HELPER_POSTED, HELPER_RUNNING, HELPER_DONE };
+
+static struct {
+    pthread_mutex_t lock;
+    pthread_cond_t wake, done;
+    int started, state;
+    part_fn fn;
+    void *job;
+    long long parts_run; /* right parts the helper ran, for tests */
+} helper = {PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER, PTHREAD_COND_INITIALIZER,
+            0, HELPER_IDLE, NULL, NULL, 0};
+
+/* Both are read and written with the GIL held. */
+static long long split_calls; /* calls that split, for tests */
+static long serial_holds;     /* > 0 while a worker pool holds the kernels serial */
+
+static void *helper_main(void *unused)
+{
+    (void)unused;
+    pthread_mutex_lock(&helper.lock);
+    for (;;) {
+        while (helper.state != HELPER_POSTED)
+            pthread_cond_wait(&helper.wake, &helper.lock);
+        helper.state = HELPER_RUNNING;
+        pthread_mutex_unlock(&helper.lock);
+        helper.fn(helper.job, 1);
+        pthread_mutex_lock(&helper.lock);
+        helper.parts_run++;
+        helper.state = HELPER_DONE;
+        pthread_cond_signal(&helper.done);
+    }
+    return NULL;
+}
+
+/* Start the helper with every signal blocked, so that signals keep going to
+ * the interpreter's threads; call with the lock held.  0 on success. */
+static int start_helper(void)
+{
+    sigset_t all, old;
+    pthread_t thread;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    int rc = pthread_create(&thread, NULL, helper_main, NULL);
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    if (rc != 0)
+        return -1;
+    pthread_detach(thread);
+    helper.started = 1;
+    return 0;
+}
+
+/* Run parts 0 and 1 of `job`; call without the GIL.  Not inlined, as
+ * nothing here is hot: its three callers share one copy. */
+__attribute__((noinline)) static void run_parts(part_fn fn, void *job)
+{
+    int posted = 0;
+    pthread_mutex_lock(&helper.lock);
+    if (helper.state == HELPER_IDLE && (helper.started || start_helper() == 0)) {
+        helper.fn = fn;
+        helper.job = job;
+        helper.state = HELPER_POSTED;
+        posted = 1;
+        pthread_cond_signal(&helper.wake);
+    }
+    pthread_mutex_unlock(&helper.lock);
+    fn(job, 0);
+    if (posted) {
+        pthread_mutex_lock(&helper.lock);
+        if (helper.state == HELPER_POSTED) {
+            posted = 0; /* not started yet: take it back */
+        } else {
+            while (helper.state != HELPER_DONE)
+                pthread_cond_wait(&helper.done, &helper.lock);
+        }
+        helper.state = HELPER_IDLE;
+        pthread_mutex_unlock(&helper.lock);
+    }
+    if (!posted)
+        fn(job, 1);
+}
+
+/* fork() copies only the forking thread: the child forgets the helper and
+ * starts its own when it first splits.  The lock is held across the fork,
+ * so the child's copy is in a known state. */
+static void helper_prepare(void) { pthread_mutex_lock(&helper.lock); }
+static void helper_parent(void) { pthread_mutex_unlock(&helper.lock); }
+static void helper_child(void)
+{
+    pthread_cond_init(&helper.wake, NULL);
+    pthread_cond_init(&helper.done, NULL);
+    helper.started = 0;
+    helper.state = HELPER_IDLE;
+    pthread_mutex_unlock(&helper.lock);
+}
+
+/* The CPUs this process may run on. */
+static int cpus_allowed(void)
+{
+#ifdef CPU_COUNT
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        return CPU_COUNT(&set);
+#endif
+    long n = sysconf(_SC_NPROCESSORS_ONLN);
+    return n > 0 ? (int)n : 1;
+}
+
+/* Whether a call whose parts each do about `part_work` multiply-adds
+ * should split; call with the GIL held.  Below SPLIT_MIN_WORK the wake-up
+ * of the helper costs more than the part. */
+#define SPLIT_MIN_WORK 100000.0
+
+__attribute__((noinline)) static int should_split(double part_work)
+{
+    if (serial_holds > 0 || part_work < SPLIT_MIN_WORK || cpus_allowed() < 2)
+        return 0;
+    split_calls++;
+    return 1;
+}
+
 /* ------------------------------------------------------------ correlate */
 
 /* out[p] = x[p] + sum_{k=1..radius} w[k] * ((x[p-k]-x[p]) + (x[p+k]-x[p])),
@@ -164,15 +303,18 @@ static void correlate_axis0_cols(const double *restrict x, double *restrict out,
 #define AXIS0_BAND 16
 
 typedef void (*axis0_fn)(const double *restrict, double *restrict, Py_ssize_t, Py_ssize_t,
-                         const double *restrict, Py_ssize_t);
+                         Py_ssize_t, Py_ssize_t, const double *restrict, Py_ssize_t);
 
+/* Columns [cb, ce) of an (h, w) image; the other columns of `out` are left
+ * alone, so two threads may each run their own column range. */
 #define AXIS0_BANDS(name, V, attr)                                                        \
     attr static void name(const double *restrict x, double *restrict out, Py_ssize_t h,   \
-                          Py_ssize_t w, const double *restrict wt, Py_ssize_t radius)     \
+                          Py_ssize_t w, Py_ssize_t cb, Py_ssize_t ce,                     \
+                          const double *restrict wt, Py_ssize_t radius)                   \
     {                                                                                     \
         enum { N = sizeof(V) / sizeof(double), NV = AXIS0_BAND / N };                     \
-        Py_ssize_t c0 = 0;                                                                \
-        for (; c0 + AXIS0_BAND <= w; c0 += AXIS0_BAND) {                                  \
+        Py_ssize_t c0 = cb;                                                               \
+        for (; c0 + AXIS0_BAND <= ce; c0 += AXIS0_BAND) {                                 \
             for (Py_ssize_t r = 0; r < h; r++) {                                          \
                 V xc[NV], acc[NV], lo, hi;                                                \
                 memcpy(xc, x + r * w + c0, sizeof(xc));                                   \
@@ -193,8 +335,8 @@ typedef void (*axis0_fn)(const double *restrict, double *restrict, Py_ssize_t, P
                 memcpy(out + r * w + c0, acc, sizeof(acc));                               \
             }                                                                             \
         }                                                                                 \
-        if (c0 < w)                                                                       \
-            correlate_axis0_cols(x, out, h, w, c0, w, wt, radius);                        \
+        if (c0 < ce)                                                                      \
+            correlate_axis0_cols(x, out, h, w, c0, ce, wt, radius);                       \
     }
 
 /* The baseline width: 16-byte vectors, native on every 64-bit CPU.  A
@@ -213,8 +355,9 @@ AXIS0_BANDS(correlate_axis0_v8, v8df, __attribute__((target("avx512f"))))
 static axis0_fn correlate_axis0 = correlate_axis0_v2;
 
 /* Same formula along each row; `pad` holds the row with `radius`
- * edge-replicated cells on either side. */
-static void correlate_axis1(const double *restrict x, double *restrict out,
+ * edge-replicated cells on either side.  Not inlined: both callers share
+ * one copy of its loops. */
+__attribute__((noinline)) static void correlate_axis1(const double *restrict x, double *restrict out,
                             Py_ssize_t h, Py_ssize_t w,
                             const double *restrict wt, Py_ssize_t radius,
                             double *restrict pad)
@@ -290,6 +433,20 @@ static PyArrayObject *as_out(PyObject *out_obj, PyObject *img_obj, PyArrayObject
     return out;
 }
 
+/* An axis-0 pass over two column ranges: columns are independent. */
+typedef struct {
+    axis0_fn axis0;
+    const double *x, *wt;
+    double *out;
+    Py_ssize_t h, w, radius, cut[3];
+} Axis0Job;
+
+static void axis0_part(void *job, int part)
+{
+    Axis0Job *j = job;
+    j->axis0(j->x, j->out, j->h, j->w, j->cut[part], j->cut[part + 1], j->wt, j->radius);
+}
+
 static PyObject *correlate1d_with(axis0_fn axis0, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"img", "weights", "axis", "out", NULL};
@@ -328,8 +485,15 @@ static PyObject *correlate1d_with(axis0_fn axis0, PyObject *args, PyObject *kwds
     if (radius == 0 || h == 0 || w == 0) {
         memcpy(o, x, (size_t)(h * w) * sizeof(double));
     } else if (axis == 0) {
+        /* the cut keeps whole bands on the left */
+        Py_ssize_t cut = (w / 2 + AXIS0_BAND / 2) / AXIS0_BAND * AXIS0_BAND;
+        Axis0Job job = {axis0, x, wt, o, h, w, radius, {0, cut, w}};
+        int split = cut > 0 && cut < w && should_split((double)h * (double)(w - cut) * (double)radius);
         Py_BEGIN_ALLOW_THREADS
-        axis0(x, o, h, w, wt, radius);
+        if (split)
+            run_parts(axis0_part, &job);
+        else
+            axis0(x, o, h, w, 0, w, wt, radius);
         Py_END_ALLOW_THREADS
     } else {
         double *pad = malloc((size_t)(w + 2 * radius) * sizeof(double));
@@ -363,7 +527,8 @@ static PyObject *baseline_correlate1d_replicate(PyObject *self, PyObject *args, 
 
 /* Same formula along axis 1, only at the given points: point i reads row
  * pts[i, 0] at column pts[i, 1] - col0, with taps clamped to the row. */
-static void correlate_points(const double *restrict x, Py_ssize_t w,
+/* Not inlined: both callers share one copy of its loops. */
+__attribute__((noinline)) static void correlate_points(const double *restrict x, Py_ssize_t w,
                              const double *restrict wt, Py_ssize_t radius,
                              const i64 *restrict pts, Py_ssize_t n, Py_ssize_t col0,
                              double *restrict out)
@@ -391,6 +556,21 @@ static void correlate_points(const double *restrict x, Py_ssize_t w,
         }
         out[i] = xc + acc;
     }
+}
+
+/* The point pass over two runs of points: each point is independent. */
+typedef struct {
+    const double *x, *wt;
+    const i64 *pts;
+    double *out;
+    Py_ssize_t w, radius, col0, cut[3];
+} PointsJob;
+
+static void points_part(void *job, int part)
+{
+    PointsJob *j = job;
+    Py_ssize_t a = j->cut[part], b = j->cut[part + 1];
+    correlate_points(j->x, j->w, j->wt, j->radius, j->pts + 2 * a, b - a, j->col0, j->out + a);
 }
 
 static PyObject *correlate1d_points(PyObject *self, PyObject *args, PyObject *kwds)
@@ -428,8 +608,13 @@ static PyObject *correlate1d_points(PyObject *self, PyObject *args, PyObject *kw
     const double *x = PyArray_DATA(img), *wt = PyArray_DATA(wts);
     double *o = PyArray_DATA(out);
     Py_ssize_t radius = (PyArray_DIM(wts, 0) - 1) / 2;
+    PointsJob job = {x, wt, p, o, w, radius, col0, {0, n / 2, n}};
+    int split = should_split((double)(n - n / 2) * (double)(radius + 1));
     Py_BEGIN_ALLOW_THREADS
-    correlate_points(x, w, wt, radius, p, n, col0, o);
+    if (split)
+        run_parts(points_part, &job);
+    else
+        correlate_points(x, w, wt, radius, p, n, col0, o);
     Py_END_ALLOW_THREADS
 done:
     Py_DECREF(img);
@@ -471,14 +656,22 @@ std_block(const double *restrict s, double *restrict out, Py_ssize_t L, Py_ssize
         out[j] = sqrt(q[j] / (double)L);
 }
 
-static void std_layers(const double *restrict s, double *restrict out, Py_ssize_t L,
-                       Py_ssize_t plane)
+/* The deviation of `n` contiguous pixels of a plane.  When n >= STD_BLOCK
+ * the last block overlaps the one before it: a pixel's value does not
+ * depend on its block, so the overlap rewrites the same bytes.  Not
+ * inlined: its callers share one copy of the vector loops. */
+__attribute__((noinline)) static void std_run(const double *restrict s, double *restrict out, Py_ssize_t L,
+                    Py_ssize_t plane, Py_ssize_t n)
 {
-    Py_ssize_t p = 0;
-    for (; p + STD_BLOCK <= plane; p += STD_BLOCK)
-        std_block(s + p, out + p, L, plane, STD_BLOCK);
-    for (; p < plane; p++)
-        std_block(s + p, out + p, L, plane, 1);
+    if (n < STD_BLOCK) {
+        for (Py_ssize_t p = 0; p < n; p++)
+            std_block(s + p, out + p, L, plane, 1);
+        return;
+    }
+    for (Py_ssize_t p = 0; p < n; p += STD_BLOCK) {
+        const Py_ssize_t q = p + STD_BLOCK <= n ? p : n - STD_BLOCK;
+        std_block(s + q, out + q, L, plane, STD_BLOCK);
+    }
 }
 
 static PyObject *stack_std(PyObject *self, PyObject *args, PyObject *kwds)
@@ -502,11 +695,234 @@ static PyObject *stack_std(PyObject *self, PyObject *args, PyObject *kwds)
     double *o = PyArray_DATA(out);
     Py_ssize_t L = PyArray_DIM(stack, 0), plane = PyArray_DIM(stack, 1) * PyArray_DIM(stack, 2);
     Py_BEGIN_ALLOW_THREADS
-    std_layers(s, o, L, plane);
+    std_run(s, o, L, plane, plane);
     Py_END_ALLOW_THREADS
 done:
     Py_DECREF(stack);
     return (PyObject *)out;
+}
+
+/* -------------------------------------------------------- deviation map */
+
+/* The deviation map of a frame: the per-pixel std_map of its filter stack,
+ * without the stack.  Each part owns columns [cut[p], cut[p + 1]) and
+ * works in a private band: its columns plus `halo` columns on either side,
+ * clamped to the frame, with the band's own stack, scratch layer and
+ * padded row.  A layer's axis-1 pass clamps at the band's inner edge, so
+ * the radius(kv) columns nearest that edge go wrong once per layer; with
+ * halo = (layers - 1) * radius(kv), every owned column stays exact, and
+ * the part writes only those to `out`.  The caller casts each band's
+ * layer 0 from the image. */
+typedef struct {
+    axis0_fn axis0;
+    const double *ku, *kv;
+    double *out;
+    Py_ssize_t h, w, ru, rv, layers, halo, cut[3];
+    double *band[2];
+} DevJob;
+
+static void band_range(const DevJob *j, int part, Py_ssize_t *b0, Py_ssize_t *b1)
+{
+    *b0 = j->cut[part] - j->halo < 0 ? 0 : j->cut[part] - j->halo;
+    *b1 = j->w - j->cut[part + 1] < j->halo ? j->w : j->cut[part + 1] + j->halo;
+}
+
+static void deviation_part(void *job, int part)
+{
+    DevJob *j = job;
+    Py_ssize_t b0, b1;
+    band_range(j, part, &b0, &b1);
+    const Py_ssize_t h = j->h, bw = b1 - b0, plane = h * bw;
+    double *stack = j->band[part], *scratch = stack + j->layers * plane;
+    double *pad = scratch + plane;
+    for (Py_ssize_t f = 1; f < j->layers; f++) {
+        const double *prev = stack + (f - 1) * plane;
+        double *next = stack + f * plane;
+        if (j->ru == 0)
+            memcpy(scratch, prev, (size_t)plane * sizeof(double));
+        else
+            j->axis0(prev, scratch, h, bw, 0, bw, j->ku, j->ru);
+        if (j->rv == 0)
+            memcpy(next, scratch, (size_t)plane * sizeof(double));
+        else
+            correlate_axis1(scratch, next, h, bw, j->kv, j->rv, pad);
+    }
+    const Py_ssize_t c0 = j->cut[part], c1 = j->cut[part + 1];
+    for (Py_ssize_t r = 0; r < h; r++)
+        std_run(stack + r * bw + (c0 - b0), j->out + r * j->w + c0, j->layers, plane, c1 - c0);
+}
+
+/* Columns [b0, b1) of `img`, of any real dtype, cast into the (h, b1 - b0)
+ * float64 rows at `dst` as numpy assigns them.  0, or -1 with an error. */
+static int cast_columns(PyArrayObject *img, Py_ssize_t b0, Py_ssize_t b1, double *dst)
+{
+    npy_intp dims[2] = {PyArray_DIM(img, 0), b1 - b0};
+    PyArray_Descr *descr = PyArray_DESCR(img);
+    Py_INCREF(descr);
+    /* a read-only view that lives only while `img` is held */
+    PyObject *from = PyArray_NewFromDescr(&PyArray_Type, descr, 2, dims, PyArray_STRIDES(img),
+                                          PyArray_BYTES(img) + b0 * PyArray_STRIDE(img, 1), 0,
+                                          NULL);
+    PyObject *to = from == NULL ? NULL : PyArray_SimpleNewFromData(2, dims, NPY_DOUBLE, dst);
+    int rc = to == NULL ? -1 : PyArray_CopyInto((PyArrayObject *)to, (PyArrayObject *)from);
+    Py_XDECREF(from);
+    Py_XDECREF(to);
+    return rc;
+}
+
+/* A part must be at least SPLIT_HALOS halos wide: narrower, its halo
+ * columns cost more than the second core saves. */
+#define SPLIT_HALOS 4
+
+/* `parts` is 0 to choose, 1 to run serial and 2 to split. */
+static PyObject *deviation_with(PyObject *img_obj, PyObject *ku_obj, PyObject *kv_obj,
+                                PyObject *layers_obj, int parts)
+{
+    /* a count past Py_ssize_t clips to its maximum and fails the size check */
+    Py_ssize_t layers = PyNumber_AsSsize_t(layers_obj, NULL);
+    if (layers == -1 && PyErr_Occurred())
+        return NULL;
+    if (layers < 1) {
+        PyErr_SetString(PyExc_ValueError, "layers must be at least 1");
+        return NULL;
+    }
+    /* any dtype: layer 0 is cast straight into the bands */
+    PyArrayObject *img = (PyArrayObject *)PyArray_FROM_O(img_obj);
+    if (img == NULL)
+        return NULL;
+    PyArrayObject *ku = AS_ARRAY(ku_obj, NPY_DOUBLE);
+    PyArrayObject *kv = ku == NULL ? NULL : AS_ARRAY(kv_obj, NPY_DOUBLE);
+    PyArrayObject *out = NULL, *bands = NULL;
+    if (kv == NULL)
+        goto done;
+    if (PyArray_NDIM(img) != 2 || PyArray_NDIM(ku) != 1 || PyArray_DIM(ku, 0) == 0
+        || PyArray_NDIM(kv) != 1 || PyArray_DIM(kv, 0) == 0) {
+        PyErr_SetString(PyExc_ValueError, "expected a 2D image and non-empty 1D kernels");
+        goto done;
+    }
+    DevJob job = {correlate_axis0, PyArray_DATA(ku), PyArray_DATA(kv), NULL,
+                  PyArray_DIM(img, 0), PyArray_DIM(img, 1), (PyArray_DIM(ku, 0) - 1) / 2,
+                  (PyArray_DIM(kv, 0) - 1) / 2, layers, 0, {0, 0, 0}, {NULL, NULL}};
+    const Py_ssize_t h = job.h, w = job.w;
+    /* both parts' band widths, and the size arithmetic checked for overflow */
+    Py_ssize_t mid = w / 2;
+    size_t halo;
+    if (__builtin_mul_overflow((size_t)(layers - 1), (size_t)job.rv, &halo) || halo > (size_t)w)
+        halo = (size_t)w;
+    job.halo = (Py_ssize_t)halo;
+    if (parts == 0) {
+        /* per pixel and layer: the taps of both passes, and the copy and std */
+        double work = (double)h * (double)(w - mid) * (double)(layers - 1)
+                      * (double)(job.ru + job.rv + 2);
+        parts = mid > 0 && mid >= SPLIT_HALOS * job.halo && should_split(work) ? 2 : 1;
+    } else if (parts == 2) {
+        split_calls++;
+    }
+    job.cut[1] = parts == 2 ? mid : w;
+    job.cut[2] = w;
+    size_t band[2] = {0, 0}, total = 0;
+    int overflow = 0;
+    for (int p = 0; p < parts; p++) {
+        Py_ssize_t b0, b1;
+        band_range(&job, p, &b0, &b1);
+        size_t cells;
+        /* (layers + 1) planes of h x bw, and a row padded by 2 rv */
+        overflow |= __builtin_mul_overflow((size_t)h, (size_t)(b1 - b0), &cells);
+        overflow |= __builtin_mul_overflow(cells, (size_t)layers + 1, &band[p]);
+        overflow |= __builtin_add_overflow(band[p], (size_t)(b1 - b0), &band[p]);
+        overflow |= __builtin_add_overflow(band[p], 2 * (size_t)job.rv, &band[p]);
+        overflow |= __builtin_add_overflow(total, band[p], &total);
+    }
+    if (overflow || total > PY_SSIZE_T_MAX / sizeof(double)) {
+        PyErr_SetString(PyExc_MemoryError, "the filter stack does not fit in memory");
+        goto done;
+    }
+    out = (PyArrayObject *)PyArray_SimpleNew(2, PyArray_DIMS(img), NPY_DOUBLE);
+    if (out == NULL)
+        goto done;
+    job.out = PyArray_DATA(out);
+    if (h == 0 || w == 0)
+        goto done;
+    /* a numpy array, so that tracemalloc sees it and a large one gets
+     * numpy's huge-page advice, as the stack it replaces did */
+    npy_intp cells = (npy_intp)total;
+    bands = (PyArrayObject *)PyArray_SimpleNew(1, &cells, NPY_DOUBLE);
+    if (bands == NULL) {
+        Py_CLEAR(out);
+        goto done;
+    }
+    job.band[0] = PyArray_DATA(bands);
+    job.band[1] = job.band[0] + band[0];
+    for (int p = 0; p < parts; p++) {
+        Py_ssize_t b0, b1;
+        band_range(&job, p, &b0, &b1);
+        if (cast_columns(img, b0, b1, job.band[p]) < 0) {
+            Py_CLEAR(out);
+            goto done;
+        }
+    }
+    Py_BEGIN_ALLOW_THREADS
+    if (parts == 2)
+        run_parts(deviation_part, &job);
+    else
+        deviation_part(&job, 0);
+    Py_END_ALLOW_THREADS
+done:
+    Py_XDECREF(bands);
+    Py_DECREF(img);
+    Py_XDECREF(ku);
+    Py_XDECREF(kv);
+    return (PyObject *)out;
+}
+
+static PyObject *deviation_map(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"img", "ku", "kv", "layers", NULL};
+    PyObject *img, *ku, *kv, *layers;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOO", kwlist, &img, &ku, &kv, &layers))
+        return NULL;
+    return deviation_with(img, ku, kv, layers, 0);
+}
+
+/* deviation_map on one column part or on two, whatever the frame and the
+ * host, for tests. */
+static PyObject *deviation_map_parts(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"img", "ku", "kv", "layers", "parts", NULL};
+    PyObject *img, *ku, *kv, *layers;
+    int parts;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOi", kwlist, &img, &ku, &kv, &layers, &parts))
+        return NULL;
+    if (parts != 1 && parts != 2) {
+        PyErr_SetString(PyExc_ValueError, "parts must be 1 or 2");
+        return NULL;
+    }
+    return deviation_with(img, ku, kv, layers, parts);
+}
+
+/* Hold the kernels serial (+1) or release one hold (-1). */
+static PyObject *hold_serial(PyObject *self, PyObject *arg)
+{
+    long delta = PyLong_AsLong(arg);
+    if (delta == -1 && PyErr_Occurred())
+        return NULL;
+    if ((delta != 1 && delta != -1) || serial_holds + delta < 0) {
+        PyErr_SetString(PyExc_ValueError, "expected +1, or -1 while held");
+        return NULL;
+    }
+    serial_holds += delta;
+    Py_RETURN_NONE;
+}
+
+static PyObject *split_stats(PyObject *self, PyObject *unused)
+{
+    long long parts_run;
+    Py_BEGIN_ALLOW_THREADS
+    pthread_mutex_lock(&helper.lock);
+    parts_run = helper.parts_run;
+    pthread_mutex_unlock(&helper.lock);
+    Py_END_ALLOW_THREADS
+    return Py_BuildValue("LL", split_calls, parts_run);
 }
 
 /* ----------------------------------------------------------------- thin */
@@ -866,6 +1282,19 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "The axis-1 correlation of correlate1d_replicate, evaluated only at\n"
      "the given (row, col) points; `col0` is the frame column of img[:, 0]."},
+    {"deviation_map", (PyCFunction)(void (*)(void))deviation_map, METH_VARARGS | METH_KEYWORDS,
+     "Per-pixel population standard deviation across the filter stack of\n"
+     "`img`: layer 0 the image, each later layer the previous one\n"
+     "correlated along axis 0 by `ku` and then along axis 1 by `kv`.\n"
+     "Equal to stack_std of that stack; splits over two cores when one is\n"
+     "free."},
+    {"_deviation_map_parts", (PyCFunction)(void (*)(void))deviation_map_parts,
+     METH_VARARGS | METH_KEYWORDS,
+     "deviation_map on parts=1 or parts=2 column parts, for tests."},
+    {"_hold_serial", hold_serial, METH_O,
+     "Hold the kernels on their calling thread (+1), or release a hold (-1)."},
+    {"_split_stats", split_stats, METH_NOARGS,
+     "(calls that split, right parts the helper thread ran), for tests."},
     {"stack_std", (PyCFunction)(void (*)(void))stack_std, METH_VARARGS | METH_KEYWORDS,
      "Per-pixel population standard deviation across the layers of an\n"
      "(L, H, W) stack, summed layer by layer, without stack-sized\n"
@@ -894,6 +1323,14 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC PyInit__core(void)
 {
     import_array();
+    static int forks_handled;
+    if (!forks_handled) {
+        if (pthread_atfork(helper_prepare, helper_parent, helper_child) != 0) {
+            PyErr_SetString(PyExc_OSError, "pthread_atfork failed");
+            return NULL;
+        }
+        forks_handled = 1;
+    }
     const char *simd = "baseline";
 #ifdef HAVE_AVX512_BANDS
     __builtin_cpu_init();

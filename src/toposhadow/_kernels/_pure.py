@@ -20,6 +20,10 @@ other end starts the next edge), and the row's span is [min ceil, max
 floor] over those crossings.
 """
 
+import math
+import operator
+import sys
+
 import numpy as np
 
 from ..errors import TriangleCapError
@@ -180,6 +184,35 @@ def stack_std(stack):
     return out
 
 
+def deviation_map(img, ku, kv, layers):
+    """Per-pixel population standard deviation across the filter stack of
+    `img`: layer 0 is the image, each later layer the previous one
+    correlated along axis 0 by `ku` and then along axis 1 by `kv`.  Equal
+    to `stack_std` of that stack.  Raises MemoryError when the stack's
+    size does not fit an address.
+    """
+    img = np.asarray(img)
+    ku = np.asarray(ku, dtype=np.float64)
+    kv = np.asarray(kv, dtype=np.float64)
+    if img.ndim != 2 or ku.ndim != 1 or kv.ndim != 1 or not (len(ku) and len(kv)):
+        raise ValueError("expected a 2D image and non-empty 1D kernels")
+    layers = operator.index(layers)
+    if layers < 1:
+        raise ValueError("layers must be at least 1")
+    height, width = img.shape
+    if (layers + 1) * height * width > sys.maxsize // 8:
+        raise MemoryError("the filter stack does not fit in memory")
+    if img.size == 0:
+        return np.empty((height, width))
+    stack = np.empty((layers, height, width))
+    stack[0] = img
+    scratch = np.empty((height, width))
+    for f in range(1, layers):
+        correlate1d_replicate(stack[f - 1], ku, 0, out=scratch)
+        correlate1d_replicate(scratch, kv, 1, out=stack[f])
+    return stack_std(stack)
+
+
 def thin_points(points, spacing):
     """Greedy row-major thinning.
 
@@ -188,22 +221,34 @@ def thin_points(points, spacing):
     (Euclidean, inclusive).  Returns the kept indices in order.  Each
     kept point rules out every later candidate within reach in one step;
     the first candidate still live is kept next.
+
+    When the rows are sorted, as ``threshold_points`` emits them, a kept
+    point can reach only the candidates at most ceil(max spacing) rows
+    below it, and each step scans that window alone; the inclusive ceil
+    keeps a spacing whose square rounds up within the window.  Unsorted
+    rows are scanned to the end.
     """
     pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
     n = len(pts)
     spacing = np.asarray(spacing, dtype=np.float64).reshape(n)
     if np.isnan(spacing).any():
         raise ValueError("spacing must not contain NaN")
-    if n == 0 or spacing.max() <= 0.0:
+    top = spacing.max() if n else 0.0
+    if top <= 0.0:
         return np.arange(n, dtype=np.int64)
     rows, cols, limit_sq = pts[:, 0], pts[:, 1], spacing * spacing
+    if top < int(rows[-1]) - int(rows[0]) and not (rows[1:] < rows[:-1]).any():
+        ends = np.searchsorted(rows, rows + math.ceil(top), side="right")
+    else:
+        ends = np.full(n, n)
     live = np.ones(n + 1, dtype=bool)  # live[n] ends the scan
     kept = []
     i = 0
     while i < n:
         kept.append(i)
-        dr, dc = rows[i:] - rows[i], cols[i:] - cols[i]
-        live[i:n] &= ~((dr * dr + dc * dc).astype(np.float64) <= limit_sq[i:])
+        e = ends[i]
+        dr, dc = rows[i:e] - rows[i], cols[i:e] - cols[i]
+        live[i:e] &= ~((dr * dr + dc * dc).astype(np.float64) <= limit_sq[i:e])
         i += 1 + int(np.argmax(live[i + 1 :]))
     return np.asarray(kept, dtype=np.int64)
 

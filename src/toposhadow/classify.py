@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame_io import crop_top
-from .saliency import Params, as_real, filter_stack, std_map, threshold_points
+from .saliency import Params, as_real, deviation_map, threshold_points
 from .sparsify import density_field, thin
 from .topology import (
     Complex,
@@ -76,18 +76,17 @@ def classify_scanlines(counts, tau):
 
 
 def texture(img, params):
-    """Dense texture stages of one uncropped frame: crop -> filter stack
-    -> std map.
+    """Dense texture stages of one uncropped frame: crop -> deviation map
+    (the std map of the filter stack).
 
     Reads only the ``TEXTURE_FIELDS`` of ``params``.  Returns the
     deviation map, float64 over the cropped frame.  The frame is cropped
-    in its own dtype; only the kept rows are cast, into the stack.
+    in its own dtype; only the kept rows are cast.
     """
     img = as_real(img)
     if img.ndim != 2:
         raise ValueError("expected a 2D image")
-    cropped = crop_top(img, params.crop_rows)
-    return std_map(filter_stack(cropped, params))
+    return deviation_map(crop_top(img, params.crop_rows), params)
 
 
 def salient_cloud(saliency, params):

@@ -8,6 +8,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from . import _kernels
 from .classify import (
     CLOUD_FIELDS,
     TEXTURE_FIELDS,
@@ -227,10 +228,13 @@ def evaluate_folds(dataset, folds, make_predict, workers=1):
 
 
 def _map_ordered(fn, items, workers):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(item) for item in items]`` on ``workers`` threads, which are
+    all the threads it uses: the kernels do not split meanwhile."""
+    with _kernels.serial():
+        if workers <= 1:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
 
 
 def topol_predictor(params=None):

@@ -109,7 +109,7 @@ def crop_top(img, rows):
     img = np.asarray(img)
     if not 0 <= rows < img.shape[0]:
         raise ValueError(
-            f"crop rows {rows} out of range for height {img.shape[0]}"
+            f"crop_rows must lie in [0, {img.shape[0]}), the frame height, got {rows:.6g}"
         )
     return img[rows:]
 

@@ -169,6 +169,31 @@ def std_map(stack):
     return _kernels.stack_std(stack)
 
 
+def deviation_map(img, params):
+    """The deviation map of a frame: ``std_map(filter_stack(img, params))``,
+    bit for bit, in one kernel call.
+
+    The compiled kernel splits a large frame into two column parts, run on
+    two cores when a second one is free.  Raises MemoryError naming
+    ``stack_size`` when the stack cannot be held.
+    """
+    img = as_real(img)
+    if img.ndim != 2:
+        raise ValueError("expected a 2D image")
+    if img.size == 1:
+        # std_map's one-pixel rule: numpy's pairwise sum from 8 layers on
+        return std_map(filter_stack(img, params))
+    ku = gaussian_kernel_1d(params.sigma_u)
+    kv = gaussian_kernel_1d(params.sigma_v)
+    try:
+        return _kernels.deviation_map(img, ku, kv, params.stack_size)
+    except MemoryError as exc:
+        height, width = img.shape
+        raise MemoryError(
+            f"stack_size {params.stack_size:.6g} on a {height} x {width} frame: {exc}"
+        ) from None
+
+
 def threshold_points(saliency, gamma):
     """All (row, col) with saliency >= gamma percent of 255, row-major.
 

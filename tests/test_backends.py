@@ -4,8 +4,12 @@ to differ; nothing else is.
 """
 
 import contextlib
+import os
 import platform
+import threading
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,7 @@ from hypothesis import strategies as st
 from toposhadow import _kernels, classify
 from toposhadow._kernels import _pure
 from toposhadow.errors import TriangleCapError
-from toposhadow.saliency import Params, filter_stack, gaussian_kernel_1d, std_map
+from toposhadow.saliency import Params, deviation_map, filter_stack, gaussian_kernel_1d, std_map
 
 _core = pytest.importorskip("toposhadow._kernels._core")
 
@@ -207,22 +211,33 @@ def test_dispatch_table_covers_both_backends(monkeypatch):
     for mod in (_core, _pure):
         out = np.empty_like(img)
         assert mod.correlate1d_replicate(img, gaussian_kernel_1d(1.0), 0, out=out) is out
-    # filter_stack and density_field call the kernel through its dispatch
-    # name, two calls per smoothed layer and one for the spacing field, so
-    # a wrapper installed there sees every call; it records their axes
+    # detect calls the kernels through their dispatch names, so a wrapper
+    # installed there sees every call: one deviation map, and one axis-0
+    # correlation for the spacing field; filter_stack, the reference, makes
+    # two correlation calls per smoothed layer
     calls = []
-    inner = _kernels.correlate1d_replicate
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return inner(*args, **kwargs)
+    def counted(name):
+        inner = getattr(_kernels, name)
 
-    monkeypatch.setattr(_kernels, "correlate1d_replicate", counted)
+        def call(*args, **kwargs):
+            calls.append((name, args[2]) if name == "correlate1d_replicate" else name)
+            return inner(*args, **kwargs)
+
+        return call
+
+    for name in ("correlate1d_replicate", "deviation_map"):
+        monkeypatch.setattr(_kernels, name, counted(name))
     from toposhadow.synth import PhantomSpec, synth_phantom
 
     img, _ = synth_phantom(PhantomSpec(seed=5))
     classify.detect(img, Params())
-    assert calls == [0, 1] * (Params().stack_size - 1) + [0]
+    assert calls == ["deviation_map", ("correlate1d_replicate", 0)]
+    calls.clear()
+    filter_stack(img, Params())
+    assert calls == [("correlate1d_replicate", 0), ("correlate1d_replicate", 1)] * (
+        Params().stack_size - 1
+    )
 
 
 def test_simd_names_the_instance():
@@ -375,10 +390,15 @@ def test_thin_identical():
     for _ in range(12):
         cloud = random_cloud(rng, int(rng.integers(5, 300)))
         cases.append((cloud, rng.uniform(15.0, 35.0, size=len(cloud))))
-    # duplicates, negative coordinates and a shuffled order, each against
-    # zero, negative, mixed integer-tie, 5.0 and sqrt(5) spacings
+    # duplicates, negative coordinates, and rows out of order (shuffled,
+    # reversed, and sorted but for one swapped pair, which pure scans to
+    # the end instead of by row window), each against zero, negative,
+    # mixed integer-tie, 5.0 and sqrt(5) spacings
     cloud = random_cloud(rng, 150, extent=40)
-    for pts in (np.repeat(cloud, 2, axis=0), cloud - 20, rng.permutation(cloud)):
+    swapped = cloud.copy()
+    i = int(np.flatnonzero(np.diff(cloud[:, 0]))[len(cloud) // 8])  # rows i, i + 1 differ
+    swapped[[i, i + 1]] = swapped[[i + 1, i]]
+    for pts in (np.repeat(cloud, 2, axis=0), cloud - 20, rng.permutation(cloud), cloud[::-1], swapped):
         n = len(pts)
         for spacing in (
             np.zeros(n),
@@ -576,3 +596,222 @@ def test_detect_identical_at_ties_and_extremes(h, w, epsilon, phi, sigmas, block
     assert np.array_equal(a.simplex_counts, b.simplex_counts)
     assert np.array_equal(a.triangle_complex.vertices, b.triangle_complex.vertices)
     assert np.array_equal(a.triangle_complex.triangles, b.triangle_complex.triangles)
+
+
+# the compiled core splits a call only where the process may run on two
+# CPUs; elsewhere every call is serial and the split counts stay put
+TWO_CPUS = len(os.sched_getaffinity(0)) >= 2 if hasattr(os, "sched_getaffinity") else False
+
+
+def split_calls():
+    return _core._split_stats()[0]
+
+
+def assert_deviation_identical(img, params, split=None):
+    """Every deviation-map entry gives the bytes of the reference stack's
+    std; `split` says whether the choosing entry must split or not."""
+    ku, kv = gaussian_kernel_1d(params.sigma_u), gaussian_kernel_1d(params.sigma_v)
+    stack = filter_stack(img, params)
+    # layer by layer: std_map's result except on a one-pixel frame
+    expected = _core.stack_std(stack).tobytes()
+    before = split_calls()
+    assert _core.deviation_map(img, ku, kv, params.stack_size).tobytes() == expected
+    if split is not None and TWO_CPUS:
+        assert split_calls() - before == int(split), (img.shape, params)
+    for parts in (1, 2):
+        got = _core._deviation_map_parts(img, ku, kv, params.stack_size, parts)
+        assert got.tobytes() == expected, (parts, img.shape, params)
+    assert _pure.deviation_map(img, ku, kv, params.stack_size).tobytes() == expected
+    assert deviation_map(img, params).tobytes() == std_map(stack).tobytes()
+
+
+def halo(params):
+    """Columns a part reads past its own on either side."""
+    return (params.stack_size - 1) * ((len(gaussian_kernel_1d(params.sigma_v)) - 1) // 2)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    st.integers(1, 60),
+    st.integers(-3, 3),
+    st.sampled_from([0.2, 1.8, 5.0]),
+    st.sampled_from([2, 3, 6, 9]),
+    st.integers(0, 2**32 - 1),
+)
+def test_deviation_map_identical_property(h, offset, sigma_v, layers, seed):
+    # widths around the split threshold of 2 parts of 4 halos each, and
+    # around 2 halos, where a part's halo reaches past the other part
+    params = Params(sigma_v=sigma_v, stack_size=layers)
+    w = max(1, 2 * (4 if seed % 2 else 1) * halo(params) + offset)
+    img = np.random.default_rng(seed).uniform(0.0, 255.0, size=(h, w))
+    assert_deviation_identical(img, params)
+
+
+def test_deviation_map_splits_at_its_threshold():
+    # 200 rows make every part's work large enough, so the width decides:
+    # a part must be at least 4 halos wide
+    rng = np.random.default_rng(131)
+    for params in (Params(), Params(sigma_v=1.8), Params(sigma_v=1.8, stack_size=3)):
+        edge = 2 * 4 * halo(params)
+        for w in (edge - 2, edge - 1, edge, edge + 1, 600):
+            img = rng.uniform(0.0, 255.0, size=(200, w))
+            assert_deviation_identical(img, params, split=w // 2 >= edge // 2)
+    # a frame too small to be worth a second core
+    assert_deviation_identical(rng.uniform(0.0, 255.0, size=(2, 600)), Params(), split=False)
+
+
+def test_deviation_map_small_and_extreme_frames():
+    rng = np.random.default_rng(132)
+    # 1x1 frames, where std_map keeps numpy's pairwise sum from 8 layers
+    # on, 1-row and 1-column frames, and a halo wider than the frame
+    for layers in (2, 6, 8, 9, 12):
+        for shape in ((1, 1), (1, 50), (1, 600), (40, 1), (3, 2)):
+            img = rng.uniform(-255.0, 255.0, size=shape)
+            for sigma_v in (0.2, 5.0, 40.0):
+                assert_deviation_identical(img, Params(stack_size=layers, sigma_v=sigma_v))
+    # empty frames give empty maps
+    ku = gaussian_kernel_1d(1.8)
+    for shape in ((0, 5), (5, 0)):
+        for fn in (_core.deviation_map, _pure.deviation_map):
+            assert fn(np.zeros(shape), ku, ku, 6).shape == shape
+    # the validation both backends share
+    for bad in ((np.zeros(5), ku, ku, 6), (np.zeros((2, 2)), ku, np.ones(0), 6),
+                (np.zeros((2, 2)), ku, ku, 0)):
+        for fn in (_core.deviation_map, _pure.deviation_map):
+            with pytest.raises(ValueError):
+                fn(*bad)
+
+
+def test_deviation_map_stack_too_large_is_memory_error():
+    img = np.zeros((200, 600))
+    ku = gaussian_kernel_1d(1.8)
+    for layers in (10**15, 2**62, 10**300):
+        for fn in (_core.deviation_map, _pure.deviation_map):
+            with pytest.raises(MemoryError):
+                fn(img, ku, ku, layers)
+        with pytest.raises(MemoryError, match="stack_size"):
+            deviation_map(img, Params(stack_size=layers))
+
+
+def test_split_passes_identical():
+    # the spacing field's axis-0 pass and point pass split over two parts
+    # on a large call and run serial while the kernels are held serial;
+    # both give the serial bytes, and the pure twin's
+    rng = np.random.default_rng(133)
+    kw = gaussian_kernel_1d(20.0)
+    for shape in ((200, 600), (201, 77), (120, 1000)):
+        img = rng.uniform(0.0, 1.0, size=shape)
+        with _kernels.serial():
+            before = split_calls()
+            serial = _core.correlate1d_replicate(img, kw, 0).tobytes()
+            assert split_calls() == before
+        split = _core.correlate1d_replicate(img, kw, 0).tobytes()
+        assert split_calls() == before + TWO_CPUS, shape
+        assert split == serial == _pure.correlate1d_replicate(img, kw, 0).tobytes()
+        out = np.full(shape, np.nan)
+        _core.correlate1d_replicate(img, kw, 0, out=out)
+        assert out.tobytes() == serial
+        h, w = shape
+        for n in (5001, 20000):
+            pts = np.stack([rng.integers(0, h, n), rng.integers(0, w, n)], axis=1)
+            for col0 in (0, 9):
+                with _kernels.serial():
+                    before = split_calls()
+                    serial = _core.correlate1d_points(img, kw, pts + (0, col0), col0).tobytes()
+                    assert split_calls() == before
+                split = _core.correlate1d_points(img, kw, pts + (0, col0), col0).tobytes()
+                assert split_calls() == before + TWO_CPUS
+                assert split == serial
+                assert serial == _pure.correlate1d_points(img, kw, pts + (0, col0), col0).tobytes()
+
+
+def phantom_frames(seeds):
+    from toposhadow.synth import PhantomSpec, synth_phantom
+
+    return [synth_phantom(PhantomSpec(seed=seed))[0] for seed in seeds]
+
+
+def same_detection(a, b):
+    return (
+        np.array_equal(a.labels, b.labels)
+        and a.confidence.tobytes() == b.confidence.tobytes()
+        and np.array_equal(a.triangle_complex.triangles, b.triangle_complex.triangles)
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_detect_after_fork():
+    # fork copies only the forking thread; the child forgets the parent's
+    # helper, starts its own, and its detect finishes with the same result
+    img = phantom_frames([21])[0]
+    with _kernels.serial():
+        expected = classify.detect(img)
+    assert same_detection(classify.detect(img), expected)  # splits, helper started
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            ran = _core._split_stats()[1]
+            ok = all(same_detection(classify.detect(img), expected) for _ in range(8))
+            code = 0 if ok and (not TWO_CPUS or _core._split_stats()[1] > ran) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("detect in the forked child did not finish in 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_concurrent_callers_match_serial():
+    # two threads split at once: one holds the helper, the other finds it
+    # busy and runs both parts itself; both get the serial result
+    frames = phantom_frames([21, 22])
+    with _kernels.serial():
+        expected = [classify.detect(img) for img in frames]
+    results = [[], []]
+
+    def run(k):
+        for _ in range(6):
+            results[k].append(classify.detect(frames[k]))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120.0)
+    assert not any(t.is_alive() for t in threads)
+    for k in (0, 1):
+        assert len(results[k]) == 6
+        assert all(same_detection(res, expected[k]) for res in results[k])
+
+
+def test_dataset_commands_hold_the_kernels_serial(tmp_path, capsys):
+    # --workers N keeps N threads in total: evaluate, sweep and gridsearch
+    # make no split call at any --workers; detect on the same frames does
+    from toposhadow import cli
+
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--frames", "3"]) == 0
+    for workers in ("1", "2"):
+        before = split_calls()
+        for argv in (
+            ["evaluate", "--folds", str(data / "folds.txt"), "--method", "topol"],
+            ["sweep", "--param", "gamma", "--values", "3,4"],
+            ["gridsearch", "--grid", "tau=1,2"],
+        ):
+            assert cli.main(argv + ["--dataset", str(data), "--workers", workers]) == 0
+        assert split_calls() == before, workers
+    frame = next(data.glob("*.pgm"))
+    capsys.readouterr()
+    before = split_calls()
+    assert cli.main(["detect", "--input", str(frame)]) == 0
+    assert split_calls() > before or not TWO_CPUS

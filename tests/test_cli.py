@@ -75,13 +75,13 @@ def test_overlay_reuses_the_detection(tmp_path, monkeypatch):
     out = tmp_path / "data"
     assert cli.main(["synth", "--out", str(out), "--frames", "1"]) == 0
     calls = []
-    real = classify.filter_stack
+    real = classify.deviation_map
 
     def counting(img, params):
         calls.append(1)
         return real(img, params)
 
-    monkeypatch.setattr(classify, "filter_stack", counting)
+    monkeypatch.setattr(classify, "deviation_map", counting)
     frame = next(out.glob("*.pgm"))
     overlay = tmp_path / "o.ppm"
     assert cli.main(["detect", "--input", str(frame), "--overlay", str(overlay)]) == 0
@@ -101,7 +101,7 @@ def test_out_of_memory_exit_4(tmp_path, monkeypatch, capsys):
 
         return stage
 
-    monkeypatch.setattr(classify, "filter_stack", boom(["Unable to allocate 847. PiB"]))
+    monkeypatch.setattr(classify, "deviation_map", boom(["Unable to allocate 847. PiB"]))
     capsys.readouterr()
     assert cli.main(["detect", "--input", str(frame)]) == 4
     err = capsys.readouterr().err
@@ -180,6 +180,46 @@ def test_integer_fields_take_whole_numbers(tmp_path, capsys):
     default = capsys.readouterr().out
     assert cli.main(["detect", "--input", str(frame), "--config", str(cfg)]) == 0
     assert capsys.readouterr().out == default
+
+
+def each_backend():
+    """The kernel modules this session can run: pure, and compiled if built."""
+    from toposhadow import _kernels
+
+    yield _kernels.get_backend("pure")
+    try:
+        yield _kernels.get_backend("compiled")
+    except ImportError:
+        pass
+
+
+def test_out_of_range_values_name_their_field(tmp_path, monkeypatch, capsys):
+    # crop_rows past the frame is bad data (3), a stack that cannot be held
+    # is out of memory (4); either way one short line names the field
+    from toposhadow import _kernels
+
+    frame = tmp_path / "f.pgm"
+    write_constant_frame(frame)
+    cfg = tmp_path / "big.cfg"
+    for impl in each_backend():
+        for name in _kernels.KERNELS:
+            monkeypatch.setattr(_kernels, name, getattr(impl, name))
+        for key, value, code in (
+            ("crop_rows", "1e300", 3),
+            ("crop_rows", "300", 3),
+            ("stack_size", "1e15", 4),
+            ("stack_size", "1e300", 4),
+        ):
+            cfg.write_text(f"{key} = {value}\n")
+            capsys.readouterr()
+            assert cli.main(["detect", "--input", str(frame), "--config", str(cfg)]) == code
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err
+            assert err.startswith("error: ") and err.count("\n") == 1, (impl.__name__, err)
+            assert key in err and len(err) < 160, (impl.__name__, err)
+            if key == "crop_rows":
+                assert "300" in err  # the frame height
 
 
 def test_triangle_cap_exit_4(tmp_path):

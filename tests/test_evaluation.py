@@ -397,14 +397,15 @@ def test_grid_search_rejects_bad_point_before_any_work(monkeypatch):
 
 
 def count_filter_stacks(monkeypatch):
+    # one deviation map is one filter stack
     calls = []
-    real = classify.filter_stack
+    real = classify.deviation_map
 
     def counting(img, params):
         calls.append((params.sigma_u, params.sigma_v, params.stack_size))
         return real(img, params)
 
-    monkeypatch.setattr(classify, "filter_stack", counting)
+    monkeypatch.setattr(classify, "deviation_map", counting)
     return calls
 
 

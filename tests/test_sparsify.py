@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,29 @@ def test_thin_pairwise_spacing_respected():
         lam = density[kept[i][0], kept[i][1]]
         d = np.sqrt(((kept[:i] - kept[i]) ** 2).sum(axis=1))
         assert np.all(d > lam)
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_density_field_allocates_two_frames(backend, monkeypatch):
+    # the axis-0 pass cannot run in place, so its input (the map over 255)
+    # and its output are alive together; the pure pass adds its padded copy
+    # of the input (height + 2 radius rows) and its row-block buffers
+    try:
+        impl = _kernels.get_backend(backend)
+    except ImportError:
+        pytest.skip("compiled core not built")
+    for name in _kernels.KERNELS:
+        monkeypatch.setattr(_kernels, name, getattr(impl, name))
+    img, _ = synth_phantom(PhantomSpec(seed=123))
+    p = Params()
+    sal = texture(img, p)
+    pts = threshold_points(sal, p.gamma)
+    assert pts[:, 1].min() == 0 and pts[:, 1].max() == sal.shape[1] - 1  # every column
+    tracemalloc.start()
+    try:
+        density_field(sal, pts, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    frames = {"compiled": 2.01, "pure": 4.01}[backend]
+    assert peak < frames * sal.nbytes, (peak / sal.nbytes, backend)
