@@ -4,7 +4,9 @@ The compiled C core (``_core``, built from ``_coremodule.c``) is preferred
 when it was built; otherwise the pure numpy twins take over.  Both produce
 bit-identical results, so the choice only affects speed.  On the compiled
 core the dense kernels split a large call over two cores when a second
-one is free; ``serial()`` holds them on the calling thread.  Override with
+one is free; ``serial()`` holds them on the calling thread while a
+worker pool runs, so that ``--workers N >= 2`` keeps N threads, and
+``--workers 1`` splits like ``detect``.  Override with
 TOPOSHADOW_KERNELS=pure or =compiled (the latter raises if the extension
 is missing).
 """
@@ -50,8 +52,9 @@ globals().update((name, getattr(_impl, name)) for name in KERNELS)
 @contextlib.contextmanager
 def serial():
     """Keep every compiled kernel call, from any thread, on its calling
-    thread while the block runs: a pool of N workers then uses N threads
-    in total.  Outputs are the same either way."""
+    thread while the block runs.  Entered around a worker pool, whose N
+    workers then use N threads in total; without a pool the kernels
+    split.  Outputs are the same either way."""
     core = sys.modules.get(__name__ + "._core")
     if core is None:  # never loaded: nothing splits
         yield

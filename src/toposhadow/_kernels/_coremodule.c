@@ -157,7 +157,8 @@ static struct {
 
 /* Both are read and written with the GIL held. */
 static long long split_calls; /* calls that split, for tests */
-static long serial_holds;     /* > 0 while a worker pool holds the kernels serial */
+static long serial_holds;     /* > 0 while a worker pool (--workers N >= 2) runs;
+                                 * a single-threaded caller splits */
 
 static void *helper_main(void *unused)
 {

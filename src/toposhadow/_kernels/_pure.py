@@ -8,16 +8,16 @@ equality tests hold both sides to that contract.
 
 Python loops here run over a correlation's taps (also when it is
 evaluated only at given points), a stack's layers, blocks of output rows
-in the dense passes, the triangle search's anchor points, the points a
-thinning keeps and blocks of rasterized rows; thinning and rasterizing
-never loop per candidate or per triangle row, and no loop runs per
-pixel.  A dense pass works on blocks of about _ROW_BLOCK doubles, which
-stay in cache across its taps or layers, and reads the image in its own
-row-major layout along either axis: no pass transposes.  Both backends
-rasterize with one integer rule: each edge that meets row r crosses it
-at the exact column num/den, a flat edge at its first end (den = 1; its
-other end starts the next edge), and the row's span is [min ceil, max
-floor] over those crossings.
+in the dense passes, the triangle search's anchor points and blocks of
+their neighbour pairs, the points a thinning keeps and blocks of
+rasterized rows; thinning and rasterizing never loop per candidate or
+per triangle row, and no loop runs per pixel.  A dense pass works on
+blocks of about _ROW_BLOCK doubles, which stay in cache across its taps
+or layers, and reads the image in its own row-major layout along either
+axis: no pass transposes.  Both backends rasterize with one integer
+rule: each edge that meets row r crosses it at the exact column num/den,
+a flat edge at its first end (den = 1; its other end starts the next
+edge), and the row's span is [min ceil, max floor] over those crossings.
 """
 
 import math
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import TriangleCapError
 
-_BLOCK = 1 << 16  # (triangle, row) pairs per numpy pass in occurrence_counts
+_BLOCK = 1 << 16  # (triangle, row) or neighbour pairs per numpy pass
 _ROW_BLOCK = 1 << 14  # doubles per block of output rows in the dense passes
 
 
@@ -272,22 +272,28 @@ def rips_triangles(points, epsilon, cap):
     out = []
     count = 0
     for i in range(n - 2):
-        # memory stays linear in n plus the square of one neighbourhood
         nbrs = np.nonzero(near(pts[i + 1 :] - pts[i]))[0] + i + 1
-        if len(nbrs) < 2:
+        m = len(nbrs)
+        if m < 2:
             continue
         block = pts[nbrs]
-        jj, kk = np.nonzero(np.triu(near(block[:, None, :] - block[None, :, :]), 1))
-        if len(jj) == 0:
-            continue
-        count += len(jj)
-        if count > cap:
-            raise TriangleCapError(cap)
-        tris = np.empty((len(jj), 3), dtype=np.int32)
-        tris[:, 0] = i
-        tris[:, 1] = nbrs[jj]
-        tris[:, 2] = nbrs[kk]
-        out.append(tris)
+        # neighbour pairs j < k in blocks of rows j of about _BLOCK pairs,
+        # checking the cap after each: memory stays linear in n + _BLOCK
+        rows = max(1, _BLOCK // m)
+        for a in range(0, m - 1, rows):
+            b = min(a + rows, m - 1)
+            # rows j in [a, b) against columns k in [a + 1, m): keep k > j
+            jj, kk = np.nonzero(np.triu(near(block[a:b, None, :] - block[None, a + 1 :, :])))
+            if len(jj) == 0:
+                continue
+            count += len(jj)
+            if count > cap:
+                raise TriangleCapError(cap)
+            tris = np.empty((len(jj), 3), dtype=np.int32)
+            tris[:, 0] = i
+            tris[:, 1] = nbrs[a:][jj]
+            tris[:, 2] = nbrs[a + 1 :][kk]
+            out.append(tris)
     if not out:
         return np.zeros((0, 3), dtype=np.int32)
     return np.concatenate(out)

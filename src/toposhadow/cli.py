@@ -44,6 +44,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _workers(text):
+    """The value of ``--workers``: a whole number of threads, at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
+_WORKERS_HELP = (
+    "frames run on this many threads (default 1); at 1 the compiled kernels "
+    "split a frame's dense stages over two cores, as detect does, and a pool "
+    "of N >= 2 holds them serial, so it keeps N threads in total"
+)
+
+
 def _diag(message):
     print(f"error: {message}", file=sys.stderr)
 
@@ -319,7 +337,7 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--kappa", type=float)
     p.add_argument("--fit-kappa", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
@@ -334,7 +352,7 @@ def build_parser():
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True)
     p.add_argument("--config")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
@@ -348,7 +366,7 @@ def build_parser():
         help="one entry per parameter; may be repeated",
     )
     p.add_argument("--config")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset or tilt sequence")

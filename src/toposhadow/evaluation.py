@@ -228,13 +228,14 @@ def evaluate_folds(dataset, folds, make_predict, workers=1):
 
 
 def _map_ordered(fn, items, workers):
-    """``[fn(item) for item in items]`` on ``workers`` threads, which are
-    all the threads it uses: the kernels do not split meanwhile."""
-    with _kernels.serial():
-        if workers <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+    """``[fn(item) for item in items]`` on ``workers`` threads.  One worker
+    runs ``fn`` on the calling thread, where the kernels split as they do
+    in ``detect``; a pool of N >= 2 holds them serial while it runs, so it
+    uses N threads in total.  Outputs are the same either way."""
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with _kernels.serial(), ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def topol_predictor(params=None):

@@ -107,16 +107,27 @@ def field_value(name, value):
         return int(number)
 
 
-def gaussian_kernel_1d(sigma):
+def gaussian_kernel_1d(sigma, name="sigma"):
     """Unit-sum Gaussian taps truncated at ceil(3*sigma).
 
     Returns an odd-length float64 vector, symmetric about its centre.
+    ``name`` is the field ``sigma`` came from.  Taps that cannot be built
+    raise an error naming it: ValueError when no array can hold them,
+    MemoryError when this host cannot.
     """
     if sigma <= 0:
-        raise ValueError("sigma must be positive")
+        raise ValueError(f"{name} must be positive")
     radius = math.ceil(3.0 * sigma)
-    k = np.arange(-radius, radius + 1, dtype=np.float64)
-    w = np.exp(-(k * k) / (2.0 * sigma * sigma))
+    taps = 2 * radius + 1
+    if taps > sys.maxsize // 8:  # float64 bytes past any address
+        raise ValueError(
+            f"{name} {sigma:.6g} needs {taps:.3g} Gaussian taps, more than an array holds"
+        )
+    try:
+        k = np.arange(-radius, radius + 1, dtype=np.float64)
+        w = np.exp(-(k * k) / (2.0 * sigma * sigma))
+    except MemoryError:
+        raise MemoryError(f"{name} {sigma:.6g} needs {taps:.3g} Gaussian taps") from None
     return w / w.sum()
 
 
@@ -139,8 +150,8 @@ def filter_stack(img, params):
     img = as_real(img)
     if img.ndim != 2:
         raise ValueError("expected a 2D image")
-    ku = gaussian_kernel_1d(params.sigma_u)
-    kv = gaussian_kernel_1d(params.sigma_v)
+    ku = gaussian_kernel_1d(params.sigma_u, "sigma_u")
+    kv = gaussian_kernel_1d(params.sigma_v, "sigma_v")
     stack = np.empty((params.stack_size,) + img.shape, dtype=np.float64)
     stack[0] = img
     # the vertical pass goes into one reused layer, the horizontal one
@@ -183,8 +194,8 @@ def deviation_map(img, params):
     if img.size == 1:
         # std_map's one-pixel rule: numpy's pairwise sum from 8 layers on
         return std_map(filter_stack(img, params))
-    ku = gaussian_kernel_1d(params.sigma_u)
-    kv = gaussian_kernel_1d(params.sigma_v)
+    ku = gaussian_kernel_1d(params.sigma_u, "sigma_u")
+    kv = gaussian_kernel_1d(params.sigma_v, "sigma_v")
     try:
         return _kernels.deviation_map(img, ku, kv, params.stack_size)
     except MemoryError as exc:

@@ -28,7 +28,7 @@ def density_field(saliency, points, params):
     pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
     if len(pts) == 0:
         return np.zeros(0, dtype=np.float64)
-    kw = gaussian_kernel_1d(params.sigma_w)
+    kw = gaussian_kernel_1d(params.sigma_w, "sigma_w")
     radius = (len(kw) - 1) // 2
     c0 = max(0, int(pts[:, 1].min()) - radius)
     c1 = min(s.shape[1], int(pts[:, 1].max()) + radius + 1)

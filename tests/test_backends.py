@@ -454,6 +454,49 @@ def test_rips_cap_parity():
         assert outcomes[0] == outcomes[1], cap
 
 
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_rips_identical_across_pair_blocks(block, monkeypatch):
+    # pure walks a neighbourhood's pairs in row blocks of about _BLOCK
+    # pairs: one row per block, a few rows, and blocks with a short last
+    monkeypatch.setattr(_pure, "_BLOCK", block)
+    rng = np.random.default_rng(305)
+    clouds = [random_cloud(rng, int(rng.integers(3, 90)), extent=60) for _ in range(6)]
+    clouds.append(np.repeat(random_cloud(rng, 20, extent=30), 2, axis=0))
+    for cloud in clouds:
+        for eps in (5.0, 20.0, 90.0):
+            a = _core.rips_triangles(cloud, eps, 2_000_000)
+            assert np.array_equal(a, _pure.rips_triangles(cloud, eps, 2_000_000)), (block, eps)
+            # the cap at and around the exact count
+            for cap in {max(1, len(a) - 1), max(1, len(a)), len(a) + 1}:
+                outcomes = []
+                for mod in (_core, _pure):
+                    try:
+                        outcomes.append(len(mod.rips_triangles(cloud, eps, cap)))
+                    except TriangleCapError as exc:
+                        outcomes.append(("raise", exc.cap))
+                assert outcomes[0] == outcomes[1], (block, eps, cap)
+
+
+def test_rips_cap_in_bounded_memory():
+    # one anchor whose neighbourhood is the whole cloud: pure compares it
+    # in blocks of _BLOCK pairs and stops at the cap, as compiled does,
+    # instead of building the (m, m, 2) difference array (122 MiB here)
+    n = 2000
+    rng = np.random.default_rng(306)
+    cloud = np.stack([rng.integers(0, 500, n), rng.integers(0, 500, n)], axis=1)
+    with pytest.raises(TriangleCapError):
+        _core.rips_triangles(cloud, 1000.0, 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TriangleCapError):
+            _pure.rips_triangles(cloud, 1000.0, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few dozen bytes per pair of one block, and per point
+    assert peak < 48 * (_pure._BLOCK + n), peak
+
+
 def test_occurrence_identical():
     rng = np.random.default_rng(404)
     cases = []
@@ -794,24 +837,83 @@ def test_concurrent_callers_match_serial():
         assert all(same_detection(res, expected[k]) for res in results[k])
 
 
-def test_dataset_commands_hold_the_kernels_serial(tmp_path, capsys):
-    # --workers N keeps N threads in total: evaluate, sweep and gridsearch
-    # make no split call at any --workers; detect on the same frames does
+def dataset_command_outputs(data, out, workers):
+    """The data files of evaluate and sweep, after running them and
+    gridsearch (which writes to stdout) at `workers`."""
+    from toposhadow import cli
+
+    for argv in (
+        ["evaluate", "--folds", str(data / "folds.txt"), "--method", "topol",
+         "--out", str(out / "evaluate.csv")],
+        ["sweep", "--param", "gamma", "--values", "3,4", "--out", str(out / "sweep.csv")],
+        ["gridsearch", "--grid", "tau=1,2"],
+    ):
+        assert cli.main(argv + ["--dataset", str(data), "--workers", workers]) == 0
+    return [(out / name).read_bytes() for name in ("evaluate.csv", "sweep.csv")]
+
+
+def test_dataset_commands_split_without_a_pool(tmp_path, capsys):
+    # --workers 1 runs the frames on the calling thread, where the kernels
+    # split as in detect; a pool of 2 holds them serial, so 2 threads in
+    # total; outputs are the same bytes either way, and held serial
+    from toposhadow import cli
+
+    data, out = tmp_path / "data", tmp_path / "out"
+    out.mkdir()
+    assert cli.main(["synth", "--out", str(data), "--frames", "3"]) == 0
+    runs = {}
+    for workers in ("1", "2"):
+        capsys.readouterr()
+        before = split_calls()
+        files = dataset_command_outputs(data, out, workers)
+        runs[workers] = (capsys.readouterr().out, files)
+        split = split_calls() - before
+        if workers == "1" and TWO_CPUS:
+            assert split > 0
+        else:
+            assert split == 0, workers
+    before = split_calls()
+    with _kernels.serial():
+        files = dataset_command_outputs(data, out, "1")
+        runs["serial"] = (capsys.readouterr().out, files)
+    assert split_calls() == before
+    assert runs["1"] == runs["2"] == runs["serial"]
+    assert "accuracy=" in runs["1"][0]
+
+
+def test_failed_pool_releases_its_hold(tmp_path, capsys):
+    # a pool that stops on an error lets go of the kernels: the next
+    # detect splits again, and no hold is left to release
     from toposhadow import cli
 
     data = tmp_path / "data"
     assert cli.main(["synth", "--out", str(data), "--frames", "3"]) == 0
-    for workers in ("1", "2"):
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("triangle_cap = 1\n")
+    for argv in (
+        ["gridsearch", "--grid", "tau=1,2"],
+        ["evaluate", "--folds", str(data / "folds.txt"), "--method", "topol"],
+    ):
         before = split_calls()
-        for argv in (
-            ["evaluate", "--folds", str(data / "folds.txt"), "--method", "topol"],
-            ["sweep", "--param", "gamma", "--values", "3,4"],
-            ["gridsearch", "--grid", "tau=1,2"],
-        ):
-            assert cli.main(argv + ["--dataset", str(data), "--workers", workers]) == 0
-        assert split_calls() == before, workers
-    frame = next(data.glob("*.pgm"))
+        code = cli.main(argv + ["--dataset", str(data), "--config", str(cfg), "--workers", "2"])
+        assert code == 4, argv
+        assert split_calls() == before
+        with pytest.raises(ValueError, match="while held"):
+            _core._hold_serial(-1)
     capsys.readouterr()
     before = split_calls()
-    assert cli.main(["detect", "--input", str(frame)]) == 0
+    assert cli.main(["detect", "--input", str(next(data.glob("*.pgm")))]) == 0
     assert split_calls() > before or not TWO_CPUS
+
+
+def test_huge_sigma_names_its_field():
+    # taps past any array are a data error, taps past this host's memory
+    # an allocation failure; both name the field, on either backend
+    img = phantom_frames([23])[0]
+    for impl in (_core, _pure):
+        with on_backend(impl):
+            for name in ("sigma_u", "sigma_v", "sigma_w"):
+                with pytest.raises(ValueError, match=f"^{name} 1e\\+300 needs"):
+                    classify.detect(img, Params(**{name: 1e300}))
+                with pytest.raises(MemoryError, match=f"^{name} 1e\\+15 needs"):
+                    classify.detect(img, Params(**{name: 1e15}))

@@ -122,6 +122,26 @@ def test_usage_error_exit_1():
     assert r.returncode == 1
 
 
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--frames", "1"]) == 0
+    for argv in (
+        ["evaluate", "--folds", str(data / "folds.txt"), "--method", "oracle"],
+        ["sweep", "--param", "tau", "--values", "1"],
+        ["gridsearch", "--grid", "tau=1"],
+    ):
+        for workers in (["--workers", "0"], ["--workers", "-5"], ["--workers=-5"],
+                        ["--workers", "1.5"]):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + ["--dataset", str(data), *workers])
+            assert exc.value.code == 1, (argv, workers)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: argument --workers: " in captured.err, (argv, workers)
+        assert cli.main(argv + ["--dataset", str(data), "--workers", "1"]) == 0
+
+
 def test_bad_config_exit_3(tmp_path):
     frame = tmp_path / "f.pgm"
     write_constant_frame(frame)
@@ -194,8 +214,9 @@ def each_backend():
 
 
 def test_out_of_range_values_name_their_field(tmp_path, monkeypatch, capsys):
-    # crop_rows past the frame is bad data (3), a stack that cannot be held
-    # is out of memory (4); either way one short line names the field
+    # crop_rows past the frame and taps past any array are bad data (3), a
+    # stack or taps that cannot be held are out of memory (4); either way
+    # one short line names the field
     from toposhadow import _kernels
 
     frame = tmp_path / "f.pgm"
@@ -209,6 +230,9 @@ def test_out_of_range_values_name_their_field(tmp_path, monkeypatch, capsys):
             ("crop_rows", "300", 3),
             ("stack_size", "1e15", 4),
             ("stack_size", "1e300", 4),
+            ("sigma_u", "1e300", 3),
+            ("sigma_v", "1e300", 3),
+            ("sigma_u", "1e15", 4),
         ):
             cfg.write_text(f"{key} = {value}\n")
             capsys.readouterr()
