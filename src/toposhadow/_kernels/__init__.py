@@ -40,7 +40,6 @@ else:
 KERNELS = (
     "correlate1d_replicate",
     "correlate1d_points",
-    "stack_std",
     "deviation_map",
     "thin_points",
     "rips_triangles",

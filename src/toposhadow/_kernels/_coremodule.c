@@ -384,56 +384,6 @@ __attribute__((noinline)) static void correlate_axis1(const double *restrict x, 
     }
 }
 
-/* The byte range [*lo, *hi) an array's elements span; empty when it has
- * none.  Bounds only, as numpy.may_share_memory compares them. */
-static void extent(PyArrayObject *a, char **lo, char **hi)
-{
-    *lo = *hi = PyArray_BYTES(a);
-    if (PyArray_SIZE(a) == 0)
-        return;
-    for (int d = 0; d < PyArray_NDIM(a); d++) {
-        npy_intp span = PyArray_STRIDE(a, d) * (PyArray_DIM(a, d) - 1);
-        if (span < 0)
-            *lo += span;
-        else
-            *hi += span;
-    }
-    *hi += PyArray_ITEMSIZE(a);
-}
-
-/* `out_obj` as the destination of a pass over `img` (converted from
- * `img_obj`): a writeable C-contiguous float64 array of the image's
- * shape whose bytes may not overlap the caller's input.  Returns a new
- * reference, or NULL with ValueError set. */
-static PyArrayObject *as_out(PyObject *out_obj, PyObject *img_obj, PyArrayObject *img)
-{
-    if (!PyArray_Check(out_obj)) {
-        PyErr_SetString(PyExc_ValueError, "out must be a numpy array");
-        return NULL;
-    }
-    PyArrayObject *out = (PyArrayObject *)out_obj;
-    if (PyArray_TYPE(out) != NPY_DOUBLE || PyArray_NDIM(out) != 2
-        || PyArray_DIM(out, 0) != PyArray_DIM(img, 0) || PyArray_DIM(out, 1) != PyArray_DIM(img, 1)) {
-        PyErr_SetString(PyExc_ValueError, "out must be a float64 array of the image's shape");
-        return NULL;
-    }
-    if (!PyArray_IS_C_CONTIGUOUS(out) || !PyArray_ISWRITEABLE(out)) {
-        PyErr_SetString(PyExc_ValueError, "out must be C-contiguous and writeable");
-        return NULL;
-    }
-    if (PyArray_Check(img_obj)) {
-        char *a0, *a1, *b0, *b1;
-        extent(out, &a0, &a1);
-        extent((PyArrayObject *)img_obj, &b0, &b1);
-        if (a0 < b1 && b0 < a1) {
-            PyErr_SetString(PyExc_ValueError, "out must not overlap the image");
-            return NULL;
-        }
-    }
-    Py_INCREF(out);
-    return out;
-}
-
 /* An axis-0 pass over two column ranges: columns are independent. */
 typedef struct {
     axis0_fn axis0;
@@ -450,11 +400,10 @@ static void axis0_part(void *job, int part)
 
 static PyObject *correlate1d_with(axis0_fn axis0, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"img", "weights", "axis", "out", NULL};
-    PyObject *img_obj, *w_obj, *out_obj = Py_None;
+    static char *kwlist[] = {"img", "weights", "axis", NULL};
+    PyObject *img_obj, *w_obj;
     int axis;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOi|O", kwlist, &img_obj, &w_obj, &axis,
-                                     &out_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOi", kwlist, &img_obj, &w_obj, &axis))
         return NULL;
     if (axis != 0 && axis != 1) {
         PyErr_SetString(PyExc_ValueError, "axis must be 0 or 1");
@@ -475,10 +424,7 @@ static PyObject *correlate1d_with(axis0_fn axis0, PyObject *args, PyObject *kwds
     }
     Py_ssize_t h = PyArray_DIM(img, 0), w = PyArray_DIM(img, 1);
     Py_ssize_t radius = (PyArray_DIM(wts, 0) - 1) / 2;
-    if (out_obj == Py_None)
-        out = (PyArrayObject *)PyArray_SimpleNew(2, PyArray_DIMS(img), NPY_DOUBLE);
-    else
-        out = as_out(out_obj, img_obj, img);
+    out = (PyArrayObject *)PyArray_SimpleNew(2, PyArray_DIMS(img), NPY_DOUBLE);
     if (out == NULL)
         goto done;
     const double *x = PyArray_DATA(img), *wt = PyArray_DATA(wts);
@@ -659,8 +605,9 @@ std_block(const double *restrict s, double *restrict out, Py_ssize_t L, Py_ssize
 
 /* The deviation of `n` contiguous pixels of a plane.  When n >= STD_BLOCK
  * the last block overlaps the one before it: a pixel's value does not
- * depend on its block, so the overlap rewrites the same bytes.  Not
- * inlined: its callers share one copy of the vector loops. */
+ * depend on its block, so the overlap rewrites the same bytes.  Kept out
+ * of line: the vector loops compile apart from the band loop that calls
+ * them. */
 __attribute__((noinline)) static void std_run(const double *restrict s, double *restrict out, Py_ssize_t L,
                     Py_ssize_t plane, Py_ssize_t n)
 {
@@ -673,34 +620,6 @@ __attribute__((noinline)) static void std_run(const double *restrict s, double *
         const Py_ssize_t q = p + STD_BLOCK <= n ? p : n - STD_BLOCK;
         std_block(s + q, out + q, L, plane, STD_BLOCK);
     }
-}
-
-static PyObject *stack_std(PyObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"stack", NULL};
-    PyObject *s_obj;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &s_obj))
-        return NULL;
-    PyArrayObject *stack = AS_ARRAY(s_obj, NPY_DOUBLE);
-    if (stack == NULL)
-        return NULL;
-    PyArrayObject *out = NULL;
-    if (PyArray_NDIM(stack) != 3 || PyArray_DIM(stack, 0) == 0) {
-        PyErr_SetString(PyExc_ValueError, "expected a non-empty (layers, H, W) stack");
-        goto done;
-    }
-    out = (PyArrayObject *)PyArray_SimpleNew(2, PyArray_DIMS(stack) + 1, NPY_DOUBLE);
-    if (out == NULL)
-        goto done;
-    const double *s = PyArray_DATA(stack);
-    double *o = PyArray_DATA(out);
-    Py_ssize_t L = PyArray_DIM(stack, 0), plane = PyArray_DIM(stack, 1) * PyArray_DIM(stack, 2);
-    Py_BEGIN_ALLOW_THREADS
-    std_run(s, o, L, plane, plane);
-    Py_END_ALLOW_THREADS
-done:
-    Py_DECREF(stack);
-    return (PyObject *)out;
 }
 
 /* -------------------------------------------------------- deviation map */
@@ -1274,8 +1193,7 @@ static PyMethodDef methods[] = {
     {"correlate1d_replicate", (PyCFunction)(void (*)(void))correlate1d_replicate,
      METH_VARARGS | METH_KEYWORDS,
      "Symmetric 1D correlation with clamp-to-edge borders, evaluated in\n"
-     "center-deviation form (see the pure twin for the exact formula);\n"
-     "written into `out` when one is given."},
+     "center-deviation form (see the pure twin for the exact formula)."},
     {"_baseline_correlate1d_replicate",
      (PyCFunction)(void (*)(void))baseline_correlate1d_replicate, METH_VARARGS | METH_KEYWORDS,
      "correlate1d_replicate on the baseline-width axis-0 pass, for tests."},
@@ -1287,8 +1205,8 @@ static PyMethodDef methods[] = {
      "Per-pixel population standard deviation across the filter stack of\n"
      "`img`: layer 0 the image, each later layer the previous one\n"
      "correlated along axis 0 by `ku` and then along axis 1 by `kv`.\n"
-     "Equal to stack_std of that stack; splits over two cores when one is\n"
-     "free."},
+     "Equal to saliency.std_map of that stack; splits over two cores when\n"
+     "one is free."},
     {"_deviation_map_parts", (PyCFunction)(void (*)(void))deviation_map_parts,
      METH_VARARGS | METH_KEYWORDS,
      "deviation_map on parts=1 or parts=2 column parts, for tests."},
@@ -1296,10 +1214,6 @@ static PyMethodDef methods[] = {
      "Hold the kernels on their calling thread (+1), or release a hold (-1)."},
     {"_split_stats", split_stats, METH_NOARGS,
      "(calls that split, right parts the helper thread ran), for tests."},
-    {"stack_std", (PyCFunction)(void (*)(void))stack_std, METH_VARARGS | METH_KEYWORDS,
-     "Per-pixel population standard deviation across the layers of an\n"
-     "(L, H, W) stack, summed layer by layer, without stack-sized\n"
-     "temporaries."},
     {"thin_points", (PyCFunction)(void (*)(void))thin_points, METH_VARARGS | METH_KEYWORDS,
      "Greedy row-major thinning: keep a candidate iff no already-kept\n"
      "point lies within the candidate's own spacing threshold (inclusive)."},

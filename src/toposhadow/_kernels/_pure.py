@@ -32,7 +32,7 @@ _BLOCK = 1 << 16  # (triangle, row) or neighbour pairs per numpy pass
 _ROW_BLOCK = 1 << 14  # doubles per block of output rows in the dense passes
 
 
-def correlate1d_replicate(img, weights, axis, out=None):
+def correlate1d_replicate(img, weights, axis):
     """Symmetric 1D correlation along `axis` with clamp-to-edge borders.
 
     Evaluated in center-deviation form with tap pairs accumulated from the
@@ -41,22 +41,21 @@ def correlate1d_replicate(img, weights, axis, out=None):
         out[p] = x[p] + sum_{k=1..r} w[k] * ((x[p-k]-x[p]) + (x[p+k]-x[p]))
 
     which preserves constant inputs exactly (every deviation is 0.0).
-    `weights` is the full odd-length kernel; it must be symmetric.  The
-    result goes into `out` when one is given, a writeable C-contiguous
-    float64 array of the image's shape that does not overlap `img`, and
-    `out` is returned; ValueError otherwise.
+    `weights` is the full odd-length kernel; it must be symmetric.
 
     The taps read row or column offsets of one edge-padded copy of the
     image, a block of output rows at a time, through three block-sized
     buffers reused for every tap and block.
     """
-    src = img
     img = np.asarray(img, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if out is None:
-        out = np.empty_like(img, order="C")
-    else:
-        _check_out(out, img, src)
+    return _correlate_into(img, weights, axis, np.empty_like(img, order="C"))
+
+
+def _correlate_into(img, weights, axis, out):
+    """`correlate1d_replicate` of a float64 image with float64 weights,
+    written into `out`, a C-contiguous float64 array of the image's shape
+    that does not overlap it; returns `out`."""
     radius = (len(weights) - 1) // 2
     if radius == 0 or img.size == 0:
         np.copyto(out, img)
@@ -99,19 +98,6 @@ def correlate1d_replicate(img, weights, axis, out=None):
     return out
 
 
-def _check_out(out, img, src):
-    """Raise ValueError unless `out` can take a pass over `img`; `src` is
-    the caller's input, whose bytes `out` may not overlap."""
-    if not isinstance(out, np.ndarray):
-        raise ValueError("out must be a numpy array")
-    if out.dtype != np.float64 or out.shape != img.shape:
-        raise ValueError("out must be a float64 array of the image's shape")
-    if not (out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError("out must be C-contiguous and writeable")
-    if isinstance(src, np.ndarray) and np.may_share_memory(out, src):
-        raise ValueError("out must not overlap the image")
-
-
 def correlate1d_points(img, weights, points, col0):
     """The axis-1 pass of `correlate1d_replicate`, only at `points`.
 
@@ -149,9 +135,9 @@ def correlate1d_points(img, weights, points, col0):
     return center + acc
 
 
-def stack_std(stack):
-    """Per-pixel population standard deviation across the layers of an
-    (L, H, W) stack.
+def _stack_std(stack):
+    """Per-pixel population standard deviation across the layers of a
+    C-contiguous float64 (L, H, W) stack of at least one pixel.
 
     Layer by layer, which is numpy's order for a contiguous stack of more
     than one pixel per layer: the mean sums the layers from layer 0 and
@@ -159,12 +145,9 @@ def stack_std(stack):
     order and divides by L.  Blocks of rows are reduced one at a time, so
     only two block-sized buffers are allocated besides the result.
     """
-    stack = np.asarray(stack, dtype=np.float64)
-    if stack.ndim != 3 or stack.shape[0] == 0:
-        raise ValueError("expected a non-empty (layers, H, W) stack")
     layers, height, width = stack.shape
     out = np.empty((height, width))
-    rows = max(1, _ROW_BLOCK // max(1, width))
+    rows = max(1, _ROW_BLOCK // width)
     mean, dev = (np.empty((min(rows, height), width)) for _ in range(2))
     for r0 in range(0, height, rows):
         r1 = min(r0 + rows, height)
@@ -188,8 +171,10 @@ def deviation_map(img, ku, kv, layers):
     """Per-pixel population standard deviation across the filter stack of
     `img`: layer 0 is the image, each later layer the previous one
     correlated along axis 0 by `ku` and then along axis 1 by `kv`.  Equal
-    to `stack_std` of that stack.  Raises MemoryError when the stack's
-    size does not fit an address.
+    to ``saliency.std_map`` of that stack on a frame of more than one
+    pixel.  The layers are built in place in the stack, through one
+    scratch frame.  Raises MemoryError when the stack's size does not fit
+    an address.
     """
     img = np.asarray(img)
     ku = np.asarray(ku, dtype=np.float64)
@@ -208,9 +193,9 @@ def deviation_map(img, ku, kv, layers):
     stack[0] = img
     scratch = np.empty((height, width))
     for f in range(1, layers):
-        correlate1d_replicate(stack[f - 1], ku, 0, out=scratch)
-        correlate1d_replicate(scratch, kv, 1, out=stack[f])
-    return stack_std(stack)
+        _correlate_into(stack[f - 1], ku, 0, scratch)
+        _correlate_into(scratch, kv, 1, stack[f])
+    return _stack_std(stack)
 
 
 def thin_points(points, spacing):

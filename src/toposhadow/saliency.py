@@ -48,30 +48,25 @@ class Params:
         for name in ("sigma_u", "sigma_v", "sigma_w"):
             sigma = getattr(self, name)
             if sigma <= 0:
-                raise ValueError("sigma values must be positive")
+                raise ValueError(f"{name} must be positive, got {sigma!r}")
             # gaussian_kernel_1d divides by 2 sigma^2, which must be a
             # normal float: below that the division overflows or is by 0
             if 2.0 * sigma * sigma < sys.float_info.min:
                 raise ValueError(f"{name} is too small for Gaussian taps, got {sigma!r}")
-        if self.stack_size < 2:
-            raise ValueError("stack_size must be at least 2")
-        if not 0.0 < self.gamma <= 100.0:
-            raise ValueError("gamma must lie in (0, 100]")
-        if self.phi1 < 0 or self.phi2 < 0:
-            raise ValueError("phi1 and phi2 must be non-negative")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.tau < 1:
-            raise ValueError("tau must be at least 1")
-        if self.crop_rows < 0:
-            raise ValueError("crop_rows must be non-negative")
-        if self.triangle_cap < 1:
-            raise ValueError("triangle_cap must be positive")
-        # the compiled core reads the cap as a C long long
-        if self.triangle_cap > 2**63 - 1:
-            raise ValueError(
-                f"triangle_cap must be at most 2**63 - 1, got {self.triangle_cap!r}"
-            )
+        for name, ok, rule in (
+            ("stack_size", self.stack_size >= 2, "must be at least 2"),
+            ("gamma", 0.0 < self.gamma <= 100.0, "must lie in (0, 100]"),
+            ("phi1", self.phi1 >= 0, "must be non-negative"),
+            ("phi2", self.phi2 >= 0, "must be non-negative"),
+            ("epsilon", self.epsilon > 0, "must be positive"),
+            ("tau", self.tau >= 1, "must be at least 1"),
+            ("crop_rows", self.crop_rows >= 0, "must be non-negative"),
+            ("triangle_cap", self.triangle_cap >= 1, "must be positive"),
+            # the compiled core reads the cap as a C long long
+            ("triangle_cap", self.triangle_cap <= 2**63 - 1, "must be at most 2**63 - 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
 
 # the Params field names, and the integer-valued ones; the rest are floats
@@ -154,30 +149,24 @@ def filter_stack(img, params):
     kv = gaussian_kernel_1d(params.sigma_v, "sigma_v")
     stack = np.empty((params.stack_size,) + img.shape, dtype=np.float64)
     stack[0] = img
-    # the vertical pass goes into one reused layer, the horizontal one
-    # straight into the stack: no frame-sized array per layer
-    scratch = np.empty(img.shape, dtype=np.float64)
     for f in range(1, params.stack_size):
-        _kernels.correlate1d_replicate(stack[f - 1], ku, 0, out=scratch)
-        _kernels.correlate1d_replicate(scratch, kv, 1, out=stack[f])
+        smoothed = _kernels.correlate1d_replicate(stack[f - 1], ku, 0)
+        stack[f] = _kernels.correlate1d_replicate(smoothed, kv, 1)
     return stack
 
 
 def std_map(stack):
-    """Per-pixel population standard deviation across the stack layers.
+    """Per-pixel population standard deviation across the stack layers,
+    by numpy's own reductions over the stack as a contiguous float64 array.
 
-    Equal to ``np.sqrt(((stack - mean) ** 2).mean(axis=0))`` of a
-    contiguous stack, bit for bit, without its stack-sized temporaries.
+    The reference for the deviation map, whose kernels sum the layers one
+    by one: numpy's order too, except on a one-pixel stack of 8 or more
+    layers, which numpy sums pairwise.
     """
-    stack = np.asarray(stack, dtype=np.float64)
-    if stack.ndim != 3 or stack.shape[0] == 0:
+    s = np.ascontiguousarray(stack, dtype=np.float64)
+    if s.ndim != 3 or s.shape[0] == 0:
         raise ValueError("expected a non-empty (layers, H, W) stack")
-    if stack.shape[1] * stack.shape[2] == 1:
-        # numpy sums a one-pixel stack pairwise from 8 layers on, not
-        # layer by layer as the kernel does; it is cheap here, so use it
-        dev = stack - stack.mean(axis=0)
-        return np.sqrt((dev * dev).mean(axis=0))
-    return _kernels.stack_std(stack)
+    return np.sqrt(((s - s.mean(axis=0)) ** 2).mean(axis=0))
 
 
 def deviation_map(img, params):
@@ -192,7 +181,8 @@ def deviation_map(img, params):
     if img.ndim != 2:
         raise ValueError("expected a 2D image")
     if img.size == 1:
-        # std_map's one-pixel rule: numpy's pairwise sum from 8 layers on
+        # numpy sums a one-pixel stack pairwise from 8 layers on, not
+        # layer by layer as the kernel does; it is cheap here, so use it
         return std_map(filter_stack(img, params))
     ku = gaussian_kernel_1d(params.sigma_u, "sigma_u")
     kv = gaussian_kernel_1d(params.sigma_v, "sigma_v")

@@ -4,6 +4,7 @@ to differ; nothing else is.
 """
 
 import contextlib
+import inspect
 import os
 import platform
 import threading
@@ -23,15 +24,6 @@ from toposhadow.errors import TriangleCapError
 from toposhadow.saliency import Params, deviation_map, filter_stack, gaussian_kernel_1d, std_map
 
 _core = pytest.importorskip("toposhadow._kernels._core")
-
-# every entry to the dense correlation: both backends and the compiled
-# core's baseline-width instance
-CORRELATE = {
-    "compiled": _core.correlate1d_replicate,
-    "baseline": _core._baseline_correlate1d_replicate,
-    "pure": _pure.correlate1d_replicate,
-}
-
 
 @contextlib.contextmanager
 def on_backend(impl):
@@ -91,83 +83,22 @@ def test_correlate_identical_property(h, w, sigma, axis, seed):
     assert np.array_equal(_core._baseline_correlate1d_replicate(img, weights, axis), b)
 
 
-@pytest.mark.parametrize("entry", sorted(CORRELATE))
-def test_correlate_out_matches_return(entry):
-    fn = CORRELATE[entry]
-    rng = np.random.default_rng(111)
-    kernels = [np.ones(1)] + [gaussian_kernel_1d(s) for s in (0.2, 1.8, 5.0)]
-    for shape in ((45, 60), (1, 17), (70, 1), (1, 1), (3, 16)):
-        img = rng.uniform(-255.0, 255.0, size=shape)
-        for weights in kernels:
-            for axis in (0, 1):
-                returned = fn(img, weights, axis)
-                out = np.full(shape, np.nan)
-                assert fn(img, weights, axis, out=out) is out
-                assert out.tobytes() == returned.tobytes(), (shape, len(weights), axis)
-                assert out.tobytes() == _pure.correlate1d_replicate(img, weights, axis).tobytes()
-
-
-@pytest.mark.parametrize("entry", sorted(CORRELATE))
-def test_correlate_out_rejects_bad_destination(entry):
-    fn = CORRELATE[entry]
-    weights = gaussian_kernel_1d(1.8)
-    img = np.random.default_rng(112).uniform(0.0, 255.0, size=(4, 5))
-    read_only = np.empty((4, 5))
-    read_only.flags.writeable = False
-    shared = np.zeros((8, 5))  # rows 0-3 are the input, rows 2-5 the output
-    bad = [
-        (img, np.empty((5, 4))),
-        (img, np.empty((4, 6))),
-        (img, np.empty(20)),
-        (img, np.empty((4, 5), dtype=np.float32)),
-        (img, np.empty((4, 5), order="F")),
-        (img, np.empty((4, 10))[:, ::2]),
-        (img, read_only),
-        (img, img),
-        (shared[:4], shared[2:6]),
-        (img, [[0.0] * 5] * 4),
-    ]
-    for axis in (0, 1):
-        for src, out in bad:
-            with pytest.raises(ValueError):
-                fn(src, weights, axis, out=out)
-    # rows next to the input, sharing no byte with it, are fine
-    fn(shared[:4], weights, 0, out=shared[4:])
-
-
-def test_filter_stack_allocates_one_scratch_frame(monkeypatch):
-    monkeypatch.setattr(_kernels, "correlate1d_replicate", _core.correlate1d_replicate)
-    img = np.random.default_rng(113).uniform(0.0, 255.0, size=(200, 600))
+def test_pure_dense_passes_allocate_block_buffers():
+    # pure deviation_map builds its layers in place in the stack through
+    # one scratch frame; each correlation pass adds one padded copy and
+    # three row-block buffers, and the reduction two row-block buffers
+    img = np.random.default_rng(114).uniform(0.0, 255.0, size=(200, 600))
     params = Params()
+    ku, kv = taps(params)
     tracemalloc.start()
     try:
-        stack = filter_stack(img, params)
+        s = _pure.deviation_map(img, ku, kv, params.stack_size)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stack.shape == (params.stack_size, 200, 600)
-    assert peak < stack.nbytes + 2 * img.nbytes, (peak, stack.nbytes, img.nbytes)
-
-
-def test_pure_dense_passes_allocate_block_buffers(monkeypatch):
-    # the pure twins of the test above: one padded copy and three row-block
-    # buffers per correlation pass, two row-block buffers in stack_std
-    monkeypatch.setattr(_kernels, "correlate1d_replicate", _pure.correlate1d_replicate)
-    monkeypatch.setattr(_kernels, "stack_std", _pure.stack_std)
-    img = np.random.default_rng(114).uniform(0.0, 255.0, size=(200, 600))
-    tracemalloc.start()
-    try:
-        stack = filter_stack(img, Params())
-        stack_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        s = std_map(stack)
-        std_peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert stack_peak < stack.nbytes + 3 * img.nbytes, (stack_peak, stack.nbytes, img.nbytes)
     assert s.shape == img.shape
-    assert std_peak < 1.5 * img.nbytes, (std_peak, img.nbytes)
+    stack_nbytes = params.stack_size * img.nbytes
+    assert peak < stack_nbytes + 3 * img.nbytes, (peak, stack_nbytes, img.nbytes)
 
 
 # pure row-block sizes, in doubles: one-row blocks, 7 doubles (a few rows
@@ -188,29 +119,25 @@ def test_correlate_identical_across_row_blocks(block, monkeypatch):
             img = rng.uniform(-255.0, 255.0, size=shape)
             for axis in (0, 1):
                 expected = _core.correlate1d_replicate(img, weights, axis).tobytes()
-                assert _pure.correlate1d_replicate(img, weights, axis).tobytes() == expected
-                out = np.full(shape, np.nan)
-                assert _pure.correlate1d_replicate(img, weights, axis, out=out) is out
-                assert out.tobytes() == expected, (sigma, shape, axis)
-
-
-@pytest.mark.parametrize("block", SMALL_BLOCKS)
-def test_stack_std_identical_across_row_blocks(block, monkeypatch):
-    monkeypatch.setattr(_pure, "_ROW_BLOCK", block)
-    rng = np.random.default_rng(122)
-    for layers in range(2, 9):
-        for shape in ((45, 60), (71, 1), (45, 3), (1, 17)):
-            stack = rng.uniform(-255.0, 255.0, size=(layers,) + shape)
-            assert _pure.stack_std(stack).tobytes() == _core.stack_std(stack).tobytes()
+                got = _pure.correlate1d_replicate(img, weights, axis).tobytes()
+                assert got == expected, (sigma, shape, axis)
 
 
 def test_dispatch_table_covers_both_backends(monkeypatch):
     for name in _kernels.KERNELS:
         assert callable(getattr(_core, name)) and callable(getattr(_pure, name)), name
-    img = np.arange(12.0).reshape(3, 4)
-    for mod in (_core, _pure):
-        out = np.empty_like(img)
-        assert mod.correlate1d_replicate(img, gaussian_kernel_1d(1.0), 0, out=out) is out
+    # and the converse: every public kernel of either backend is in the
+    # table, so a kernel left behind on one backend fails here
+    core_names = {name for name in vars(_core) if not name.startswith("_")} - {"SIMD"}
+    pure_names = {
+        name
+        for name, value in vars(_pure).items()
+        if not name.startswith("_")
+        and inspect.isfunction(value)
+        and value.__module__ == _pure.__name__
+    }
+    assert core_names == set(_kernels.KERNELS)
+    assert pure_names == set(_kernels.KERNELS)
     # detect calls the kernels through their dispatch names, so a wrapper
     # installed there sees every call: one deviation map, and one axis-0
     # correlation for the spacing field; filter_stack, the reference, makes
@@ -250,62 +177,6 @@ def test_simd_names_the_instance():
         assert _core.SIMD == ("avx512f" if "avx512f" in flags else "baseline")
     else:
         assert _core.SIMD in ("avx512f", "baseline")
-
-
-def dense_std(stack):
-    """The deviation map as plain numpy reductions over the whole stack."""
-    mean = stack.mean(axis=0)
-    dev = stack - mean[None, :, :]
-    return np.sqrt((dev * dev).mean(axis=0))
-
-
-def assert_stack_std_identical(stack):
-    a = _core.stack_std(stack)
-    b = _pure.stack_std(stack)
-    assert np.array_equal(a, b)
-    # numpy sums layer by layer except over a one-pixel stack of 8 or more
-    # layers, where it goes pairwise; std_map keeps numpy's result there
-    if stack.shape[1] * stack.shape[2] != 1:
-        assert np.array_equal(a, dense_std(stack))
-    assert np.array_equal(std_map(stack), dense_std(stack))
-    assert a.shape == stack.shape[1:] and a.dtype == np.float64
-
-
-def test_stack_std_identical():
-    rng = np.random.default_rng(505)
-    for layers in range(2, 9):
-        # planes of 15, 16, 17 and 33 pixels: below, at and past the
-        # compiled kernel's 16-pixel block, and a tail after two blocks
-        for shape in ((1, 1), (7, 1), (1, 9), (3, 5), (4, 4), (1, 17), (3, 11), (13, 17), (40, 60)):
-            stack = rng.uniform(0.0, 255.0, size=(layers,) + shape)
-            assert_stack_std_identical(stack)
-            # a constant stack of 8-bit values deviates by exactly 0
-            layer = rng.integers(0, 256, size=(1,) + shape).astype(np.float64)
-            const = np.repeat(layer, layers, axis=0)
-            assert_stack_std_identical(const)
-            assert not _core.stack_std(const).any()
-    # one-pixel stacks deep enough for numpy's pairwise sum
-    for layers in range(8, 20):
-        assert_stack_std_identical(rng.uniform(-1e6, 1e6, size=(layers, 1, 1)))
-    # an empty frame, and the validation both backends share
-    assert_stack_std_identical(np.zeros((3, 0, 4)))
-    for bad in (np.zeros((0, 2, 2)), np.zeros((2, 2))):
-        for mod in (_core, _pure):
-            with pytest.raises(ValueError):
-                mod.stack_std(bad)
-
-
-@settings(max_examples=150, deadline=None, database=None)
-@given(
-    st.integers(2, 8),
-    st.integers(1, 6),
-    st.integers(1, 6),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([1.0, 255.0, 1e6]),
-)
-def test_stack_std_identical_property(layers, h, w, seed, scale):
-    rng = np.random.default_rng(seed)
-    assert_stack_std_identical(rng.uniform(-scale, scale, size=(layers, h, w)))
 
 
 def dense_at_points(img, weights, pts, col0):
@@ -650,13 +521,33 @@ def split_calls():
     return _core._split_stats()[0]
 
 
+def taps(params):
+    """The (ku, kv) Gaussian taps of a deviation map."""
+    return gaussian_kernel_1d(params.sigma_u), gaussian_kernel_1d(params.sigma_v)
+
+
+def layered_std(stack):
+    """The deviation map's reduction in plain numpy: the layers summed one
+    by one from layer 0 and divided by L, then the squared deviations
+    summed the same way and divided by L, then the root."""
+    mean = stack[0].copy()
+    for layer in stack[1:]:
+        mean += layer
+    mean /= len(stack)
+    var = (stack[0] - mean) ** 2
+    for layer in stack[1:]:
+        var += (layer - mean) ** 2
+    return np.sqrt(var / len(stack))
+
+
 def assert_deviation_identical(img, params, split=None):
     """Every deviation-map entry gives the bytes of the reference stack's
     std; `split` says whether the choosing entry must split or not."""
-    ku, kv = gaussian_kernel_1d(params.sigma_u), gaussian_kernel_1d(params.sigma_v)
+    ku, kv = taps(params)
     stack = filter_stack(img, params)
-    # layer by layer: std_map's result except on a one-pixel frame
-    expected = _core.stack_std(stack).tobytes()
+    expected = layered_std(stack).tobytes()
+    if img.size != 1:  # numpy sums a one-pixel stack pairwise from 8 layers on
+        assert std_map(stack).tobytes() == expected
     before = split_calls()
     assert _core.deviation_map(img, ku, kv, params.stack_size).tobytes() == expected
     if split is not None and TWO_CPUS:
@@ -680,13 +571,14 @@ def halo(params):
     st.sampled_from([0.2, 1.8, 5.0]),
     st.sampled_from([2, 3, 6, 9]),
     st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 255.0, 1e6]),
 )
-def test_deviation_map_identical_property(h, offset, sigma_v, layers, seed):
+def test_deviation_map_identical_property(h, offset, sigma_v, layers, seed, scale):
     # widths around the split threshold of 2 parts of 4 halos each, and
     # around 2 halos, where a part's halo reaches past the other part
     params = Params(sigma_v=sigma_v, stack_size=layers)
     w = max(1, 2 * (4 if seed % 2 else 1) * halo(params) + offset)
-    img = np.random.default_rng(seed).uniform(0.0, 255.0, size=(h, w))
+    img = np.random.default_rng(seed).uniform(-scale, scale, size=(h, w))
     assert_deviation_identical(img, params)
 
 
@@ -725,6 +617,43 @@ def test_deviation_map_small_and_extreme_frames():
                 fn(*bad)
 
 
+def test_deviation_map_identical_across_std_blocks():
+    rng = np.random.default_rng(505)
+    for layers in range(2, 9):
+        # rows of 15, 16, 17 and 33 pixels: below, at and past the
+        # compiled reduction's 16-pixel block, and a tail after two blocks
+        for shape in ((1, 1), (7, 1), (1, 9), (3, 5), (4, 4), (2, 15), (3, 16), (1, 17),
+                      (3, 11), (13, 17), (3, 33), (40, 60)):
+            params = Params(stack_size=layers)
+            assert_deviation_identical(rng.uniform(0.0, 255.0, size=shape), params)
+            # a constant 8-bit frame deviates by exactly 0
+            const = np.full(shape, rng.integers(0, 256), dtype=np.uint8)
+            assert_deviation_identical(const, params)
+            assert not _core.deviation_map(const, *taps(params), layers).any()
+    # one-pixel frames deep enough for numpy's pairwise sum
+    for layers in range(8, 20):
+        img = rng.uniform(-1e6, 1e6, size=(1, 1))
+        assert_deviation_identical(img, Params(stack_size=layers))
+    # an empty frame, and the validation of the reference
+    assert std_map(np.zeros((3, 0, 4))).shape == (0, 4)
+    for bad in (np.zeros((0, 2, 2)), np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            std_map(bad)
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_deviation_map_identical_across_row_blocks(block, monkeypatch):
+    monkeypatch.setattr(_pure, "_ROW_BLOCK", block)
+    rng = np.random.default_rng(122)
+    for layers in range(2, 9):
+        ku, kv = taps(Params(stack_size=layers))
+        for shape in ((45, 60), (71, 1), (45, 3), (1, 17)):
+            img = rng.uniform(-255.0, 255.0, size=shape)
+            expected = _core.deviation_map(img, ku, kv, layers).tobytes()
+            got = _pure.deviation_map(img, ku, kv, layers).tobytes()
+            assert got == expected, (layers, shape)
+
+
 def test_deviation_map_stack_too_large_is_memory_error():
     img = np.zeros((200, 600))
     ku = gaussian_kernel_1d(1.8)
@@ -751,9 +680,6 @@ def test_split_passes_identical():
         split = _core.correlate1d_replicate(img, kw, 0).tobytes()
         assert split_calls() == before + TWO_CPUS, shape
         assert split == serial == _pure.correlate1d_replicate(img, kw, 0).tobytes()
-        out = np.full(shape, np.nan)
-        _core.correlate1d_replicate(img, kw, 0, out=out)
-        assert out.tobytes() == serial
         h, w = shape
         for n in (5001, 20000):
             pts = np.stack([rng.integers(0, h, n), rng.integers(0, w, n)], axis=1)

@@ -160,6 +160,7 @@ def test_invalid_param_value_exit_3(tmp_path):
         ("gamma", "0"),
         ("epsilon", "nan"),
         ("sigma_u", "inf"),
+        ("sigma_v", "-1"),
         ("sigma_w", "1e-300"),
         ("triangle_cap", "100000000000000000000"),
     ):
