@@ -571,15 +571,28 @@ def halo(params):
     st.sampled_from([0.2, 1.8, 5.0]),
     st.sampled_from([2, 3, 6, 9]),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([1.0, 255.0, 1e6]),
 )
-def test_deviation_map_identical_property(h, offset, sigma_v, layers, seed, scale):
+def test_deviation_map_identical_property(h, offset, sigma_v, layers, seed):
     # widths around the split threshold of 2 parts of 4 halos each, and
     # around 2 halos, where a part's halo reaches past the other part
     params = Params(sigma_v=sigma_v, stack_size=layers)
     w = max(1, 2 * (4 if seed % 2 else 1) * halo(params) + offset)
-    img = np.random.default_rng(seed).uniform(-scale, scale, size=(h, w))
+    img = np.random.default_rng(seed).uniform(0.0, 255.0, size=(h, w))
     assert_deviation_identical(img, params)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.integers(2, 8),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 255.0, 1e6]),
+)
+def test_deviation_map_identical_small_frames_property(layers, h, w, seed, scale):
+    # frames from 1x1 up, signed values at three scales
+    img = np.random.default_rng(seed).uniform(-scale, scale, size=(h, w))
+    assert_deviation_identical(img, Params(stack_size=layers))
 
 
 def test_deviation_map_splits_at_its_threshold():
