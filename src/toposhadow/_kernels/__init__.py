@@ -3,12 +3,17 @@
 The compiled C core (``_core``, built from ``_coremodule.c``) is preferred
 when it was built; otherwise the pure numpy twins take over.  Both produce
 bit-identical results, so the choice only affects speed.  On the compiled
-core the dense kernels split a large call over two cores when a second
-one is free; ``serial()`` holds them on the calling thread while a
-worker pool runs, so that ``--workers N >= 2`` keeps N threads, and
-``--workers 1`` splits like ``detect``.  Override with
-TOPOSHADOW_KERNELS=pure or =compiled (the latter raises if the extension
-is missing).
+core ``deviation_map`` splits a large call over two cores when a second
+one is free; ``serial()`` holds it on the calling thread while a worker
+pool runs, so that ``--workers N >= 2`` keeps N threads, and
+``--workers 1`` splits like ``detect``.  ``thin_salient`` thins a cloud
+against the spacing field of a saliency map: the compiled kernel
+computes a point's spacing only where bounds on it cannot decide the
+point, and its pure twin runs the dense passes (``correlate1d_replicate``
+along axis 0, ``correlate1d_points``) and then ``thin_points``, as
+``sparsify.thin(cloud, sparsify.density_field(...))`` does.  Override
+with TOPOSHADOW_KERNELS=pure or =compiled (the latter raises if the
+extension is missing).
 """
 
 import contextlib
@@ -42,6 +47,7 @@ KERNELS = (
     "correlate1d_points",
     "deviation_map",
     "thin_points",
+    "thin_salient",
     "rips_triangles",
     "occurrence_counts",
 )
@@ -52,8 +58,8 @@ globals().update((name, getattr(_impl, name)) for name in KERNELS)
 def serial():
     """Keep every compiled kernel call, from any thread, on its calling
     thread while the block runs.  Entered around a worker pool, whose N
-    workers then use N threads in total; without a pool the kernels
-    split.  Outputs are the same either way."""
+    workers then use N threads in total; without a pool the deviation
+    map splits.  Outputs are the same either way."""
     core = sys.modules.get(__name__ + "._core")
     if core is None:  # never loaded: nothing splits
         yield

@@ -6,16 +6,19 @@
  * ``_pure`` too.  Build with -ffp-contract=off: a fused multiply-add
  * rounds once where the twin rounds twice.
  *
- * The banded axis-0 pass is built twice from one body: at 8 doubles per
- * vector for AVX-512 hosts and at 2 for every other CPU; module init picks
- * one and names it in ``SIMD``.  Both stay bit-identical, to each other
- * and to ``_pure``: vector operations are lane-wise IEEE adds, subtracts
- * and multiplies, nothing is contracted, and every element sees the same
- * operations in the same order at either width.
+ * The banded axis-0 pass and the axis-1 pass are each built twice from
+ * one body: at 8 doubles per vector for AVX-512 hosts and at 2 for every
+ * other CPU; module init picks one width and names it in ``SIMD``.  Both
+ * stay bit-identical, to each other and to ``_pure``: vector operations
+ * are lane-wise IEEE adds, subtracts and multiplies, nothing is
+ * contracted, and every element sees the same operations in the same
+ * order at either width.
  *
- * Every kernel releases the GIL around its loops.  The dense passes of
- * the deviation map and the spacing field split a large call into two
- * parts, the second run by one helper thread (see "two parts" below).
+ * Every kernel releases the GIL around its loops.  The deviation map
+ * splits a large call into two parts, the second run by one helper thread
+ * (see "two parts" below).  The salient thinning computes a candidate's
+ * spacing only where bounds on it cannot decide the candidate (see
+ * "thin" below).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -24,6 +27,7 @@
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <numpy/arrayobject.h>
 
+#include <float.h>
 #include <math.h>
 #include <pthread.h>
 #include <sched.h>
@@ -59,11 +63,15 @@ static PyArrayObject *as_points(PyObject *obj, Py_ssize_t *n)
 
 /* A uniform grid over the points' bounding box.  It only prunes the
  * candidate pairs, so any cell at least as large as the search radius is
- * correct; the cell is doubled until the grid holds no more than about
+ * correct.  The cell is a whole number of pixels, at least ceil(radius):
+ * a pair whose integer squared distance is within the rounded square of
+ * the radius is then at most one cell apart on either axis, however the
+ * radius rounds.  It is doubled until the grid holds no more than about
  * 2n cells, which bounds its memory by the input. */
 typedef struct {
     i64 r0, c0;
-    double cell;
+    double cell; /* a whole number: the floor of a quotient of two whole
+                  * numbers below 2^53 never rounds up to the next one */
     Py_ssize_t gh, gw;
     Py_ssize_t *head; /* per cell: latest point, -1 when empty */
     Py_ssize_t *next; /* per point: previous point in its cell */
@@ -81,13 +89,19 @@ static int grid_init(Grid *g, const i64 *pts, Py_ssize_t n, double radius)
         if (c < g->c0) g->c0 = c;
         if (c > c1) c1 = c;
     }
-    double cell = radius;
+    const double rows = (double)(r1 - g->r0), cols = (double)(c1 - g->c0);
+    /* past the box one cell holds every point; NaN and 0 take a unit cell */
+    double cell = ceil(radius);
+    if (!(cell >= 1.0))
+        cell = 1.0;
+    if (cell > (rows > cols ? rows : cols) + 1.0)
+        cell = (rows > cols ? rows : cols) + 1.0;
     double max_cells = 2.0 * (double)n + 64.0;
-    while (((double)(r1 - g->r0) / cell + 1.0) * ((double)(c1 - g->c0) / cell + 1.0) > max_cells)
+    while ((rows / cell + 1.0) * (cols / cell + 1.0) > max_cells)
         cell *= 2.0;
     g->cell = cell;
-    g->gh = (Py_ssize_t)((double)(r1 - g->r0) / cell) + 1;
-    g->gw = (Py_ssize_t)((double)(c1 - g->c0) / cell) + 1;
+    g->gh = (Py_ssize_t)(rows / cell) + 1;
+    g->gw = (Py_ssize_t)(cols / cell) + 1;
     g->head = malloc((size_t)(g->gh * g->gw) * sizeof(Py_ssize_t));
     g->next = malloc((size_t)n * sizeof(Py_ssize_t));
     if (g->head == NULL || g->next == NULL) {
@@ -132,9 +146,9 @@ static inline double dist_sq(const i64 *pts, Py_ssize_t a, Py_ssize_t b)
 
 /* ------------------------------------------------------------ two parts */
 
-/* A dense call splits its columns (or points) into a left and a right
- * part: the calling thread runs the left one and a helper thread the right
- * one.  There is at most one helper per process.  It starts on the first
+/* A deviation map splits its columns into a left and a right part: the
+ * calling thread runs the left one and a helper thread the right one.
+ * There is at most one helper per process.  It starts on the first
  * split call, sleeps on `wake` while idle, and touches no Python object.
  * A call that finds the helper busy with another thread's call runs both
  * parts itself, and a caller whose right part the helper has not picked
@@ -195,9 +209,8 @@ static int start_helper(void)
     return 0;
 }
 
-/* Run parts 0 and 1 of `job`; call without the GIL.  Not inlined, as
- * nothing here is hot: its three callers share one copy. */
-__attribute__((noinline)) static void run_parts(part_fn fn, void *job)
+/* Run parts 0 and 1 of `job`; call without the GIL. */
+static void run_parts(part_fn fn, void *job)
 {
     int posted = 0;
     pthread_mutex_lock(&helper.lock);
@@ -268,27 +281,36 @@ __attribute__((noinline)) static int should_split(double part_work)
 
 /* out[p] = x[p] + sum_{k=1..radius} w[k] * ((x[p-k]-x[p]) + (x[p+k]-x[p])),
  * accumulated from k = 1 outward in a per-row accumulator so that the
- * column loop over [c0, c1) vectorizes without changing any element's
- * operation order. */
-static void correlate_axis0_cols(const double *restrict x, double *restrict out,
-                                 Py_ssize_t h, Py_ssize_t w, Py_ssize_t c0, Py_ssize_t c1,
+ * loop over the n columns of row r vectorizes without changing any
+ * element's operation order.  `x` and `out` point at the first column;
+ * their rows are ldx and ldo values apart.  Not inlined: it runs only
+ * the narrow last band of a pass, and its callers share one copy. */
+__attribute__((noinline)) static void
+axis0_row_cols(const double *restrict x, Py_ssize_t ldx, double *restrict out, Py_ssize_t ldo,
+               Py_ssize_t h, Py_ssize_t r, Py_ssize_t n, const double *restrict wt,
+               Py_ssize_t radius)
+{
+    const double *restrict xc = x + r * ldx;
+    double *restrict acc = out + r * ldo;
+    for (Py_ssize_t c = 0; c < n; c++)
+        acc[c] = 0.0;
+    for (Py_ssize_t k = 1; k <= radius; k++) {
+        const double *restrict xl = x + (r - k < 0 ? 0 : r - k) * ldx;
+        const double *restrict xh = x + (r + k > h - 1 ? h - 1 : r + k) * ldx;
+        const double wk = wt[radius + k];
+        for (Py_ssize_t c = 0; c < n; c++)
+            acc[c] += wk * ((xl[c] - xc[c]) + (xh[c] - xc[c]));
+    }
+    for (Py_ssize_t c = 0; c < n; c++)
+        acc[c] = xc[c] + acc[c];
+}
+
+static void correlate_axis0_cols(const double *restrict x, Py_ssize_t ldx, double *restrict out,
+                                 Py_ssize_t ldo, Py_ssize_t h, Py_ssize_t n,
                                  const double *restrict wt, Py_ssize_t radius)
 {
-    for (Py_ssize_t r = 0; r < h; r++) {
-        const double *restrict xc = x + r * w;
-        double *restrict acc = out + r * w;
-        for (Py_ssize_t c = c0; c < c1; c++)
-            acc[c] = 0.0;
-        for (Py_ssize_t k = 1; k <= radius; k++) {
-            const double *restrict xl = x + (r - k < 0 ? 0 : r - k) * w;
-            const double *restrict xh = x + (r + k > h - 1 ? h - 1 : r + k) * w;
-            const double wk = wt[radius + k];
-            for (Py_ssize_t c = c0; c < c1; c++)
-                acc[c] += wk * ((xl[c] - xc[c]) + (xh[c] - xc[c]));
-        }
-        for (Py_ssize_t c = c0; c < c1; c++)
-            acc[c] = xc[c] + acc[c];
-    }
+    for (Py_ssize_t r = 0; r < h; r++)
+        axis0_row_cols(x, ldx, out, ldo, h, r, n, wt, radius);
 }
 
 /* The same formula over bands of AXIS0_BAND columns.  A band's rows are
@@ -298,46 +320,68 @@ static void correlate_axis0_cols(const double *restrict x, double *restrict out,
  * shared caches.  The last, narrower band takes the general loop.
  *
  * AXIS0_BANDS(name, V, attr) defines the pass for a GNU C vector type V,
- * a band holding AXIS0_BAND / lanes of them.  The body is written with
- * explicit vectors: a band of scalars left to auto-vectorise under an
- * AVX-512 target ran 3x slower than its SSE2 build. */
+ * a band holding AXIS0_BAND / lanes of them, and name##_row, which fills
+ * row r of one band of n <= AXIS0_BAND columns, laid out as in
+ * axis0_row_cols.  The body is written with explicit vectors: a band of
+ * scalars left to auto-vectorise under an AVX-512 target ran 3x slower
+ * than its SSE2 build. */
 #define AXIS0_BAND 16
 
 typedef void (*axis0_fn)(const double *restrict, double *restrict, Py_ssize_t, Py_ssize_t,
                          Py_ssize_t, Py_ssize_t, const double *restrict, Py_ssize_t);
+typedef void (*axis0_row_fn)(const double *restrict, Py_ssize_t, double *restrict, Py_ssize_t,
+                             Py_ssize_t, Py_ssize_t, Py_ssize_t, const double *restrict,
+                             Py_ssize_t);
 
-/* Columns [cb, ce) of an (h, w) image; the other columns of `out` are left
- * alone, so two threads may each run their own column range. */
+/* `name` fills columns [cb, ce) of an (h, w) image; the other columns of
+ * `out` are left alone, so two threads may each run their own column
+ * range. */
 #define AXIS0_BANDS(name, V, attr)                                                        \
+    attr static inline __attribute__((always_inline)) void name##_band(                   \
+        const double *restrict x, Py_ssize_t ldx, double *restrict out, Py_ssize_t ldo,   \
+        Py_ssize_t h, Py_ssize_t r, const double *restrict wt, Py_ssize_t radius)         \
+    {                                                                                     \
+        enum { N = sizeof(V) / sizeof(double), NV = AXIS0_BAND / N };                     \
+        V xc[NV], acc[NV], lo, hi;                                                        \
+        memcpy(xc, x + r * ldx, sizeof(xc));                                              \
+        for (int v = 0; v < NV; v++)                                                      \
+            acc[v] = (V){0};                                                              \
+        for (Py_ssize_t k = 1; k <= radius; k++) {                                        \
+            const double *xl = x + (r - k < 0 ? 0 : r - k) * ldx;                         \
+            const double *xh = x + (r + k > h - 1 ? h - 1 : r + k) * ldx;                 \
+            const double wk = wt[radius + k];                                             \
+            for (int v = 0; v < NV; v++) {                                                \
+                memcpy(&lo, xl + v * N, sizeof(V));                                       \
+                memcpy(&hi, xh + v * N, sizeof(V));                                       \
+                acc[v] += wk * ((lo - xc[v]) + (hi - xc[v]));                             \
+            }                                                                             \
+        }                                                                                 \
+        for (int v = 0; v < NV; v++)                                                      \
+            acc[v] = xc[v] + acc[v];                                                      \
+        memcpy(out + r * ldo, acc, sizeof(acc));                                          \
+    }                                                                                     \
+                                                                                          \
     attr static void name(const double *restrict x, double *restrict out, Py_ssize_t h,   \
                           Py_ssize_t w, Py_ssize_t cb, Py_ssize_t ce,                     \
                           const double *restrict wt, Py_ssize_t radius)                   \
     {                                                                                     \
-        enum { N = sizeof(V) / sizeof(double), NV = AXIS0_BAND / N };                     \
         Py_ssize_t c0 = cb;                                                               \
-        for (; c0 + AXIS0_BAND <= ce; c0 += AXIS0_BAND) {                                 \
-            for (Py_ssize_t r = 0; r < h; r++) {                                          \
-                V xc[NV], acc[NV], lo, hi;                                                \
-                memcpy(xc, x + r * w + c0, sizeof(xc));                                   \
-                for (int v = 0; v < NV; v++)                                              \
-                    acc[v] = (V){0};                                                      \
-                for (Py_ssize_t k = 1; k <= radius; k++) {                                \
-                    const double *xl = x + (r - k < 0 ? 0 : r - k) * w + c0;              \
-                    const double *xh = x + (r + k > h - 1 ? h - 1 : r + k) * w + c0;      \
-                    const double wk = wt[radius + k];                                     \
-                    for (int v = 0; v < NV; v++) {                                        \
-                        memcpy(&lo, xl + v * N, sizeof(V));                               \
-                        memcpy(&hi, xh + v * N, sizeof(V));                               \
-                        acc[v] += wk * ((lo - xc[v]) + (hi - xc[v]));                     \
-                    }                                                                     \
-                }                                                                         \
-                for (int v = 0; v < NV; v++)                                              \
-                    acc[v] = xc[v] + acc[v];                                              \
-                memcpy(out + r * w + c0, acc, sizeof(acc));                               \
-            }                                                                             \
-        }                                                                                 \
+        for (; c0 + AXIS0_BAND <= ce; c0 += AXIS0_BAND)                                   \
+            for (Py_ssize_t r = 0; r < h; r++)                                            \
+                name##_band(x + c0, w, out + c0, w, h, r, wt, radius);                    \
         if (c0 < ce)                                                                      \
-            correlate_axis0_cols(x, out, h, w, c0, ce, wt, radius);                       \
+            correlate_axis0_cols(x + c0, w, out + c0, w, h, ce - c0, wt, radius);         \
+    }                                                                                     \
+                                                                                          \
+    attr static void name##_row(const double *restrict x, Py_ssize_t ldx,                 \
+                                double *restrict out, Py_ssize_t ldo, Py_ssize_t h,       \
+                                Py_ssize_t r, Py_ssize_t n, const double *restrict wt,    \
+                                Py_ssize_t radius)                                        \
+    {                                                                                     \
+        if (n == AXIS0_BAND)                                                              \
+            name##_band(x, ldx, out, ldo, h, r, wt, radius);                              \
+        else                                                                              \
+            axis0_row_cols(x, ldx, out, ldo, h, r, n, wt, radius);                        \
     }
 
 /* The baseline width: 16-byte vectors, native on every 64-bit CPU.  A
@@ -346,59 +390,54 @@ typedef void (*axis0_fn)(const double *restrict, double *restrict, Py_ssize_t, P
 typedef double v2df __attribute__((vector_size(16)));
 AXIS0_BANDS(correlate_axis0_v2, v2df, )
 
+/* Same formula along each row; `pad` holds the row with `radius`
+ * edge-replicated cells on either side.  Left to auto-vectorise, which
+ * keeps every element's order: AXIS1_PASS(name, attr) builds it under the
+ * target `attr`.  Not inlined: its callers share one copy of its loops. */
+typedef void (*axis1_fn)(const double *restrict, double *restrict, Py_ssize_t, Py_ssize_t,
+                         const double *restrict, Py_ssize_t, double *restrict);
+
+#define AXIS1_PASS(name, attr)                                                            \
+    attr __attribute__((noinline)) static void name(                                      \
+        const double *restrict x, double *restrict out, Py_ssize_t h, Py_ssize_t w,       \
+        const double *restrict wt, Py_ssize_t radius, double *restrict pad)               \
+    {                                                                                     \
+        for (Py_ssize_t r = 0; r < h; r++) {                                              \
+            const double *restrict row = x + r * w;                                       \
+            double *restrict acc = out + r * w;                                           \
+            for (Py_ssize_t i = 0; i < radius; i++) {                                     \
+                pad[i] = row[0];                                                          \
+                pad[radius + w + i] = row[w - 1];                                         \
+            }                                                                             \
+            memcpy(pad + radius, row, (size_t)w * sizeof(double));                        \
+            const double *restrict xc = pad + radius;                                     \
+            for (Py_ssize_t c = 0; c < w; c++)                                            \
+                acc[c] = 0.0;                                                             \
+            for (Py_ssize_t k = 1; k <= radius; k++) {                                    \
+                const double wk = wt[radius + k];                                         \
+                for (Py_ssize_t c = 0; c < w; c++)                                        \
+                    acc[c] += wk * ((xc[c - k] - xc[c]) + (xc[c + k] - xc[c]));           \
+            }                                                                             \
+            for (Py_ssize_t c = 0; c < w; c++)                                            \
+                acc[c] = xc[c] + acc[c];                                                  \
+        }                                                                                 \
+    }
+
+AXIS1_PASS(correlate_axis1_v2, )
+
 #if defined(__x86_64__) || defined(__i386__)
-#define HAVE_AVX512_BANDS 1
+#define HAVE_AVX512 1
 typedef double v8df __attribute__((vector_size(64)));
 AXIS0_BANDS(correlate_axis0_v8, v8df, __attribute__((target("avx512f"))))
+AXIS1_PASS(correlate_axis1_v8, __attribute__((target("avx512f,prefer-vector-width=512"))))
 #endif
 
-/* The instance module init picked; `SIMD` names it. */
+/* The instances module init picked; `SIMD` names them. */
 static axis0_fn correlate_axis0 = correlate_axis0_v2;
+static axis0_row_fn correlate_axis0_row = correlate_axis0_v2_row;
+static axis1_fn correlate_axis1 = correlate_axis1_v2;
 
-/* Same formula along each row; `pad` holds the row with `radius`
- * edge-replicated cells on either side.  Not inlined: both callers share
- * one copy of its loops. */
-__attribute__((noinline)) static void correlate_axis1(const double *restrict x, double *restrict out,
-                            Py_ssize_t h, Py_ssize_t w,
-                            const double *restrict wt, Py_ssize_t radius,
-                            double *restrict pad)
-{
-    for (Py_ssize_t r = 0; r < h; r++) {
-        const double *restrict row = x + r * w;
-        double *restrict acc = out + r * w;
-        for (Py_ssize_t i = 0; i < radius; i++) {
-            pad[i] = row[0];
-            pad[radius + w + i] = row[w - 1];
-        }
-        memcpy(pad + radius, row, (size_t)w * sizeof(double));
-        const double *restrict xc = pad + radius;
-        for (Py_ssize_t c = 0; c < w; c++)
-            acc[c] = 0.0;
-        for (Py_ssize_t k = 1; k <= radius; k++) {
-            const double wk = wt[radius + k];
-            for (Py_ssize_t c = 0; c < w; c++)
-                acc[c] += wk * ((xc[c - k] - xc[c]) + (xc[c + k] - xc[c]));
-        }
-        for (Py_ssize_t c = 0; c < w; c++)
-            acc[c] = xc[c] + acc[c];
-    }
-}
-
-/* An axis-0 pass over two column ranges: columns are independent. */
-typedef struct {
-    axis0_fn axis0;
-    const double *x, *wt;
-    double *out;
-    Py_ssize_t h, w, radius, cut[3];
-} Axis0Job;
-
-static void axis0_part(void *job, int part)
-{
-    Axis0Job *j = job;
-    j->axis0(j->x, j->out, j->h, j->w, j->cut[part], j->cut[part + 1], j->wt, j->radius);
-}
-
-static PyObject *correlate1d_with(axis0_fn axis0, PyObject *args, PyObject *kwds)
+static PyObject *correlate1d_with(axis0_fn axis0, axis1_fn axis1, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"img", "weights", "axis", NULL};
     PyObject *img_obj, *w_obj;
@@ -432,15 +471,8 @@ static PyObject *correlate1d_with(axis0_fn axis0, PyObject *args, PyObject *kwds
     if (radius == 0 || h == 0 || w == 0) {
         memcpy(o, x, (size_t)(h * w) * sizeof(double));
     } else if (axis == 0) {
-        /* the cut keeps whole bands on the left */
-        Py_ssize_t cut = (w / 2 + AXIS0_BAND / 2) / AXIS0_BAND * AXIS0_BAND;
-        Axis0Job job = {axis0, x, wt, o, h, w, radius, {0, cut, w}};
-        int split = cut > 0 && cut < w && should_split((double)h * (double)(w - cut) * (double)radius);
         Py_BEGIN_ALLOW_THREADS
-        if (split)
-            run_parts(axis0_part, &job);
-        else
-            axis0(x, o, h, w, 0, w, wt, radius);
+        axis0(x, o, h, w, 0, w, wt, radius);
         Py_END_ALLOW_THREADS
     } else {
         double *pad = malloc((size_t)(w + 2 * radius) * sizeof(double));
@@ -450,7 +482,7 @@ static PyObject *correlate1d_with(axis0_fn axis0, PyObject *args, PyObject *kwds
             goto done;
         }
         Py_BEGIN_ALLOW_THREADS
-        correlate_axis1(x, o, h, w, wt, radius, pad);
+        axis1(x, o, h, w, wt, radius, pad);
         Py_END_ALLOW_THREADS
         free(pad);
     }
@@ -462,19 +494,19 @@ done:
 
 static PyObject *correlate1d_replicate(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    return correlate1d_with(correlate_axis0, args, kwds);
+    return correlate1d_with(correlate_axis0, correlate_axis1, args, kwds);
 }
 
-/* The baseline instance whatever the CPU, so that tests can hold it to the
- * same outputs on a host that runs the wide one. */
+/* The baseline instances whatever the CPU, so that tests can hold them to
+ * the same outputs on a host that runs the wide ones. */
 static PyObject *baseline_correlate1d_replicate(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    return correlate1d_with(correlate_axis0_v2, args, kwds);
+    return correlate1d_with(correlate_axis0_v2, correlate_axis1_v2, args, kwds);
 }
 
 /* Same formula along axis 1, only at the given points: point i reads row
- * pts[i, 0] at column pts[i, 1] - col0, with taps clamped to the row. */
-/* Not inlined: both callers share one copy of its loops. */
+ * pts[i, 0] at column pts[i, 1] - col0, with taps clamped to the row.
+ * Not inlined: both callers share one copy of its loops. */
 __attribute__((noinline)) static void correlate_points(const double *restrict x, Py_ssize_t w,
                              const double *restrict wt, Py_ssize_t radius,
                              const i64 *restrict pts, Py_ssize_t n, Py_ssize_t col0,
@@ -505,19 +537,17 @@ __attribute__((noinline)) static void correlate_points(const double *restrict x,
     }
 }
 
-/* The point pass over two runs of points: each point is independent. */
-typedef struct {
-    const double *x, *wt;
-    const i64 *pts;
-    double *out;
-    Py_ssize_t w, radius, col0, cut[3];
-} PointsJob;
-
-static void points_part(void *job, int part)
+/* 0 when every point lies in the (h, w) image whose first column is frame
+ * column col0; else -1 with IndexError set. */
+static int check_points(const i64 *p, Py_ssize_t n, Py_ssize_t h, Py_ssize_t w, Py_ssize_t col0)
 {
-    PointsJob *j = job;
-    Py_ssize_t a = j->cut[part], b = j->cut[part + 1];
-    correlate_points(j->x, j->w, j->wt, j->radius, j->pts + 2 * a, b - a, j->col0, j->out + a);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (p[2 * i] < 0 || p[2 * i] >= h || p[2 * i + 1] - col0 < 0 || p[2 * i + 1] - col0 >= w) {
+            PyErr_SetString(PyExc_IndexError, "point outside the image");
+            return -1;
+        }
+    }
+    return 0;
 }
 
 static PyObject *correlate1d_points(PyObject *self, PyObject *args, PyObject *kwds)
@@ -542,12 +572,8 @@ static PyObject *correlate1d_points(PyObject *self, PyObject *args, PyObject *kw
     }
     Py_ssize_t h = PyArray_DIM(img, 0), w = PyArray_DIM(img, 1);
     const i64 *p = PyArray_DATA(pts);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        if (p[2 * i] < 0 || p[2 * i] >= h || p[2 * i + 1] - col0 < 0 || p[2 * i + 1] - col0 >= w) {
-            PyErr_SetString(PyExc_IndexError, "point outside the image");
-            goto done;
-        }
-    }
+    if (check_points(p, n, h, w, col0) < 0)
+        goto done;
     npy_intp dims[1] = {n};
     out = (PyArrayObject *)PyArray_SimpleNew(1, dims, NPY_DOUBLE);
     if (out == NULL)
@@ -555,13 +581,8 @@ static PyObject *correlate1d_points(PyObject *self, PyObject *args, PyObject *kw
     const double *x = PyArray_DATA(img), *wt = PyArray_DATA(wts);
     double *o = PyArray_DATA(out);
     Py_ssize_t radius = (PyArray_DIM(wts, 0) - 1) / 2;
-    PointsJob job = {x, wt, p, o, w, radius, col0, {0, n / 2, n}};
-    int split = should_split((double)(n - n / 2) * (double)(radius + 1));
     Py_BEGIN_ALLOW_THREADS
-    if (split)
-        run_parts(points_part, &job);
-    else
-        correlate_points(x, w, wt, radius, p, n, col0, o);
+    correlate_points(x, w, wt, radius, p, n, col0, o);
     Py_END_ALLOW_THREADS
 done:
     Py_DECREF(img);
@@ -635,6 +656,7 @@ __attribute__((noinline)) static void std_run(const double *restrict s, double *
  * layer 0 from the image. */
 typedef struct {
     axis0_fn axis0;
+    axis1_fn axis1;
     const double *ku, *kv;
     double *out;
     Py_ssize_t h, w, ru, rv, layers, halo, cut[3];
@@ -665,7 +687,7 @@ static void deviation_part(void *job, int part)
         if (j->rv == 0)
             memcpy(next, scratch, (size_t)plane * sizeof(double));
         else
-            correlate_axis1(scratch, next, h, bw, j->kv, j->rv, pad);
+            j->axis1(scratch, next, h, bw, j->kv, j->rv, pad);
     }
     const Py_ssize_t c0 = j->cut[part], c1 = j->cut[part + 1];
     for (Py_ssize_t r = 0; r < h; r++)
@@ -720,7 +742,7 @@ static PyObject *deviation_with(PyObject *img_obj, PyObject *ku_obj, PyObject *k
         PyErr_SetString(PyExc_ValueError, "expected a 2D image and non-empty 1D kernels");
         goto done;
     }
-    DevJob job = {correlate_axis0, PyArray_DATA(ku), PyArray_DATA(kv), NULL,
+    DevJob job = {correlate_axis0, correlate_axis1, PyArray_DATA(ku), PyArray_DATA(kv), NULL,
                   PyArray_DIM(img, 0), PyArray_DIM(img, 1), (PyArray_DIM(ku, 0) - 1) / 2,
                   (PyArray_DIM(kv, 0) - 1) / 2, layers, 0, {0, 0, 0}, {NULL, NULL}};
     const Py_ssize_t h = job.h, w = job.w;
@@ -847,35 +869,126 @@ static PyObject *split_stats(PyObject *self, PyObject *unused)
 
 /* ----------------------------------------------------------------- thin */
 
-/* Greedy row-major thinning: keep a candidate iff no already-kept point
- * lies within the candidate's own spacing (inclusive). */
-static Py_ssize_t thin_greedy(Grid *g, const i64 *pts, const double *lam, Py_ssize_t n, i64 *kept)
+/* The spacing a blurred saliency value asks for: the value clamped to
+ * [0, 1] as np.clip clamps it, then mapped so that high saliency gives the
+ * minimum spacing phi1.  For phi2 >= 0 it does not increase with the
+ * value, as every step rounds monotonically, so bounds on the value bound
+ * the spacing.  NaN stays NaN. */
+static inline double spacing_of(double blurred, double phi1, double phi2)
 {
-    Py_ssize_t n_kept = 0;
+    if (blurred < 0.0)
+        blurred = 0.0;
+    else if (blurred > 1.0)
+        blurred = 1.0;
+    return phi1 + phi2 * (1.0 - blurred);
+}
+
+/* The spacing of candidate i, for when its bounds cannot decide it. */
+typedef double (*spacing_fn)(void *ctx, Py_ssize_t i);
+
+/* Greedy row-major thinning: keep a candidate iff no already-kept point
+ * lies within the candidate's own spacing (inclusive).  Candidate i's
+ * spacing lies in [lo[i], hi[i]], both >= 0: a kept point within lo[i]
+ * rules it out, and none within hi[i] keeps it; only in between is
+ * `spacing` asked for the exact value.  The kept point that ruled out the
+ * previous candidate is tried before the grid, as row-major neighbours
+ * mostly fall to the same point.  The grid's cell must be at least the
+ * largest hi[i]. */
+static Py_ssize_t thin_greedy(Grid *g, const i64 *pts, Py_ssize_t n, const double *lo,
+                              const double *hi, spacing_fn spacing, void *ctx, i64 *kept)
+{
+    Py_ssize_t n_kept = 0, blocker = -1;
     for (Py_ssize_t i = 0; i < n; i++) {
-        const double limit_sq = lam[i] * lam[i];
+        const double lo_sq = lo[i] * lo[i];
+        if (blocker >= 0 && dist_sq(pts, i, blocker) <= lo_sq)
+            continue;
         const Py_ssize_t gr = grid_row(g, pts[2 * i]), gc = grid_col(g, pts[2 * i + 1]);
-        int ok = 1;
-        for (Py_ssize_t ar = gr - 1; ok && ar <= gr + 1; ar++) {
+        double nearest = INFINITY;
+        Py_ssize_t nearest_j = -1;
+        for (Py_ssize_t ar = gr - 1; ar <= gr + 1; ar++) {
             if (ar < 0 || ar >= g->gh)
                 continue;
-            for (Py_ssize_t ac = gc - 1; ok && ac <= gc + 1; ac++) {
+            for (Py_ssize_t ac = gc - 1; ac <= gc + 1; ac++) {
                 if (ac < 0 || ac >= g->gw)
                     continue;
                 for (Py_ssize_t j = g->head[ar * g->gw + ac]; j >= 0; j = g->next[j]) {
-                    if (dist_sq(pts, i, j) <= limit_sq) {
-                        ok = 0;
-                        break;
+                    const double d = dist_sq(pts, i, j);
+                    if (d <= lo_sq) {
+                        nearest_j = j;
+                        goto ruled_out;
+                    }
+                    if (d < nearest) {
+                        nearest = d;
+                        nearest_j = j;
                     }
                 }
             }
         }
-        if (ok) {
-            kept[n_kept++] = i;
-            grid_insert(g, pts, i);
+        if (nearest <= hi[i] * hi[i]) {
+            const double exact = spacing(ctx, i);
+            if (nearest <= exact * exact)
+                goto ruled_out;
         }
+        kept[n_kept++] = i;
+        grid_insert(g, pts, i);
+        continue;
+    ruled_out:
+        blocker = nearest_j;
     }
     return n_kept;
+}
+
+/* `thin_points` knows every spacing, so its bounds are exact. */
+static double known_spacing(void *ctx, Py_ssize_t i)
+{
+    return ((const double *)ctx)[i];
+}
+
+/* `n` kept indices as an int64 vector. */
+static PyObject *kept_array(const i64 *kept, Py_ssize_t n)
+{
+    npy_intp dims[1] = {n};
+    PyArrayObject *out = (PyArrayObject *)PyArray_SimpleNew(1, dims, NPY_INT64);
+    if (out != NULL && n > 0)
+        memcpy(PyArray_DATA(out), kept, (size_t)n * sizeof(i64));
+    return (PyObject *)out;
+}
+
+/* The kept indices of thin_greedy, after the checks that thin_points makes
+ * on the spacings, here on `hi`: NaN raises, and a largest spacing <= 0
+ * keeps every point.  NULL with an error set. */
+__attribute__((noinline)) static PyObject *thin_with(const i64 *p, Py_ssize_t n, const double *lo, const double *hi,
+                           spacing_fn spacing, void *ctx)
+{
+    double cell = 0.0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        const double top = hi[i];
+        if (top > cell || isnan(top))
+            cell = top;
+    }
+    if (isnan(cell))
+        return PyErr_Format(PyExc_ValueError, "spacing must not contain NaN");
+    i64 *kept = malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
+    if (kept == NULL)
+        return PyErr_NoMemory();
+    Py_ssize_t n_kept = 0;
+    if (cell <= 0.0) {
+        for (n_kept = 0; n_kept < n; n_kept++)
+            kept[n_kept] = n_kept;
+    } else {
+        Grid g;
+        if (grid_init(&g, p, n, cell) < 0) {
+            free(kept);
+            return PyErr_NoMemory();
+        }
+        Py_BEGIN_ALLOW_THREADS
+        n_kept = thin_greedy(&g, p, n, lo, hi, spacing, ctx, kept);
+        Py_END_ALLOW_THREADS
+        grid_free(&g);
+    }
+    PyObject *out = kept_array(kept, n_kept);
+    free(kept);
+    return out;
 }
 
 static PyObject *thin_points(PyObject *self, PyObject *args, PyObject *kwds)
@@ -889,55 +1002,281 @@ static PyObject *thin_points(PyObject *self, PyObject *args, PyObject *kwds)
     if (pts == NULL)
         return NULL;
     PyArrayObject *lam = AS_ARRAY(s_obj, NPY_DOUBLE);
-    if (lam == NULL) {
-        Py_DECREF(pts);
-        return NULL;
-    }
-    PyArrayObject *out = NULL;
-    i64 *kept = NULL;
-    Py_ssize_t n_kept = 0;
+    PyObject *out = NULL;
+    if (lam == NULL)
+        goto done;
     if (PyArray_SIZE(lam) != n) {
         PyErr_SetString(PyExc_ValueError, "spacing must hold one value per point");
         goto done;
     }
-    const i64 *p = PyArray_DATA(pts);
     const double *s = PyArray_DATA(lam);
-    double cell = n > 0 ? s[0] : 0.0;
-    for (Py_ssize_t i = 1; i < n; i++)
-        if (s[i] > cell || isnan(s[i]))
-            cell = s[i];
-    if (isnan(cell)) {
-        PyErr_SetString(PyExc_ValueError, "spacing must not contain NaN");
+    out = thin_with(PyArray_DATA(pts), n, s, s, known_spacing, (void *)s);
+done:
+    Py_DECREF(pts);
+    Py_XDECREF(lam);
+    return out;
+}
+
+/* ------------------------------------------------------ salient thinning */
+
+/* thin_points(points, the spacing field at the points) without most of the
+ * field.  A point's blurred value is a weighted mean, with weights >= 0
+ * that sum to 1, of the values its replicate-edge taps read, all of which
+ * lie in its window of (2 radius + 1)^2 pixels clamped to the frame.  So
+ * it lies within the extremes of any region holding that window, widened
+ * by a margin that covers the rounding of both passes; mapped through
+ * spacing_of, those extremes bound the spacing, and thin_greedy asks for
+ * the exact value only when the bounds cannot decide the point.  That
+ * value is the dense passes' sum at the point: the axis-0 cells its row
+ * reads are computed on demand by the same band body, each (row, band) at
+ * most once per call.
+ *
+ * The region is a square of whole TILE x TILE tiles of the column slice
+ * the points read: the point's tile and `reach` tiles on every side, with
+ * reach = ceil(radius / TILE), clamped to the slice.  It holds the window
+ * of every point of the tile. */
+#define TILE 8
+#define EXT_MIN(a, b) ((b) < (a) ? (b) : (a))
+#define EXT_MAX(a, b) ((b) > (a) ? (b) : (a))
+
+/* The extremes of each TILE x TILE tile of the (h, w) slice `s` (row
+ * stride ld), clamped to the slice, into the (th, tw) grids lo and hi.
+ * Returns whether every value of the slice is finite. */
+__attribute__((noinline)) static int tile_extremes(const double *s, Py_ssize_t ld, Py_ssize_t h, Py_ssize_t w,
+                         double *lo, double *hi)
+{
+    const Py_ssize_t tw = (w + TILE - 1) / TILE;
+    double nan = 0.0; /* NaN from a NaN or an infinity */
+    for (Py_ssize_t r0 = 0; r0 < h; r0 += TILE)
+        for (Py_ssize_t c0 = 0; c0 < w; c0 += TILE) {
+            const double *v = s + r0 * ld + c0;
+            const Py_ssize_t rows = h - r0 < TILE ? h - r0 : TILE;
+            const Py_ssize_t cols = w - c0 < TILE ? w - c0 : TILE;
+            double mn = v[0], mx = v[0];
+            for (Py_ssize_t r = 0; r < rows; r++)
+                for (Py_ssize_t k = 0; k < cols; k++) {
+                    const double x = v[r * ld + k];
+                    mn = EXT_MIN(mn, x);
+                    mx = EXT_MAX(mx, x);
+                    nan += x - x;
+                }
+            lo[r0 / TILE * tw + c0 / TILE] = mn;
+            hi[r0 / TILE * tw + c0 / TILE] = mx;
+        }
+    return nan == 0.0;
+}
+
+/* Each cell of the (th, tw) grids lo and hi replaced by the min (of lo)
+ * or the max (of hi) of the cells within `reach` of it on both axes,
+ * clamped to the grid; `tmp` holds 2 th tw values. */
+static void reach_extremes(double *lo, double *hi, Py_ssize_t th, Py_ssize_t tw, Py_ssize_t reach,
+                           double *tmp)
+{
+    double *tlo = tmp, *thi = tmp + th * tw;
+    for (Py_ssize_t i = 0; i < th; i++)
+        for (Py_ssize_t j = 0; j < tw; j++) {
+            const Py_ssize_t a = i - reach < 0 ? 0 : i - reach;
+            const Py_ssize_t b = th - 1 - i < reach ? th - 1 : i + reach;
+            double mn = lo[a * tw + j], mx = hi[a * tw + j];
+            for (Py_ssize_t k = a + 1; k <= b; k++) {
+                mn = EXT_MIN(mn, lo[k * tw + j]);
+                mx = EXT_MAX(mx, hi[k * tw + j]);
+            }
+            tlo[i * tw + j] = mn;
+            thi[i * tw + j] = mx;
+        }
+    for (Py_ssize_t i = 0; i < th; i++)
+        for (Py_ssize_t j = 0; j < tw; j++) {
+            const Py_ssize_t a = j - reach < 0 ? 0 : j - reach;
+            const Py_ssize_t b = tw - 1 - j < reach ? tw - 1 : j + reach;
+            double mn = tlo[i * tw + a], mx = thi[i * tw + a];
+            for (Py_ssize_t k = a + 1; k <= b; k++) {
+                mn = EXT_MIN(mn, tlo[i * tw + k]);
+                mx = EXT_MAX(mx, thi[i * tw + k]);
+            }
+            lo[i * tw + j] = mn;
+            hi[i * tw + j] = mx;
+        }
+}
+
+/* Whether the weights w[radius + k], k >= 1, make every blurred value a
+ * mean of the taps it reads: each >= 0 and twice their sum <= 1, so that
+ * the implicit centre weight 1 - 2 sum is >= 0 up to the rounding of the
+ * sum, which the margin covers. */
+static int mean_weights(const double *wt, Py_ssize_t radius)
+{
+    double sum = 0.0;
+    for (Py_ssize_t k = 1; k <= radius; k++) {
+        if (!(wt[radius + k] >= 0.0))
+            return 0;
+        sum += wt[radius + k];
+    }
+    return 2.0 * sum <= 1.0;
+}
+
+/* Salient thinning state: the (h, W) map `s`, the column slice [c0, c0 + w)
+ * that the points' taps read, and, filled on demand over that slice, s / 255
+ * by band (`x`, each band's h rows of AXIS0_BAND values in turn) and its
+ * axis-0 pass by (row, band) (`a`, h rows of w values). */
+typedef struct {
+    const double *s, *wt;
+    const i64 *pts;
+    Py_ssize_t h, W, c0, w, radius, bands;
+    double phi1, phi2;
+    double *x, *a;
+    unsigned char *x_done, *a_done;
+    axis0_row_fn row;
+    long long exact, cells;
+} Salient;
+
+/* The spacing of point i exactly as the dense passes give it. */
+__attribute__((noinline)) static double salient_spacing(void *ctx, Py_ssize_t i)
+{
+    Salient *t = ctx;
+    const Py_ssize_t r = t->pts[2 * i], c = t->pts[2 * i + 1] - t->c0, w = t->w, h = t->h;
+    const Py_ssize_t b0 = (c - t->radius < 0 ? 0 : c - t->radius) / AXIS0_BAND;
+    const Py_ssize_t b1 = (c + t->radius > w - 1 ? w - 1 : c + t->radius) / AXIS0_BAND;
+    for (Py_ssize_t b = b0; b <= b1; b++) {
+        if (t->a_done[r * t->bands + b])
+            continue;
+        const Py_ssize_t cb = b * AXIS0_BAND, n = w - cb < AXIS0_BAND ? w - cb : AXIS0_BAND;
+        double *restrict x = t->x + cb * h;
+        if (!t->x_done[b]) {
+            const double *restrict s = t->s + t->c0 + cb;
+            for (Py_ssize_t y = 0; y < h; y++)
+                for (Py_ssize_t k = 0; k < n; k++)
+                    x[y * AXIS0_BAND + k] = s[y * t->W + k] / 255.0;
+            t->x_done[b] = 1;
+        }
+        t->row(x, AXIS0_BAND, t->a + cb, w, h, r, n, t->wt, t->radius);
+        t->a_done[r * t->bands + b] = 1;
+        t->cells += n;
+    }
+    double blurred;
+    correlate_points(t->a, w, t->wt, t->radius, t->pts + 2 * i, 1, t->c0, &blurred);
+    t->exact++;
+    return spacing_of(blurred, t->phi1, t->phi2);
+}
+
+/* Counters over every call, for tests; read and written with the GIL. */
+static long long thin_candidates, thin_exact, thin_cells;
+
+static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"saliency", "weights", "points", "phi1", "phi2", NULL};
+    PyObject *s_obj, *w_obj, *p_obj;
+    double phi1, phi2;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOdd", kwlist, &s_obj, &w_obj, &p_obj, &phi1,
+                                     &phi2))
+        return NULL;
+    if (!(isfinite(phi1) && isfinite(phi2) && phi1 >= 0.0 && phi2 >= 0.0)) {
+        PyErr_SetString(PyExc_ValueError, "phi1 and phi2 must be finite and non-negative");
+        return NULL;
+    }
+    PyArrayObject *sal = AS_ARRAY(s_obj, NPY_DOUBLE);
+    if (sal == NULL)
+        return NULL;
+    PyArrayObject *wts = AS_ARRAY(w_obj, NPY_DOUBLE);
+    Py_ssize_t n = 0;
+    PyArrayObject *pts = wts == NULL ? NULL : as_points(p_obj, &n);
+    PyObject *out = NULL;
+    double *buf = NULL, *bound = NULL;
+    unsigned char *flags = NULL;
+    if (pts == NULL)
+        goto done;
+    if (PyArray_NDIM(sal) != 2 || PyArray_NDIM(wts) != 1 || PyArray_DIM(wts, 0) == 0) {
+        PyErr_SetString(PyExc_ValueError, "expected a 2D image and a non-empty 1D kernel");
         goto done;
     }
-    kept = malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
-    if (kept == NULL) {
+    const Py_ssize_t h = PyArray_DIM(sal, 0), W = PyArray_DIM(sal, 1);
+    const i64 *p = PyArray_DATA(pts);
+    if (n == 0) {
+        out = kept_array(NULL, 0);
+        goto done;
+    }
+    if (check_points(p, n, h, W, 0) < 0)
+        goto done;
+    const Py_ssize_t radius = (PyArray_DIM(wts, 0) - 1) / 2;
+    i64 cmin = p[1], cmax = p[1];
+    for (Py_ssize_t i = 1; i < n; i++) {
+        if (p[2 * i + 1] < cmin) cmin = p[2 * i + 1];
+        if (p[2 * i + 1] > cmax) cmax = p[2 * i + 1];
+    }
+    const Py_ssize_t c0 = cmin - radius < 0 ? 0 : cmin - radius;
+    const Py_ssize_t c1 = W - 1 - cmax < radius ? W : cmax + radius + 1;
+    const Py_ssize_t w = c1 - c0, bands = (w + AXIS0_BAND - 1) / AXIS0_BAND;
+    Salient t = {PyArray_DATA(sal), PyArray_DATA(wts), p, h, W, c0, w, radius, bands, phi1, phi2,
+                 NULL, NULL, NULL, NULL, correlate_axis0_row, 0, 0};
+    /* x and a; the tile grids fit in a */
+    const Py_ssize_t plane = bands * AXIS0_BAND * h;
+    buf = malloc((size_t)plane * 2 * sizeof(double));
+    bound = malloc((size_t)n * 2 * sizeof(double));
+    flags = calloc((size_t)(h + 1) * (size_t)bands, 1);
+    if (buf == NULL || bound == NULL || flags == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    if (cell <= 0.0) {
-        for (n_kept = 0; n_kept < n; n_kept++)
-            kept[n_kept] = n_kept;
-    } else {
-        Grid g;
-        if (grid_init(&g, p, n, cell) < 0) {
-            PyErr_NoMemory();
-            goto done;
+    t.x = buf;
+    t.a = buf + plane;
+    t.x_done = flags + h * bands;
+    t.a_done = flags;
+    double *lo = bound, *hi = bound + n;
+    int bounded;
+    Py_BEGIN_ALLOW_THREADS
+    const Py_ssize_t th = (h + TILE - 1) / TILE, tw = (w + TILE - 1) / TILE;
+    double *tlo = t.a, *thi = tlo + th * tw, *tmp = thi + th * tw;
+    bounded = mean_weights(t.wt, radius) && tile_extremes(t.s + c0, W, h, w, tlo, thi);
+    if (bounded) {
+        const Py_ssize_t reach = radius / TILE + (radius % TILE != 0);
+        reach_extremes(tlo, thi, th, tw, reach, tmp);
+        /* each tile's extremes, widened and mapped, bound its points' spacings */
+        for (Py_ssize_t cell = 0; cell < th * tw; cell++) {
+            const double mn = tlo[cell] / 255.0, mx = thi[cell] / 255.0;
+            const double margin = 8.0 * DBL_EPSILON
+                                  * (((double)radius + 8.0) * (mx - mn)
+                                     + (fabs(mn) > fabs(mx) ? fabs(mn) : fabs(mx)))
+                                  + DBL_MIN;
+            tlo[cell] = spacing_of(mx + margin, phi1, phi2);
+            thi[cell] = spacing_of(mn - margin, phi1, phi2);
         }
-        Py_BEGIN_ALLOW_THREADS
-        n_kept = thin_greedy(&g, p, s, n, kept);
-        Py_END_ALLOW_THREADS
-        grid_free(&g);
+        double top = 0.0;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            const Py_ssize_t cell = p[2 * i] / TILE * tw + (p[2 * i + 1] - c0) / TILE;
+            lo[i] = tlo[cell];
+            hi[i] = thi[cell];
+            if (lo[i] > top)
+                top = lo[i];
+        }
+        /* with every lower bound 0, whether the largest spacing is 0, which
+         * keeps every point, takes the exact values */
+        bounded = top > 0.0;
     }
-    npy_intp dims[1] = {n_kept};
-    out = (PyArrayObject *)PyArray_SimpleNew(1, dims, NPY_INT64);
-    if (out != NULL)
-        memcpy(PyArray_DATA(out), kept, (size_t)n_kept * sizeof(i64));
+    Py_END_ALLOW_THREADS
+    if (bounded) {
+        out = thin_with(p, n, lo, hi, salient_spacing, &t);
+    } else {
+        Py_BEGIN_ALLOW_THREADS
+        for (Py_ssize_t i = 0; i < n; i++)
+            lo[i] = salient_spacing(&t, i);
+        Py_END_ALLOW_THREADS
+        out = thin_with(p, n, lo, lo, known_spacing, lo);
+    }
+    thin_candidates += n;
+    thin_exact += t.exact;
+    thin_cells += t.cells;
 done:
-    free(kept);
-    Py_DECREF(pts);
-    Py_DECREF(lam);
-    return (PyObject *)out;
+    free(buf);
+    free(bound);
+    free(flags);
+    Py_DECREF(sal);
+    Py_XDECREF(wts);
+    Py_XDECREF(pts);
+    return out;
+}
+
+static PyObject *thin_stats(PyObject *self, PyObject *unused)
+{
+    return Py_BuildValue("LLL", thin_candidates, thin_exact, thin_cells);
 }
 
 /* ----------------------------------------------------------------- rips */
@@ -1217,6 +1556,14 @@ static PyMethodDef methods[] = {
     {"thin_points", (PyCFunction)(void (*)(void))thin_points, METH_VARARGS | METH_KEYWORDS,
      "Greedy row-major thinning: keep a candidate iff no already-kept\n"
      "point lies within the candidate's own spacing threshold (inclusive)."},
+    {"thin_salient", (PyCFunction)(void (*)(void))thin_salient, METH_VARARGS | METH_KEYWORDS,
+     "thin_points(points, spacing) with the spacing of each point taken\n"
+     "from the saliency map blurred by `weights` along both axes, clamped\n"
+     "to [0, 1] and mapped to [phi1, phi1 + phi2]; computes a point's\n"
+     "spacing only when bounds on it cannot decide the point."},
+    {"_thin_stats", thin_stats, METH_NOARGS,
+     "(candidates seen, exact spacings computed, axis-0 cells computed) of\n"
+     "every thin_salient call, for tests."},
     {"rips_triangles", (PyCFunction)(void (*)(void))rips_triangles, METH_VARARGS | METH_KEYWORDS,
      "All index triples with pairwise distance <= epsilon, i < j < k,\n"
      "in lexicographic order; TriangleCapError past `cap` triples."},
@@ -1247,10 +1594,12 @@ PyMODINIT_FUNC PyInit__core(void)
         forks_handled = 1;
     }
     const char *simd = "baseline";
-#ifdef HAVE_AVX512_BANDS
+#ifdef HAVE_AVX512
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f")) {
         correlate_axis0 = correlate_axis0_v8;
+        correlate_axis0_row = correlate_axis0_v8_row;
+        correlate_axis1 = correlate_axis1_v8;
         simd = "avx512f";
     }
 #endif

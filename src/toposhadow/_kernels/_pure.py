@@ -11,7 +11,10 @@ evaluated only at given points), a stack's layers, blocks of output rows
 in the dense passes, the triangle search's anchor points and blocks of
 their neighbour pairs, the points a thinning keeps and blocks of
 rasterized rows; thinning and rasterizing never loop per candidate or
-per triangle row, and no loop runs per pixel.  A dense pass works on
+per triangle row, and no loop runs per pixel.  ``thin_salient`` stays on
+the dense reference: the axis-0 pass over the columns the points read,
+the point pass, then ``thin_points``, where the compiled twin computes
+a point's spacing only where bounds on it cannot decide the point.  A dense pass works on
 blocks of about _ROW_BLOCK doubles, which stay in cache across its taps
 or layers, and reads the image in its own row-major layout along either
 axis: no pass transposes.  Both backends rasterize with one integer
@@ -196,6 +199,49 @@ def deviation_map(img, ku, kv, layers):
         _correlate_into(stack[f - 1], ku, 0, scratch)
         _correlate_into(scratch, kv, 1, stack[f])
     return _stack_std(stack)
+
+
+def _spacing_at(saliency, weights, points, phi1, phi2,
+                axis0=correlate1d_replicate, at_points=correlate1d_points):
+    """The spacing threshold in [phi1, phi1 + phi2] at each (row, col) point.
+
+    The map over 255 is correlated by `weights` along axis 0 (`axis0`),
+    then along axis 1 at the points alone (`at_points`), clamped to
+    [0, 1] and mapped so that high saliency gives the minimum spacing
+    phi1.  The axis-0 pass runs over the columns within the kernel radius
+    of a point only: columns are independent in it, and a point's axis-1
+    taps clamp inside that slice exactly where they clamp in the frame.
+    Raises IndexError for a point outside the map.  The one statement of
+    the spacing formula in Python: ``sparsify.density_field`` calls it
+    with the dispatched passes.
+    """
+    s = np.asarray(saliency, dtype=np.float64)
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    if len(pts) == 0:
+        return np.zeros(0, dtype=np.float64)
+    radius = (len(weights) - 1) // 2
+    c0 = max(0, int(pts[:, 1].min()) - radius)
+    c1 = min(s.shape[1], int(pts[:, 1].max()) + radius + 1)
+    blurred = at_points(axis0(s[:, c0:c1] / 255.0, weights, 0), weights, pts, c0)
+    np.clip(blurred, 0.0, 1.0, out=blurred)
+    return phi1 + phi2 * (1.0 - blurred)
+
+
+def thin_salient(saliency, weights, points, phi1, phi2):
+    """``thin_points(points, _spacing_at(saliency, weights, points, phi1,
+    phi2))``: the greedy thinning of `points` against the spacing the
+    blurred saliency map gives each one.  The compiled twin computes a
+    point's spacing only where bounds on it cannot decide the point; here
+    the dense passes run in full.  Returns the kept indices in order.
+    """
+    if not (math.isfinite(phi1) and math.isfinite(phi2) and phi1 >= 0 and phi2 >= 0):
+        raise ValueError("phi1 and phi2 must be finite and non-negative")
+    s = np.asarray(saliency, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if s.ndim != 2 or weights.ndim != 1 or len(weights) == 0:
+        raise ValueError("expected a 2D image and a non-empty 1D kernel")
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    return thin_points(pts, _spacing_at(s, weights, pts, float(phi1), float(phi2)))
 
 
 def thin_points(points, spacing):

@@ -4,9 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .frame_io import crop_top
-from .saliency import Params, as_real, deviation_map, threshold_points
-from .sparsify import density_field, thin
+from .saliency import Params, as_real, deviation_map, gaussian_kernel_1d, threshold_points
 from .topology import (
     Complex,
     confidence_map,
@@ -93,11 +93,15 @@ def salient_cloud(saliency, params):
     """Salient points of a deviation map: threshold -> density thinning.
 
     Reads only the ``CLOUD_FIELDS`` of ``params``.  Returns the thinned
-    cloud, (N, 2) int64 in cropped coordinates.
+    cloud, (N, 2) int64 in cropped coordinates: the points of
+    ``thin(cloud, density_field(saliency, cloud, params))``, from the
+    ``thin_salient`` kernel.
     """
     cloud = threshold_points(saliency, params.gamma)
-    spacing = density_field(saliency, cloud, params)
-    return thin(cloud, spacing)
+    if len(cloud) == 0:
+        return cloud
+    kw = gaussian_kernel_1d(params.sigma_w, "sigma_w")
+    return cloud[_kernels.thin_salient(saliency, kw, cloud, params.phi1, params.phi2)]
 
 
 def back_end(sparse, width, params):

@@ -13,6 +13,7 @@ from .classify import (
     CLOUD_FIELDS,
     TEXTURE_FIELDS,
     back_end,
+    classify_scanlines,
     detect_labels,
     salient_cloud,
     texture,
@@ -333,8 +334,12 @@ def _pooled_each(dataset, combos, workers=1):
     Frames are mapped over ``workers`` threads.  Each frame visits the
     combinations grouped by ``TEXTURE_FIELDS`` values, so it holds one
     deviation map at a time, builds a thinned cloud once per distinct
-    ``CLOUD_FIELDS`` values within the group and runs only the back end
-    per combination.  An empty dataset gives an all-zero report for each.
+    ``CLOUD_FIELDS`` values within the group, its triangles and scan-line
+    counts once per distinct (epsilon, triangle_cap) on that cloud, and
+    only thresholds the counts per combination.  A combination whose
+    triangles exceed the cap raises where it would alone: the first one
+    with a new (cloud, epsilon, triangle_cap) builds them.  An empty
+    dataset gives an all-zero report for each.
     """
     texture_key, cloud_key = attrgetter(*TEXTURE_FIELDS), attrgetter(*CLOUD_FIELDS)
     textures = [texture_key(params) for params in combos]
@@ -346,12 +351,14 @@ def _pooled_each(dataset, combos, workers=1):
         for index in order:
             params = combos[index]
             if textures[index] != current:
-                current, saliency, clouds = textures[index], texture(img, params), {}
+                current, saliency, clouds, counts = textures[index], texture(img, params), {}, {}
             key = cloud_key(params)
             if key not in clouds:
                 clouds[key] = salient_cloud(saliency, params)
-            labels = back_end(clouds[key], np.shape(img)[1], params)[2]
-            reports[index] = confusion(labels, truth)
+            mesh = key, params.epsilon, params.triangle_cap
+            if mesh not in counts:
+                counts[mesh] = back_end(clouds[key], np.shape(img)[1], params)[1]
+            reports[index] = confusion(classify_scanlines(counts[mesh], params.tau), truth)
         return reports
 
     per_frame = _map_ordered(frame_reports, sorted(dataset), workers)

@@ -8,6 +8,7 @@ saliency map says tissue is.
 import numpy as np
 
 from . import _kernels
+from ._kernels import _pure
 from .saliency import gaussian_kernel_1d
 
 
@@ -19,23 +20,18 @@ def density_field(saliency, points, params):
     spacing phi1.  Only what the points read is computed: the axis-0
     pass runs over the columns within the kernel radius of a point, and
     the axis-1 pass, clamp and map at the points alone.  Each value is
-    bit-identical to the full-frame field at its point, since columns
-    are independent in the axis-0 pass and a point's axis-1 taps clamp
-    inside that column slice exactly where they clamp in the frame.
-    Returns a float64 vector, one value per point.
+    bit-identical to the full-frame field at its point.  Returns a
+    float64 vector, one value per point.  The reference for the
+    ``thin_salient`` kernel, which the detector runs.
     """
-    s = np.asarray(saliency, dtype=np.float64)
     pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
     if len(pts) == 0:
         return np.zeros(0, dtype=np.float64)
     kw = gaussian_kernel_1d(params.sigma_w, "sigma_w")
-    radius = (len(kw) - 1) // 2
-    c0 = max(0, int(pts[:, 1].min()) - radius)
-    c1 = min(s.shape[1], int(pts[:, 1].max()) + radius + 1)
-    blurred = _kernels.correlate1d_replicate(s[:, c0:c1] / 255.0, kw, 0)
-    blurred = _kernels.correlate1d_points(blurred, kw, pts, c0)
-    np.clip(blurred, 0.0, 1.0, out=blurred)
-    return params.phi1 + params.phi2 * (1.0 - blurred)
+    return _pure._spacing_at(
+        saliency, kw, pts, params.phi1, params.phi2,
+        _kernels.correlate1d_replicate, _kernels.correlate1d_points,
+    )
 
 
 def thin(cloud, spacing):
@@ -44,7 +40,8 @@ def thin(cloud, spacing):
     ``spacing`` holds one threshold per cloud point, as
     ``density_field`` returns it.  A candidate survives iff no previously
     kept point lies within (inclusive) its spacing.  The result is an
-    order-preserving subset of the input cloud.
+    order-preserving subset of the input cloud.  With ``density_field``,
+    the reference for the ``thin_salient`` kernel.
     """
     pts = np.asarray(cloud, dtype=np.int64)
     if pts.size == 0:

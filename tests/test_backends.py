@@ -139,9 +139,9 @@ def test_dispatch_table_covers_both_backends(monkeypatch):
     assert core_names == set(_kernels.KERNELS)
     assert pure_names == set(_kernels.KERNELS)
     # detect calls the kernels through their dispatch names, so a wrapper
-    # installed there sees every call: one deviation map, and one axis-0
-    # correlation for the spacing field; filter_stack, the reference, makes
-    # two correlation calls per smoothed layer
+    # installed there sees every call: one deviation map and one salient
+    # thinning, and no correlation; filter_stack, the reference, makes two
+    # correlation calls per smoothed layer
     calls = []
 
     def counted(name):
@@ -153,13 +153,13 @@ def test_dispatch_table_covers_both_backends(monkeypatch):
 
         return call
 
-    for name in ("correlate1d_replicate", "deviation_map"):
+    for name in ("correlate1d_replicate", "correlate1d_points", "deviation_map", "thin_salient"):
         monkeypatch.setattr(_kernels, name, counted(name))
     from toposhadow.synth import PhantomSpec, synth_phantom
 
     img, _ = synth_phantom(PhantomSpec(seed=5))
     classify.detect(img, Params())
-    assert calls == ["deviation_map", ("correlate1d_replicate", 0)]
+    assert calls == ["deviation_map", "thin_salient"]
     calls.clear()
     filter_stack(img, Params())
     assert calls == [("correlate1d_replicate", 0), ("correlate1d_replicate", 1)] * (
@@ -283,6 +283,224 @@ def test_thin_identical():
         a = _core.thin_points(pts, spacing)
         b = _pure.thin_points(pts, spacing)
         assert np.array_equal(a, b), trial
+
+
+def thin_outcome(fn):
+    """fn()'s kept indices, or the class and message of what it raised."""
+    try:
+        kept = fn()
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+    assert kept.dtype == np.int64 and kept.ndim == 1
+    return kept.tolist()
+
+
+def reference_thin(impl, saliency, weights, pts, phi1, phi2):
+    """thin(cloud, density_field(...)) on backend `impl`: the dense passes,
+    then thin_points, as sparsify runs them."""
+    pts = np.asarray(pts, dtype=np.int64).reshape(-1, 2)
+    spacing = _pure._spacing_at(
+        saliency, weights, pts, phi1, phi2, impl.correlate1d_replicate, impl.correlate1d_points
+    )
+    return impl.thin_points(pts, spacing)
+
+
+def assert_thin_salient_identical(saliency, weights, pts, phi1, phi2):
+    """Both kernels give the reference's kept indices on either backend,
+    or raise its exception class with its message."""
+    args = (saliency, weights, pts, phi1, phi2)
+    expected = thin_outcome(lambda: reference_thin(_pure, *args))
+    assert thin_outcome(lambda: reference_thin(_core, *args)) == expected
+    for mod in (_core, _pure):
+        assert thin_outcome(lambda: mod.thin_salient(*args)) == expected, mod.__name__
+    return expected
+
+
+# spacing bounds (phi1, phi2): the defaults, either end at zero, and
+# integer spacings that put pixel distances on the inclusive boundary:
+# (3, 4) gives exactly 7, 5 and 3 where the map is 0, 127.5 and 255
+THIN_PHIS = [(15.0, 20.0), (0.0, 20.0), (15.0, 0.0), (0.0, 0.0), (3.0, 4.0), (1.0, 1e6), (2.0, 0.5)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.integers(1, 30),
+    st.integers(1, 45),
+    st.sampled_from(["noise", "constant", "ties", "spikes", "bands"]),
+    st.sampled_from([1.0, 255.0, 1e6]),
+    st.sampled_from([0.2, 1.0, 2.5, 7.0, 20.0]),
+    st.sampled_from(THIN_PHIS),
+    st.sampled_from(["all", "salient", "sample", "shuffled", "repeated"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_thin_salient_identical_property(h, w, kind, scale, sigma, phi, points, seed):
+    # sigma 7 and 20 (radius 21 and 60) reach past most of these maps;
+    # constant and tie maps give blurred values that are exact, so the
+    # integer spacings of (3, 4) land on integer squared distances
+    rng = np.random.default_rng(seed)
+    if kind == "noise":
+        sal = rng.uniform(-scale, scale, size=(h, w))
+    elif kind == "constant":
+        sal = np.full((h, w), rng.choice([0.0, 127.5, 255.0, scale, -scale]))
+    elif kind == "ties":
+        sal = rng.choice([0.0, 127.5, 255.0], size=(h // 4 + 1, w // 4 + 1))
+        sal = np.repeat(np.repeat(sal, 4, axis=0), 4, axis=1)[:h, :w]
+    elif kind == "spikes":
+        sal = rng.uniform(0.0, 255.0, size=(h, w))
+        spikes = rng.integers(0, h * w, size=3)
+        sal.flat[spikes] = rng.choice([-scale, scale], size=3) * 1e3
+    else:
+        sal = np.repeat(rng.uniform(0.0, scale, size=(1, w)), h, axis=0)
+    pixels = np.argwhere(np.ones((h, w), dtype=bool))
+    if points == "all":
+        pts = pixels
+    elif points == "salient":
+        pts = pixels[sal.ravel() >= np.median(sal)]
+    elif points == "sample":
+        pts = pixels[np.sort(rng.choice(len(pixels), size=min(len(pixels), 25), replace=False))]
+    elif points == "shuffled":
+        pts = rng.permutation(pixels)
+    else:
+        pts = np.repeat(pixels[rng.integers(0, len(pixels), size=10)], 2, axis=0)
+    assert_thin_salient_identical(sal, gaussian_kernel_1d(sigma), pts, *phi)
+
+
+def test_thin_salient_identical_on_phantoms():
+    from toposhadow.synth import PhantomSpec, synth_phantom, synth_tilt_sequence
+
+    frames = [synth_phantom(PhantomSpec(seed=seed))[0] for seed in (1, 7, 123)]
+    frames += synth_tilt_sequence(9, PhantomSpec(seed=4))[1][::4]
+    for img in frames:
+        sal = classify.texture(img, Params())
+        for p in (Params(), Params(sigma_w=3.0, phi1=5.0), Params(gamma=2.0, phi1=0.0)):
+            pts = classify.threshold_points(sal, p.gamma)
+            kept = assert_thin_salient_identical(
+                sal, gaussian_kernel_1d(p.sigma_w), pts, p.phi1, p.phi2
+            )
+            assert len(kept) > 0
+
+
+def test_thin_salient_window_reaches_its_edge():
+    # one spike exactly `radius` rows or columns from many candidates, and
+    # one just past it: a bound over a window one row or one column short
+    # of the taps misses the spike and keeps or drops the wrong points
+    for radius in range(1, 18):
+        weights = gaussian_kernel_1d((radius - 0.5) / 3.0)
+        assert len(weights) == 2 * radius + 1
+        for value in (1e6, -1e6):
+            sal = np.full((2 * radius + 12, 2 * radius + 12), 100.0)
+            sal[radius + 5, radius + 6] = value
+            pts = np.argwhere(np.ones(sal.shape, dtype=bool))
+            for phi in ((2.0, 6.0), (1.0, 2.0)):
+                assert_thin_salient_identical(sal, weights, pts, *phi)
+
+
+def test_thin_salient_margin_covers_rounding():
+    # with the centre weight 0 this window blurs to exactly 1.0 while its
+    # largest value is 1 - 2^-53: the candidate's spacing is phi1 = 1, so
+    # the kept point at squared distance 2 leaves it alone, while a bound
+    # from the extremes alone says 1.5
+    top, low = 254.99999999999997, 104.66620848781591
+    sal = np.full((3, 3), top)
+    sal[1, 1:] = low
+    weights = np.array([0.5, 0.0, 0.5])
+    pts = np.array([[0, 0], [1, 1]])
+    assert assert_thin_salient_identical(sal, weights, pts, 1.0, 2.0**52) == [0, 1]
+    blurred = _pure.correlate1d_points(
+        _pure.correlate1d_replicate(sal / 255.0, weights, 0), weights, pts[1:], 0
+    )
+    assert blurred[0] == 1.0 > (sal / 255.0).max()
+
+
+def test_thin_salient_weights_that_are_not_a_mean():
+    # negative taps or taps summing past 1: the bounds do not hold, and
+    # every spacing is computed
+    rng = np.random.default_rng(241)
+    sal = rng.uniform(0.0, 255.0, size=(20, 30))
+    pts = np.argwhere(sal > 100.0)
+    for weights in (np.array([-0.1, 1.2, -0.1]), np.array([0.6, 0.0, 0.6]), np.ones(5), np.ones(1)):
+        before = _core._thin_stats()
+        assert_thin_salient_identical(sal, weights, pts, 3.0, 4.0)
+        if len(weights) > 1:
+            assert _core._thin_stats()[1] - before[1] == len(pts)
+
+
+def test_thin_salient_non_finite_maps():
+    # NaN or an infinity within reach of a point makes a NaN spacing, which
+    # the reference rejects; out of reach it changes nothing
+    rng = np.random.default_rng(242)
+    weights = gaussian_kernel_1d(1.0)  # radius 3
+    with np.errstate(invalid="ignore"):  # inf - inf in the pure passes
+        non_finite_cases(rng, weights)
+
+
+def non_finite_cases(rng, weights):
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in ((5, 5), (0, 0), (19, 39), (5, 20)):
+            sal = rng.uniform(0.0, 255.0, size=(20, 40))
+            sal[where] = bad
+            for pts in (np.argwhere(np.ones(sal.shape, dtype=bool)), np.array([[15, 35], [16, 38]])):
+                assert_thin_salient_identical(sal, weights, pts, 15.0, 20.0)
+    sal = np.full((20, 40), 50.0)
+    sal[5, 5] = np.nan
+    outcome = assert_thin_salient_identical(sal, weights, [[5, 7]], 15.0, 20.0)
+    assert outcome == (ValueError, "spacing must not contain NaN")
+    # radius 0: an infinite pixel clamps to phi1, a NaN one stays NaN
+    sal[5, 6] = np.inf
+    assert assert_thin_salient_identical(sal, np.ones(1), [[5, 6], [19, 39]], 15.0, 20.0) == [0, 1]
+    assert assert_thin_salient_identical(sal, np.ones(1), [[5, 5]], 15.0, 20.0)[0] is ValueError
+
+
+def test_thin_salient_small_and_empty_inputs():
+    rng = np.random.default_rng(243)
+    weights = gaussian_kernel_1d(20.0)
+    for shape in ((1, 1), (1, 60), (60, 1), (2, 3)):
+        sal = rng.uniform(0.0, 255.0, size=shape)
+        pts = np.argwhere(np.ones(shape, dtype=bool))
+        assert_thin_salient_identical(sal, weights, pts, 15.0, 20.0)
+        assert_thin_salient_identical(sal, weights, pts[::-1], 0.5, 0.0)
+    for shape in ((0, 5), (5, 0), (4, 4)):
+        empty = np.zeros((0, 2), dtype=np.int64)
+        assert assert_thin_salient_identical(np.zeros(shape), weights, empty, 15.0, 20.0) == []
+
+
+def test_thin_salient_rejects_bad_input():
+    sal = np.zeros((4, 5))
+    weights = gaussian_kernel_1d(1.0)
+    for pts in ([[4, 0]], [[0, 5]], [[-1, 0]], [[0, -1]], [[1, 1], [9, 9]]):
+        for mod in (_core, _pure):
+            with pytest.raises(IndexError, match="point outside the image"):
+                mod.thin_salient(sal, weights, np.array(pts), 15.0, 20.0)
+        with pytest.raises(IndexError, match="point outside the image"):
+            reference_thin(_core, sal, weights, pts, 15.0, 20.0)
+    for phi in ((-1.0, 20.0), (15.0, -0.5), (np.nan, 20.0), (15.0, np.inf)):
+        for mod in (_core, _pure):
+            with pytest.raises(ValueError, match="phi1 and phi2 must be finite and non-negative"):
+                mod.thin_salient(sal, weights, [[1, 1]], *phi)
+    for bad in ((np.zeros(5), weights), (sal, np.ones((1, 1))), (sal, np.ones(0))):
+        for mod in (_core, _pure):
+            with pytest.raises(ValueError, match="expected a 2D image"):
+                mod.thin_salient(*bad, [[0, 0]], 15.0, 20.0)
+
+
+def test_thin_salient_is_lazy_on_the_phantom():
+    # the seed-123 phantom: few candidates need their exact spacing, and
+    # those read few of the map's axis-0 cells; a kernel that fell back to
+    # the whole field would compute every spacing and every cell
+    from toposhadow.synth import PhantomSpec, synth_phantom
+
+    img, _ = synth_phantom(PhantomSpec(seed=123))
+    p = Params()
+    sal = classify.texture(img, p)
+    pts = classify.threshold_points(sal, p.gamma)
+    weights = gaussian_kernel_1d(p.sigma_w)
+    before = _core._thin_stats()
+    kept = _core.thin_salient(sal, weights, pts, p.phi1, p.phi2)
+    seen, exact, cells = (b - a for a, b in zip(before, _core._thin_stats()))
+    assert np.array_equal(kept, reference_thin(_core, sal, weights, pts, p.phi1, p.phi2))
+    assert seen == len(pts) == 22293
+    assert 0 < exact < 0.05 * seen, exact
+    assert 0 < cells < 0.30 * sal.size, cells
 
 
 def test_rips_identical():
@@ -676,35 +894,6 @@ def test_deviation_map_stack_too_large_is_memory_error():
                 fn(img, ku, ku, layers)
         with pytest.raises(MemoryError, match="stack_size"):
             deviation_map(img, Params(stack_size=layers))
-
-
-def test_split_passes_identical():
-    # the spacing field's axis-0 pass and point pass split over two parts
-    # on a large call and run serial while the kernels are held serial;
-    # both give the serial bytes, and the pure twin's
-    rng = np.random.default_rng(133)
-    kw = gaussian_kernel_1d(20.0)
-    for shape in ((200, 600), (201, 77), (120, 1000)):
-        img = rng.uniform(0.0, 1.0, size=shape)
-        with _kernels.serial():
-            before = split_calls()
-            serial = _core.correlate1d_replicate(img, kw, 0).tobytes()
-            assert split_calls() == before
-        split = _core.correlate1d_replicate(img, kw, 0).tobytes()
-        assert split_calls() == before + TWO_CPUS, shape
-        assert split == serial == _pure.correlate1d_replicate(img, kw, 0).tobytes()
-        h, w = shape
-        for n in (5001, 20000):
-            pts = np.stack([rng.integers(0, h, n), rng.integers(0, w, n)], axis=1)
-            for col0 in (0, 9):
-                with _kernels.serial():
-                    before = split_calls()
-                    serial = _core.correlate1d_points(img, kw, pts + (0, col0), col0).tobytes()
-                    assert split_calls() == before
-                split = _core.correlate1d_points(img, kw, pts + (0, col0), col0).tobytes()
-                assert split_calls() == before + TWO_CPUS
-                assert split == serial
-                assert serial == _pure.correlate1d_points(img, kw, pts + (0, col0), col0).tobytes()
 
 
 def phantom_frames(seeds):

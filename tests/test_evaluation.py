@@ -8,7 +8,7 @@ import pytest
 
 from toposhadow import classify, evaluation
 from toposhadow.classify import detect
-from toposhadow.errors import FormatError
+from toposhadow.errors import FormatError, TriangleCapError
 from toposhadow.evaluation import (
     FoldSpec,
     MetricsReport,
@@ -428,3 +428,33 @@ def test_grid_over_texture_field_builds_one_filter_stack_per_texture(monkeypatch
     assert sorted(Counter(calls).values()) == [len(dataset)] * 2
     assert best == plain_grid_search(dataset, grid)
 
+
+
+def test_grid_builds_triangles_once_per_epsilon(monkeypatch):
+    # tau only thresholds the scan-line counts: a 3 x 3 epsilon-tau grid
+    # builds one triangle set per frame and epsilon, not per combination
+    dataset, _, _ = small_dataset(n=3)
+    calls = []
+    real = classify.rips_triangles
+
+    def counting(cloud, epsilon, cap):
+        calls.append(epsilon)
+        return real(cloud, epsilon, cap)
+
+    monkeypatch.setattr(classify, "rips_triangles", counting)
+    grid = {"epsilon": [50.0, 60.0, 70.0], "tau": [1, 2, 3]}
+    for workers in (1, 2):
+        calls.clear()
+        best = grid_search(dataset, grid, workers=workers)
+        assert sorted(Counter(calls).items()) == [(e, len(dataset)) for e in grid["epsilon"]]
+        assert best == plain_grid_search(dataset, grid)
+
+
+def test_grid_cap_error_comes_from_the_first_combination_past_it():
+    # combinations run in grid order; the first whose triangles exceed its
+    # cap raises, whether or not a later one shares its triangles
+    dataset, _, _ = small_dataset(n=2)
+    for workers in (1, 2):
+        with pytest.raises(TriangleCapError) as caught:
+            grid_search(dataset, {"tau": [1, 2], "triangle_cap": [10**6, 7, 3]}, workers=workers)
+        assert caught.value.cap == 7
