@@ -305,14 +305,6 @@ axis0_row_cols(const double *restrict x, Py_ssize_t ldx, double *restrict out, P
         acc[c] = xc[c] + acc[c];
 }
 
-static void correlate_axis0_cols(const double *restrict x, Py_ssize_t ldx, double *restrict out,
-                                 Py_ssize_t ldo, Py_ssize_t h, Py_ssize_t n,
-                                 const double *restrict wt, Py_ssize_t radius)
-{
-    for (Py_ssize_t r = 0; r < h; r++)
-        axis0_row_cols(x, ldx, out, ldo, h, r, n, wt, radius);
-}
-
 /* The same formula over bands of AXIS0_BAND columns.  A band's rows are
  * 128-byte strips, so the 2 * radius + 1 strips an output row reads stay
  * in L1 and its accumulators in registers.  Streaming whole rows instead
@@ -320,22 +312,18 @@ static void correlate_axis0_cols(const double *restrict x, Py_ssize_t ldx, doubl
  * shared caches.  The last, narrower band takes the general loop.
  *
  * AXIS0_BANDS(name, V, attr) defines the pass for a GNU C vector type V,
- * a band holding AXIS0_BAND / lanes of them, and name##_row, which fills
- * row r of one band of n <= AXIS0_BAND columns, laid out as in
- * axis0_row_cols.  The body is written with explicit vectors: a band of
- * scalars left to auto-vectorise under an AVX-512 target ran 3x slower
- * than its SSE2 build. */
+ * a band holding AXIS0_BAND / lanes of them.  The body is written with
+ * explicit vectors: a band of scalars left to auto-vectorise under an
+ * AVX-512 target ran 3x slower than its SSE2 build. */
 #define AXIS0_BAND 16
 
-typedef void (*axis0_fn)(const double *restrict, double *restrict, Py_ssize_t, Py_ssize_t,
-                         Py_ssize_t, Py_ssize_t, const double *restrict, Py_ssize_t);
-typedef void (*axis0_row_fn)(const double *restrict, Py_ssize_t, double *restrict, Py_ssize_t,
-                             Py_ssize_t, Py_ssize_t, Py_ssize_t, const double *restrict,
-                             Py_ssize_t);
+/* Rows [r0, r1) of the w columns of `out`, from the h rows of `x`; rows
+ * are laid out as in axis0_row_cols.  The whole pass is rows [0, h) of an
+ * image with ldx = ldo = w. */
+typedef void (*axis0_fn)(const double *restrict, Py_ssize_t, double *restrict, Py_ssize_t,
+                         Py_ssize_t, Py_ssize_t, Py_ssize_t, Py_ssize_t, const double *restrict,
+                         Py_ssize_t);
 
-/* `name` fills columns [cb, ce) of an (h, w) image; the other columns of
- * `out` are left alone, so two threads may each run their own column
- * range. */
 #define AXIS0_BANDS(name, V, attr)                                                        \
     attr static inline __attribute__((always_inline)) void name##_band(                   \
         const double *restrict x, Py_ssize_t ldx, double *restrict out, Py_ssize_t ldo,   \
@@ -361,27 +349,17 @@ typedef void (*axis0_row_fn)(const double *restrict, Py_ssize_t, double *restric
         memcpy(out + r * ldo, acc, sizeof(acc));                                          \
     }                                                                                     \
                                                                                           \
-    attr static void name(const double *restrict x, double *restrict out, Py_ssize_t h,   \
-                          Py_ssize_t w, Py_ssize_t cb, Py_ssize_t ce,                     \
-                          const double *restrict wt, Py_ssize_t radius)                   \
+    attr static void name(const double *restrict x, Py_ssize_t ldx, double *restrict out, \
+                          Py_ssize_t ldo, Py_ssize_t h, Py_ssize_t w, Py_ssize_t r0,      \
+                          Py_ssize_t r1, const double *restrict wt, Py_ssize_t radius)    \
     {                                                                                     \
-        Py_ssize_t c0 = cb;                                                               \
-        for (; c0 + AXIS0_BAND <= ce; c0 += AXIS0_BAND)                                   \
-            for (Py_ssize_t r = 0; r < h; r++)                                            \
-                name##_band(x + c0, w, out + c0, w, h, r, wt, radius);                    \
-        if (c0 < ce)                                                                      \
-            correlate_axis0_cols(x + c0, w, out + c0, w, h, ce - c0, wt, radius);         \
-    }                                                                                     \
-                                                                                          \
-    attr static void name##_row(const double *restrict x, Py_ssize_t ldx,                 \
-                                double *restrict out, Py_ssize_t ldo, Py_ssize_t h,       \
-                                Py_ssize_t r, Py_ssize_t n, const double *restrict wt,    \
-                                Py_ssize_t radius)                                        \
-    {                                                                                     \
-        if (n == AXIS0_BAND)                                                              \
-            name##_band(x, ldx, out, ldo, h, r, wt, radius);                              \
-        else                                                                              \
-            axis0_row_cols(x, ldx, out, ldo, h, r, n, wt, radius);                        \
+        Py_ssize_t c0 = 0;                                                                \
+        for (; c0 + AXIS0_BAND <= w; c0 += AXIS0_BAND)                                    \
+            for (Py_ssize_t r = r0; r < r1; r++)                                          \
+                name##_band(x + c0, ldx, out + c0, ldo, h, r, wt, radius);                \
+        if (c0 < w)                                                                       \
+            for (Py_ssize_t r = r0; r < r1; r++)                                          \
+                axis0_row_cols(x + c0, ldx, out + c0, ldo, h, r, w - c0, wt, radius);     \
     }
 
 /* The baseline width: 16-byte vectors, native on every 64-bit CPU.  A
@@ -429,12 +407,11 @@ AXIS1_PASS(correlate_axis1_v2, )
 #define HAVE_AVX512 1
 typedef double v8df __attribute__((vector_size(64)));
 AXIS0_BANDS(correlate_axis0_v8, v8df, __attribute__((target("avx512f"))))
-AXIS1_PASS(correlate_axis1_v8, __attribute__((target("avx512f,prefer-vector-width=512"))))
+AXIS1_PASS(correlate_axis1_v8, __attribute__((target("avx512f"))))
 #endif
 
 /* The instances module init picked; `SIMD` names them. */
 static axis0_fn correlate_axis0 = correlate_axis0_v2;
-static axis0_row_fn correlate_axis0_row = correlate_axis0_v2_row;
 static axis1_fn correlate_axis1 = correlate_axis1_v2;
 
 static PyObject *correlate1d_with(axis0_fn axis0, axis1_fn axis1, PyObject *args, PyObject *kwds)
@@ -472,7 +449,7 @@ static PyObject *correlate1d_with(axis0_fn axis0, axis1_fn axis1, PyObject *args
         memcpy(o, x, (size_t)(h * w) * sizeof(double));
     } else if (axis == 0) {
         Py_BEGIN_ALLOW_THREADS
-        axis0(x, o, h, w, 0, w, wt, radius);
+        axis0(x, w, o, w, h, w, 0, h, wt, radius);
         Py_END_ALLOW_THREADS
     } else {
         double *pad = malloc((size_t)(w + 2 * radius) * sizeof(double));
@@ -506,11 +483,11 @@ static PyObject *baseline_correlate1d_replicate(PyObject *self, PyObject *args, 
 
 /* Same formula along axis 1, only at the given points: point i reads row
  * pts[i, 0] at column pts[i, 1] - col0, with taps clamped to the row.
- * Not inlined: both callers share one copy of its loops. */
-__attribute__((noinline)) static void correlate_points(const double *restrict x, Py_ssize_t w,
-                             const double *restrict wt, Py_ssize_t radius,
-                             const i64 *restrict pts, Py_ssize_t n, Py_ssize_t col0,
-                             double *restrict out)
+ * Neither inlined nor cloned: both callers share one copy of its loops. */
+__attribute__((noinline, noclone)) static void
+correlate_points(const double *restrict x, Py_ssize_t w, const double *restrict wt,
+                 Py_ssize_t radius, const i64 *restrict pts, Py_ssize_t n, Py_ssize_t col0,
+                 double *restrict out)
 {
     for (Py_ssize_t i = 0; i < n; i++) {
         const double *restrict row = x + pts[2 * i] * w;
@@ -683,7 +660,7 @@ static void deviation_part(void *job, int part)
         if (j->ru == 0)
             memcpy(scratch, prev, (size_t)plane * sizeof(double));
         else
-            j->axis0(prev, scratch, h, bw, 0, bw, j->ku, j->ru);
+            j->axis0(prev, bw, scratch, bw, h, bw, 0, h, j->ku, j->ru);
         if (j->rv == 0)
             memcpy(next, scratch, (size_t)plane * sizeof(double));
         else
@@ -957,8 +934,9 @@ static PyObject *kept_array(const i64 *kept, Py_ssize_t n)
 /* The kept indices of thin_greedy, after the checks that thin_points makes
  * on the spacings, here on `hi`: NaN raises, and a largest spacing <= 0
  * keeps every point.  NULL with an error set. */
-__attribute__((noinline)) static PyObject *thin_with(const i64 *p, Py_ssize_t n, const double *lo, const double *hi,
-                           spacing_fn spacing, void *ctx)
+__attribute__((noinline)) static PyObject *thin_with(const i64 *p, Py_ssize_t n,
+                                                     const double *lo, const double *hi,
+                                                     spacing_fn spacing, void *ctx)
 {
     double cell = 0.0;
     for (Py_ssize_t i = 0; i < n; i++) {
@@ -1042,8 +1020,8 @@ done:
 /* The extremes of each TILE x TILE tile of the (h, w) slice `s` (row
  * stride ld), clamped to the slice, into the (th, tw) grids lo and hi.
  * Returns whether every value of the slice is finite. */
-__attribute__((noinline)) static int tile_extremes(const double *s, Py_ssize_t ld, Py_ssize_t h, Py_ssize_t w,
-                         double *lo, double *hi)
+__attribute__((noinline)) static int tile_extremes(const double *s, Py_ssize_t ld, Py_ssize_t h,
+                                                   Py_ssize_t w, double *lo, double *hi)
 {
     const Py_ssize_t tw = (w + TILE - 1) / TILE;
     double nan = 0.0; /* NaN from a NaN or an infinity */
@@ -1125,7 +1103,7 @@ typedef struct {
     double phi1, phi2;
     double *x, *a;
     unsigned char *x_done, *a_done;
-    axis0_row_fn row;
+    axis0_fn axis0;
     long long exact, cells;
 } Salient;
 
@@ -1148,7 +1126,7 @@ __attribute__((noinline)) static double salient_spacing(void *ctx, Py_ssize_t i)
                     x[y * AXIS0_BAND + k] = s[y * t->W + k] / 255.0;
             t->x_done[b] = 1;
         }
-        t->row(x, AXIS0_BAND, t->a + cb, w, h, r, n, t->wt, t->radius);
+        t->axis0(x, AXIS0_BAND, t->a + cb, w, h, n, r, r + 1, t->wt, t->radius);
         t->a_done[r * t->bands + b] = 1;
         t->cells += n;
     }
@@ -1206,7 +1184,7 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
     const Py_ssize_t c1 = W - 1 - cmax < radius ? W : cmax + radius + 1;
     const Py_ssize_t w = c1 - c0, bands = (w + AXIS0_BAND - 1) / AXIS0_BAND;
     Salient t = {PyArray_DATA(sal), PyArray_DATA(wts), p, h, W, c0, w, radius, bands, phi1, phi2,
-                 NULL, NULL, NULL, NULL, correlate_axis0_row, 0, 0};
+                 NULL, NULL, NULL, NULL, correlate_axis0, 0, 0};
     /* x and a; the tile grids fit in a */
     const Py_ssize_t plane = bands * AXIS0_BAND * h;
     buf = malloc((size_t)plane * 2 * sizeof(double));
@@ -1598,7 +1576,6 @@ PyMODINIT_FUNC PyInit__core(void)
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f")) {
         correlate_axis0 = correlate_axis0_v8;
-        correlate_axis0_row = correlate_axis0_v8_row;
         correlate_axis1 = correlate_axis1_v8;
         simd = "avx512f";
     }

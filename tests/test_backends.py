@@ -439,7 +439,8 @@ def non_finite_cases(rng, weights):
         for where in ((5, 5), (0, 0), (19, 39), (5, 20)):
             sal = rng.uniform(0.0, 255.0, size=(20, 40))
             sal[where] = bad
-            for pts in (np.argwhere(np.ones(sal.shape, dtype=bool)), np.array([[15, 35], [16, 38]])):
+            every = np.argwhere(np.ones(sal.shape, dtype=bool))
+            for pts in (every, np.array([[15, 35], [16, 38]])):
                 assert_thin_salient_identical(sal, weights, pts, 15.0, 20.0)
     sal = np.full((20, 40), 50.0)
     sal[5, 5] = np.nan
