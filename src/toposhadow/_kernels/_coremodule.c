@@ -369,17 +369,22 @@ typedef double v2df __attribute__((vector_size(16)));
 AXIS0_BANDS(correlate_axis0_v2, v2df, )
 
 /* Same formula along each row; `pad` holds the row with `radius`
- * edge-replicated cells on either side.  Left to auto-vectorise, which
- * keeps every element's order: AXIS1_PASS(name, attr) builds it under the
- * target `attr`.  Not inlined: its callers share one copy of its loops. */
+ * edge-replicated cells on either side.  AXIS1_PASS(name, V, attr) builds
+ * it with explicit vectors of type V, as many columns as whole vectors
+ * cover and the rest one by one, under the target `attr`.  Written out,
+ * the wide instance adds almost nothing to the build; auto-vectorised, it
+ * took about a tenth of it.  Not inlined: its callers share one copy of
+ * its loops. */
 typedef void (*axis1_fn)(const double *restrict, double *restrict, Py_ssize_t, Py_ssize_t,
                          const double *restrict, Py_ssize_t, double *restrict);
 
-#define AXIS1_PASS(name, attr)                                                            \
+#define AXIS1_PASS(name, V, attr)                                                         \
     attr __attribute__((noinline)) static void name(                                      \
         const double *restrict x, double *restrict out, Py_ssize_t h, Py_ssize_t w,       \
         const double *restrict wt, Py_ssize_t radius, double *restrict pad)               \
     {                                                                                     \
+        enum { N = sizeof(V) / sizeof(double) };                                          \
+        const Py_ssize_t wv = w - w % N;                                                  \
         for (Py_ssize_t r = 0; r < h; r++) {                                              \
             const double *restrict row = x + r * w;                                       \
             double *restrict acc = out + r * w;                                           \
@@ -389,11 +394,20 @@ typedef void (*axis1_fn)(const double *restrict, double *restrict, Py_ssize_t, P
             }                                                                             \
             memcpy(pad + radius, row, (size_t)w * sizeof(double));                        \
             const double *restrict xc = pad + radius;                                     \
-            for (Py_ssize_t c = 0; c < w; c++)                                            \
-                acc[c] = 0.0;                                                             \
+            memset(acc, 0, (size_t)w * sizeof(double));                                   \
             for (Py_ssize_t k = 1; k <= radius; k++) {                                    \
                 const double wk = wt[radius + k];                                         \
-                for (Py_ssize_t c = 0; c < w; c++)                                        \
+                Py_ssize_t c = 0;                                                         \
+                for (; c < wv; c += N) {                                                  \
+                    V lo, mid, hi, a;                                                     \
+                    memcpy(&lo, xc + c - k, sizeof(V));                                   \
+                    memcpy(&mid, xc + c, sizeof(V));                                      \
+                    memcpy(&hi, xc + c + k, sizeof(V));                                   \
+                    memcpy(&a, acc + c, sizeof(V));                                       \
+                    a += wk * ((lo - mid) + (hi - mid));                                  \
+                    memcpy(acc + c, &a, sizeof(V));                                       \
+                }                                                                         \
+                for (; c < w; c++)                                                        \
                     acc[c] += wk * ((xc[c - k] - xc[c]) + (xc[c + k] - xc[c]));           \
             }                                                                             \
             for (Py_ssize_t c = 0; c < w; c++)                                            \
@@ -401,13 +415,13 @@ typedef void (*axis1_fn)(const double *restrict, double *restrict, Py_ssize_t, P
         }                                                                                 \
     }
 
-AXIS1_PASS(correlate_axis1_v2, )
+AXIS1_PASS(correlate_axis1_v2, v2df, )
 
 #if defined(__x86_64__) || defined(__i386__)
 #define HAVE_AVX512 1
 typedef double v8df __attribute__((vector_size(64)));
 AXIS0_BANDS(correlate_axis0_v8, v8df, __attribute__((target("avx512f"))))
-AXIS1_PASS(correlate_axis1_v8, __attribute__((target("avx512f"))))
+AXIS1_PASS(correlate_axis1_v8, v8df, __attribute__((target("avx512f"))))
 #endif
 
 /* The instances module init picked; `SIMD` names them. */
