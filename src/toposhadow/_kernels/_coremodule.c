@@ -529,14 +529,23 @@ correlate_points(const double *restrict x, Py_ssize_t w, const double *restrict 
 }
 
 /* 0 when every point lies in the (h, w) image whose first column is frame
- * column col0; else -1 with IndexError set. */
-static int check_points(const i64 *p, Py_ssize_t n, Py_ssize_t h, Py_ssize_t w, Py_ssize_t col0)
+ * column col0, with the least and greatest point column in cols[0] and
+ * cols[1] (col0 when there are no points); else -1 with IndexError set.
+ * Not inlined: its callers share one copy. */
+__attribute__((noinline)) static int check_points(const i64 *p, Py_ssize_t n, Py_ssize_t h,
+                                                  Py_ssize_t w, Py_ssize_t col0, i64 cols[2])
 {
+    cols[0] = cols[1] = col0;
     for (Py_ssize_t i = 0; i < n; i++) {
-        if (p[2 * i] < 0 || p[2 * i] >= h || p[2 * i + 1] - col0 < 0 || p[2 * i + 1] - col0 >= w) {
+        const i64 c = p[2 * i + 1];
+        if (p[2 * i] < 0 || p[2 * i] >= h || c - col0 < 0 || c - col0 >= w) {
             PyErr_SetString(PyExc_IndexError, "point outside the image");
             return -1;
         }
+        if (i == 0 || c < cols[0])
+            cols[0] = c;
+        if (i == 0 || c > cols[1])
+            cols[1] = c;
     }
     return 0;
 }
@@ -563,7 +572,8 @@ static PyObject *correlate1d_points(PyObject *self, PyObject *args, PyObject *kw
     }
     Py_ssize_t h = PyArray_DIM(img, 0), w = PyArray_DIM(img, 1);
     const i64 *p = PyArray_DATA(pts);
-    if (check_points(p, n, h, w, col0) < 0)
+    i64 cols[2];
+    if (check_points(p, n, h, w, col0, cols) < 0)
         goto done;
     npy_intp dims[1] = {n};
     out = (PyArrayObject *)PyArray_SimpleNew(1, dims, NPY_DOUBLE);
@@ -1058,36 +1068,26 @@ __attribute__((noinline)) static int tile_extremes(const double *s, Py_ssize_t l
     return nan == 0.0;
 }
 
-/* Each cell of the (th, tw) grids lo and hi replaced by the min (of lo)
- * or the max (of hi) of the cells within `reach` of it on both axes,
- * clamped to the grid; `tmp` holds 2 th tw values. */
-static void reach_extremes(double *lo, double *hi, Py_ssize_t th, Py_ssize_t tw, Py_ssize_t reach,
-                           double *tmp)
+/* Along each of `count` lines (`gap` apart) of n cells (`step` apart) of
+ * the grids lo and hi, each cell's min (of lo) or max (of hi) over the
+ * cells within `reach` of it on the line, clamped to it, into olo and
+ * ohi.  Down the columns of a tile grid and then along its rows, it gives
+ * each tile the extremes of the tiles within `reach` on both axes. */
+__attribute__((noinline)) static void reach_lines(const double *lo, const double *hi, double *olo,
+                                                  double *ohi, Py_ssize_t count, Py_ssize_t gap,
+                                                  Py_ssize_t n, Py_ssize_t step, Py_ssize_t reach)
 {
-    double *tlo = tmp, *thi = tmp + th * tw;
-    for (Py_ssize_t i = 0; i < th; i++)
-        for (Py_ssize_t j = 0; j < tw; j++) {
+    for (Py_ssize_t l = 0; l < count; l++)
+        for (Py_ssize_t i = 0; i < n; i++) {
             const Py_ssize_t a = i - reach < 0 ? 0 : i - reach;
-            const Py_ssize_t b = th - 1 - i < reach ? th - 1 : i + reach;
-            double mn = lo[a * tw + j], mx = hi[a * tw + j];
+            const Py_ssize_t b = n - 1 - i < reach ? n - 1 : i + reach;
+            double mn = lo[l * gap + a * step], mx = hi[l * gap + a * step];
             for (Py_ssize_t k = a + 1; k <= b; k++) {
-                mn = EXT_MIN(mn, lo[k * tw + j]);
-                mx = EXT_MAX(mx, hi[k * tw + j]);
+                mn = EXT_MIN(mn, lo[l * gap + k * step]);
+                mx = EXT_MAX(mx, hi[l * gap + k * step]);
             }
-            tlo[i * tw + j] = mn;
-            thi[i * tw + j] = mx;
-        }
-    for (Py_ssize_t i = 0; i < th; i++)
-        for (Py_ssize_t j = 0; j < tw; j++) {
-            const Py_ssize_t a = j - reach < 0 ? 0 : j - reach;
-            const Py_ssize_t b = tw - 1 - j < reach ? tw - 1 : j + reach;
-            double mn = tlo[i * tw + a], mx = thi[i * tw + a];
-            for (Py_ssize_t k = a + 1; k <= b; k++) {
-                mn = EXT_MIN(mn, tlo[i * tw + k]);
-                mx = EXT_MAX(mx, thi[i * tw + k]);
-            }
-            lo[i * tw + j] = mn;
-            hi[i * tw + j] = mx;
+            olo[l * gap + i * step] = mn;
+            ohi[l * gap + i * step] = mx;
         }
 }
 
@@ -1186,16 +1186,12 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
         out = kept_array(NULL, 0);
         goto done;
     }
-    if (check_points(p, n, h, W, 0) < 0)
+    i64 cols[2];
+    if (check_points(p, n, h, W, 0, cols) < 0)
         goto done;
     const Py_ssize_t radius = (PyArray_DIM(wts, 0) - 1) / 2;
-    i64 cmin = p[1], cmax = p[1];
-    for (Py_ssize_t i = 1; i < n; i++) {
-        if (p[2 * i + 1] < cmin) cmin = p[2 * i + 1];
-        if (p[2 * i + 1] > cmax) cmax = p[2 * i + 1];
-    }
-    const Py_ssize_t c0 = cmin - radius < 0 ? 0 : cmin - radius;
-    const Py_ssize_t c1 = W - 1 - cmax < radius ? W : cmax + radius + 1;
+    const Py_ssize_t c0 = cols[0] - radius < 0 ? 0 : cols[0] - radius;
+    const Py_ssize_t c1 = W - 1 - cols[1] < radius ? W : cols[1] + radius + 1;
     const Py_ssize_t w = c1 - c0, bands = (w + AXIS0_BAND - 1) / AXIS0_BAND;
     Salient t = {PyArray_DATA(sal), PyArray_DATA(wts), p, h, W, c0, w, radius, bands, phi1, phi2,
                  NULL, NULL, NULL, NULL, correlate_axis0, 0, 0};
@@ -1220,22 +1216,19 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
     bounded = mean_weights(t.wt, radius) && tile_extremes(t.s + c0, W, h, w, tlo, thi);
     if (bounded) {
         const Py_ssize_t reach = radius / TILE + (radius % TILE != 0);
-        reach_extremes(tlo, thi, th, tw, reach, tmp);
-        /* each tile's extremes, widened and mapped, bound its points' spacings */
-        for (Py_ssize_t cell = 0; cell < th * tw; cell++) {
+        reach_lines(tlo, thi, tmp, tmp + th * tw, tw, 1, th, tw, reach);
+        reach_lines(tmp, tmp + th * tw, tlo, thi, th, tw, tw, 1, reach);
+        /* a point's tile extremes, widened and mapped, bound its spacing */
+        double top = 0.0;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            const Py_ssize_t cell = p[2 * i] / TILE * tw + (p[2 * i + 1] - c0) / TILE;
             const double mn = tlo[cell] / 255.0, mx = thi[cell] / 255.0;
             const double margin = 8.0 * DBL_EPSILON
                                   * (((double)radius + 8.0) * (mx - mn)
                                      + (fabs(mn) > fabs(mx) ? fabs(mn) : fabs(mx)))
                                   + DBL_MIN;
-            tlo[cell] = spacing_of(mx + margin, phi1, phi2);
-            thi[cell] = spacing_of(mn - margin, phi1, phi2);
-        }
-        double top = 0.0;
-        for (Py_ssize_t i = 0; i < n; i++) {
-            const Py_ssize_t cell = p[2 * i] / TILE * tw + (p[2 * i + 1] - c0) / TILE;
-            lo[i] = tlo[cell];
-            hi[i] = thi[cell];
+            lo[i] = spacing_of(mx + margin, phi1, phi2);
+            hi[i] = spacing_of(mn - margin, phi1, phi2);
             if (lo[i] > top)
                 top = lo[i];
         }
