@@ -889,9 +889,10 @@ typedef double (*spacing_fn)(void *ctx, Py_ssize_t i);
 
 /* Greedy row-major thinning: keep a candidate iff no already-kept point
  * lies within the candidate's own spacing (inclusive).  Candidate i's
- * spacing lies in [lo[i], hi[i]], both >= 0: a kept point within lo[i]
- * rules it out, and none within hi[i] keeps it; only in between is
- * `spacing` asked for the exact value.  The kept point that ruled out the
+ * spacing lies in [lo[i], hi[i]], both >= 0, or equals both (thin_points,
+ * whose spacings may be negative and are compared by their squares): a
+ * kept point within lo[i] rules it out, and none within hi[i] keeps it;
+ * only in between is `spacing` asked for the exact value.  The kept point that ruled out the
  * previous candidate is tried before the grid, as row-major neighbours
  * mostly fall to the same point.  The grid's cell must be at least the
  * largest hi[i]. */
