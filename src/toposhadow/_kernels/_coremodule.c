@@ -926,7 +926,9 @@ static Py_ssize_t thin_greedy(Grid *g, const i64 *pts, Py_ssize_t n, const doubl
                 }
             }
         }
-        if (nearest <= hi[i] * hi[i]) {
+        /* with no kept neighbour nothing rules i out, even at an infinite
+         * spacing (inf <= inf would) */
+        if (nearest_j >= 0 && nearest <= hi[i] * hi[i]) {
             const double exact = spacing(ctx, i);
             if (nearest <= exact * exact)
                 goto ruled_out;

@@ -46,20 +46,9 @@ def occurrence_map(cx, width, height):
     return _kernels.occurrence_counts(cx.vertices, cx.triangles, int(height), int(width))
 
 
-# log1p of every count below its size, from the same ufunc as the map
-_LOG1P = np.log1p(np.arange(1 << 16, dtype=np.float64))
-
-
 def confidence_map(occurrence):
-    """Natural log of (count + 1): zero exactly where nothing covers.
-
-    A map of non-negative integer counts below ``len(_LOG1P)`` is looked
-    up in a table of ``np.log1p`` values, which gives the same bits.
-    """
-    occ = np.asarray(occurrence)
-    if occ.dtype.kind in "iu" and occ.size and occ.min() >= 0 and occ.max() < len(_LOG1P):
-        return _LOG1P.take(occ)
-    return np.log1p(np.asarray(occ, dtype=np.float64))
+    """Natural log of (count + 1): zero exactly where nothing covers."""
+    return np.log1p(np.asarray(occurrence, dtype=np.float64))
 
 
 def mean_confidence(confidence):

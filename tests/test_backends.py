@@ -264,7 +264,8 @@ def test_thin_identical():
     # duplicates, negative coordinates, and rows out of order (shuffled,
     # reversed, and sorted but for one swapped pair, which pure scans to
     # the end instead of by row window), each against zero, negative,
-    # mixed integer-tie, 5.0 and sqrt(5) spacings
+    # mixed integer-tie, 5.0, sqrt(5), infinite and 1e200 (whose square is
+    # infinite) spacings
     cloud = random_cloud(rng, 150, extent=40)
     swapped = cloud.copy()
     i = int(np.flatnonzero(np.diff(cloud[:, 0]))[len(cloud) // 8])  # rows i, i + 1 differ
@@ -277,18 +278,22 @@ def test_thin_identical():
             rng.integers(-2, 8, size=n).astype(np.float64),
             np.full(n, 5.0),
             np.full(n, np.sqrt(5.0)),
+            np.full(n, np.inf),
+            np.full(n, 1e200),
         ):
             cases.append((pts, spacing))
     for trial, (pts, spacing) in enumerate(cases):
         a = _core.thin_points(pts, spacing)
-        b = _pure.thin_points(pts, spacing)
+        with np.errstate(over="ignore"):  # pure squares 1e200
+            b = _pure.thin_points(pts, spacing)
         assert np.array_equal(a, b), trial
 
 
 def thin_outcome(fn):
     """fn()'s kept indices, or the class and message of what it raised."""
     try:
-        kept = fn()
+        with np.errstate(over="ignore"):  # pure squares spacings of 1e200
+            kept = fn()
     except (ValueError, IndexError) as exc:
         return type(exc), str(exc)
     assert kept.dtype == np.int64 and kept.ndim == 1
@@ -318,8 +323,13 @@ def assert_thin_salient_identical(saliency, weights, pts, phi1, phi2):
 
 # spacing bounds (phi1, phi2): the defaults, either end at zero, and
 # integer spacings that put pixel distances on the inclusive boundary:
-# (3, 4) gives exactly 7, 5 and 3 where the map is 0, 127.5 and 255
-THIN_PHIS = [(15.0, 20.0), (0.0, 20.0), (15.0, 0.0), (0.0, 0.0), (3.0, 4.0), (1.0, 1e6), (2.0, 0.5)]
+# (3, 4) gives exactly 7, 5 and 3 where the map is 0, 127.5 and 255; and
+# spacings whose squares are infinite, where a candidate with no kept
+# neighbour is still kept
+THIN_PHIS = [
+    (15.0, 20.0), (0.0, 20.0), (15.0, 0.0), (0.0, 0.0), (3.0, 4.0), (1.0, 1e6), (2.0, 0.5),
+    (1e200, 20.0), (0.0, 1e200),
+]
 
 
 @settings(max_examples=300, deadline=None, database=None)

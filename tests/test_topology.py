@@ -273,25 +273,3 @@ def test_mean_confidence():
         math.log(2.0) / 2.0, rel=1e-15
     )
     assert mean_confidence(np.full((3, 3), 1.25)) == pytest.approx(1.25, rel=1e-15)
-
-
-def test_confidence_map_table_matches_log1p():
-    # every count from 0 to 2^16 (the table covers 0 .. 2^16 - 1; 2^16
-    # takes the log1p line) and random maps, in the dtypes occurrence maps
-    # come in, against np.log1p bit for bit; negative, float, bool and
-    # empty maps take the log1p line
-    counts = np.arange((1 << 16) + 1)
-    for dtype in (np.int32, np.int64, np.uint16, np.uint32):
-        c = counts.astype(dtype)
-        assert confidence_map(c).tobytes() == np.log1p(c.astype(np.float64)).tobytes(), dtype
-    rng = np.random.default_rng(17)
-    maps = [rng.integers(0, top, size=shape).astype(np.int32)
-            for top in (1, 3, 300, 1 << 16, 1 << 20) for shape in ((200, 600), (1, 1), (7, 3))]
-    maps += [np.zeros((0, 5), dtype=np.int32), -rng.integers(0, 5, size=(4, 4)),
-             rng.uniform(0, 10, size=(4, 4)), rng.integers(0, 2, size=(4, 4)).astype(bool)]
-    for occ in maps:
-        with np.errstate(divide="ignore", invalid="ignore"):  # log1p of -1, -2, ...
-            got = confidence_map(occ)
-            expected = np.log1p(np.asarray(occ, dtype=np.float64))
-        assert got.dtype == np.float64 and got.shape == occ.shape
-        assert got.tobytes() == expected.tobytes()
