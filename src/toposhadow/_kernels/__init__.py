@@ -4,9 +4,10 @@ The compiled C core (``_core``, built from ``_coremodule.c``) is preferred
 when it was built; otherwise the pure numpy twins take over.  Both produce
 bit-identical results, so the choice only affects speed.  On the compiled
 core ``deviation_map`` splits a large call over two cores when a second
-one is free; ``serial()`` holds it on the calling thread while a worker
-pool runs, so that ``--workers N >= 2`` keeps N threads, and
-``--workers 1`` splits like ``detect``.  ``thin_salient`` thins a cloud
+one is free; ``serial()`` holds it on the calling thread while the
+dataset commands run their own threads: a pool of N at ``--workers N >=
+2``, and at ``--workers 1`` the calling thread and one helper.
+``thin_salient`` thins a cloud
 against the spacing field of a saliency map: the compiled kernel
 computes a point's spacing only where bounds on it cannot decide the
 point, and its pure twin runs the dense passes (``correlate1d_replicate``
@@ -57,9 +58,10 @@ globals().update((name, getattr(_impl, name)) for name in KERNELS)
 @contextlib.contextmanager
 def serial():
     """Keep every compiled kernel call, from any thread, on its calling
-    thread while the block runs.  Entered around a worker pool, whose N
-    workers then use N threads in total; without a pool the deviation
-    map splits.  Outputs are the same either way."""
+    thread while the block runs.  Entered around a command's own threads
+    (a worker pool, or a pipeline's caller and helper), so that no kernel
+    adds one; outside it the deviation map splits.  Outputs are the same
+    either way."""
     core = sys.modules.get(__name__ + "._core")
     if core is None:  # never loaded: nothing splits
         yield

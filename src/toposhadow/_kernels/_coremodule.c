@@ -171,8 +171,8 @@ static struct {
 
 /* Both are read and written with the GIL held. */
 static long long split_calls; /* calls that split, for tests */
-static long serial_holds;     /* > 0 while a worker pool (--workers N >= 2) runs;
-                                 * a single-threaded caller splits */
+static long serial_holds;     /* > 0 while a dataset command runs its own
+                                 * threads; a lone caller splits */
 
 static void *helper_main(void *unused)
 {
@@ -1221,17 +1221,22 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
         const Py_ssize_t reach = radius / TILE + (radius % TILE != 0);
         reach_lines(tlo, thi, tmp, tmp + th * tw, tw, 1, th, tw, reach);
         reach_lines(tmp, tmp + th * tw, tlo, thi, th, tw, tw, 1, reach);
-        /* a point's tile extremes, widened and mapped, bound its spacing */
-        double top = 0.0;
-        for (Py_ssize_t i = 0; i < n; i++) {
-            const Py_ssize_t cell = p[2 * i] / TILE * tw + (p[2 * i + 1] - c0) / TILE;
+        /* a tile's extremes, widened and mapped, bound the spacing of each
+         * of its points: tlo and thi become the tile's spacing bounds */
+        for (Py_ssize_t cell = 0; cell < th * tw; cell++) {
             const double mn = tlo[cell] / 255.0, mx = thi[cell] / 255.0;
             const double margin = 8.0 * DBL_EPSILON
                                   * (((double)radius + 8.0) * (mx - mn)
                                      + (fabs(mn) > fabs(mx) ? fabs(mn) : fabs(mx)))
                                   + DBL_MIN;
-            lo[i] = spacing_of(mx + margin, phi1, phi2);
-            hi[i] = spacing_of(mn - margin, phi1, phi2);
+            tlo[cell] = spacing_of(mx + margin, phi1, phi2);
+            thi[cell] = spacing_of(mn - margin, phi1, phi2);
+        }
+        double top = 0.0;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            const Py_ssize_t cell = p[2 * i] / TILE * tw + (p[2 * i + 1] - c0) / TILE;
+            lo[i] = tlo[cell];
+            hi[i] = thi[cell];
             if (lo[i] > top)
                 top = lo[i];
         }

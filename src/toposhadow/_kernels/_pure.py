@@ -24,6 +24,7 @@ end starts the next edge), and the row's span is [min ceil, max floor]
 over those crossings.
 """
 
+import functools
 import math
 import operator
 import sys
@@ -36,6 +37,21 @@ _BLOCK = 1 << 16  # (triangle, row) or neighbour pairs per numpy pass
 _ROW_BLOCK = 1 << 14  # doubles per block of output rows in the dense passes
 
 
+def _quiet(kernel):
+    """`kernel` under ``np.errstate(all="ignore")``.  The compiled twins
+    never warn, so neither do these: an infinite pixel turns its
+    neighbourhood NaN and a spacing of 1e200 squares to infinity without a
+    word, and the values are those computed with the warnings."""
+
+    @functools.wraps(kernel)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return kernel(*args, **kwargs)
+
+    return quiet
+
+
+@_quiet
 def correlate1d_replicate(img, weights, axis):
     """Symmetric 1D correlation along `axis` with clamp-to-edge borders.
 
@@ -102,6 +118,7 @@ def _correlate_into(img, weights, axis, out):
     return out
 
 
+@_quiet
 def correlate1d_points(img, weights, points, col0):
     """The axis-1 pass of `correlate1d_replicate`, only at `points`.
 
@@ -171,6 +188,7 @@ def _stack_std(stack):
     return out
 
 
+@_quiet
 def deviation_map(img, ku, kv, layers):
     """Per-pixel population standard deviation across the filter stack of
     `img`: layer 0 is the image, each later layer the previous one
@@ -228,6 +246,7 @@ def _spacing_at(saliency, weights, points, phi1, phi2,
     return phi1 + phi2 * (1.0 - blurred)
 
 
+@_quiet
 def thin_salient(saliency, weights, points, phi1, phi2):
     """``thin_points(points, _spacing_at(saliency, weights, points, phi1,
     phi2))``: the greedy thinning of `points` against the spacing the
@@ -245,6 +264,7 @@ def thin_salient(saliency, weights, points, phi1, phi2):
     return thin_points(pts, _spacing_at(s, weights, pts, float(phi1), float(phi2)))
 
 
+@_quiet
 def thin_points(points, spacing):
     """Greedy row-major thinning.
 
@@ -285,6 +305,7 @@ def thin_points(points, spacing):
     return np.asarray(kept, dtype=np.int64)
 
 
+@_quiet
 def rips_triangles(points, epsilon, cap):
     """Enumerate every index triple with pairwise distance <= epsilon.
 
@@ -331,6 +352,7 @@ def rips_triangles(points, epsilon, cap):
     return np.concatenate(out)
 
 
+@_quiet
 def occurrence_counts(points, triangles, height, width):
     """Per-pixel count of closed triangles containing the pixel center.
 

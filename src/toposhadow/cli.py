@@ -56,9 +56,11 @@ def _workers(text):
 
 
 _WORKERS_HELP = (
-    "frames run on this many threads (default 1); at 1 the compiled kernels "
-    "split a frame's dense stages over two cores, as detect does, and a pool "
-    "of N >= 2 holds them serial, so it keeps N threads in total"
+    "frames run on this many threads (default 1); at 1 frames are reported "
+    "one at a time in order, on two threads: the calling thread builds each "
+    "deviation map while a helper finishes the one before; at N >= 2 a pool "
+    "of N runs them; either way the kernels are held serial, so it keeps "
+    "two or N threads busy"
 )
 
 

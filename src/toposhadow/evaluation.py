@@ -14,7 +14,6 @@ from .classify import (
     TEXTURE_FIELDS,
     back_end,
     classify_scanlines,
-    detect_labels,
     salient_cloud,
     texture,
 )
@@ -195,6 +194,10 @@ def evaluate_folds(dataset, folds, make_predict, workers=1):
     in every fold, so that callable must give the same labels for the
     same frame each time.  A new callable per fold (a predictor fitted
     on the seen frames) predicts each frame once per fold.
+
+    A callable may carry ``stages``, a pair ``(build, finish)`` with
+    ``predict(img, truth) == finish(build(img, truth), img, truth)``;
+    ``_map_ordered`` then pipelines the two over the frames.
     """
     missing = [fid for fid in folds.frame_ids() if fid not in dataset]
     if missing:
@@ -211,7 +214,17 @@ def evaluate_folds(dataset, folds, make_predict, workers=1):
             if not ids:
                 continue
             todo = [fid for fid in ids if fid not in labels]
-            preds = _map_ordered(lambda fid: predict(*dataset[fid]), todo, workers)
+            stages = getattr(predict, "stages", None)
+            if stages is None:
+                preds = _map_ordered(lambda fid: predict(*dataset[fid]), todo, workers)
+            else:
+                build, finish = stages
+                preds = _map_ordered(
+                    lambda fid: build(*dataset[fid]),
+                    todo,
+                    workers,
+                    lambda fid, built: finish(built, *dataset[fid]),
+                )
             labels.update(zip(todo, preds))
             pooled = MetricsReport(0, 0, 0, 0)
             for fid in ids:
@@ -228,24 +241,71 @@ def evaluate_folds(dataset, folds, make_predict, workers=1):
     return EvalReport(rows=tuple(rows), averages=averages)
 
 
-def _map_ordered(fn, items, workers):
-    """``[fn(item) for item in items]`` on ``workers`` threads.  One worker
-    runs ``fn`` on the calling thread, where the kernels split as they do
-    in ``detect``; a pool of N >= 2 holds them serial while it runs, so it
-    uses N threads in total.  Outputs are the same either way."""
-    if workers <= 1:
+def _map_ordered(fn, items, workers, finish=None):
+    """``[fn(item) for item in items]`` on ``workers`` threads, or with
+    ``finish``, ``[finish(item, fn(item)) for item in items]``.
+
+    Without ``finish`` one worker runs ``fn`` on the calling thread, where
+    the kernels split as they do in ``detect``.  With it one worker is a
+    two-stage pipeline: the calling thread runs ``fn`` on each item in
+    turn while a helper thread runs ``finish`` on the item before.  A pool
+    of N >= 2 runs both stages of an item on one of its threads.  Both
+    hold the kernels serial, so the pipeline keeps two threads busy and
+    the pool N.  Outputs, and the first error in item order, are the same
+    either way.
+    """
+    if workers <= 1 and finish is None:
         return [fn(item) for item in items]
     with _kernels.serial(), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        if finish is None:
+            return list(pool.map(fn, items))
+        if workers > 1:
+            return list(pool.map(lambda item: finish(item, fn(item)), items))
+        return _pipelined(fn, finish, items, pool)
+
+
+def _pipelined(build, finish, items, helper):
+    """``[finish(item, build(item)) for item in items]``, each ``finish``
+    on the one-thread executor ``helper`` while the calling thread builds
+    the next item.  At most two built values are alive at once, the one
+    being finished and the one being built: ``finish`` takes its value
+    out of a one-item list, so the helper holds none after it returns.
+    An error of an item's ``finish`` is raised before one of the next
+    item's ``build``.
+    """
+    results, pending = [], None
+    for item in items:
+        try:
+            slot = [build(item)]
+        finally:
+            if pending is not None:
+                results.append(pending.result())
+        pending = helper.submit(lambda item, slot: finish(item, slot.pop()), item, slot)
+    if pending is not None:
+        results.append(pending.result())
+    return results
 
 
 def topol_predictor(params=None):
-    """make_predict for the pipeline detector: one callable for every fold."""
+    """make_predict for the pipeline detector: one callable for every fold.
+
+    Its ``stages`` split it at the deviation map: ``texture`` first, then
+    the salient cloud, triangles and labels.
+    """
+    params = Params() if params is None else params
+
+    def build(img, truth):
+        del truth
+        return texture(img, params)
+
+    def finish(saliency, img, truth):
+        del truth
+        return back_end(salient_cloud(saliency, params), np.shape(img)[1], params)[2]
 
     def predict(img, truth):
-        del truth
-        return detect_labels(img, params)
+        return finish(build(img, truth), img, truth)
 
+    predict.stages = build, finish
     return _every_fold(predict)
 
 
@@ -331,36 +391,44 @@ def _grid_rows(dataset, grid, base, workers):
 def _pooled_each(dataset, combos, workers=1):
     """Pooled confusion over the dataset for each Params in ``combos``.
 
-    Frames are mapped over ``workers`` threads.  Each frame visits the
-    combinations grouped by ``TEXTURE_FIELDS`` values, so it holds one
-    deviation map at a time, builds a thinned cloud once per distinct
-    ``CLOUD_FIELDS`` values within the group, its triangles and scan-line
-    counts once per distinct (epsilon, triangle_cap) on that cloud, and
-    only thresholds the counts per combination.  A combination whose
+    The unit of work is one deviation map: a frame and a group of
+    combinations that share their ``TEXTURE_FIELDS`` values, frames in
+    id order and groups in the order of those values.  ``_map_ordered``
+    builds each unit's map, then on it a thinned cloud once per distinct
+    ``CLOUD_FIELDS`` values, its triangles and scan-line counts once per
+    distinct (epsilon, triangle_cap) on that cloud, and only thresholds
+    the counts per combination, in grid order.  A combination whose
     triangles exceed the cap raises where it would alone: the first one
     with a new (cloud, epsilon, triangle_cap) builds them.  An empty
     dataset gives an all-zero report for each.
     """
     texture_key, cloud_key = attrgetter(*TEXTURE_FIELDS), attrgetter(*CLOUD_FIELDS)
-    textures = [texture_key(params) for params in combos]
-    order = sorted(range(len(combos)), key=textures.__getitem__)
+    groups = {}
+    for index, params in enumerate(combos):
+        groups.setdefault(texture_key(params), []).append(index)
+    units = [(fid, group) for fid in sorted(dataset) for _, group in sorted(groups.items())]
 
-    def frame_reports(fid):
+    def build(unit):
+        fid, group = unit
+        return texture(dataset[fid][0], combos[group[0]])
+
+    def finish(unit, saliency):
+        fid, group = unit
         img, truth = dataset[fid]
-        current, reports = None, [None] * len(combos)
-        for index in order:
+        clouds, counts, reports = {}, {}, []
+        for index in group:
             params = combos[index]
-            if textures[index] != current:
-                current, saliency, clouds, counts = textures[index], texture(img, params), {}, {}
             key = cloud_key(params)
             if key not in clouds:
                 clouds[key] = salient_cloud(saliency, params)
             mesh = key, params.epsilon, params.triangle_cap
             if mesh not in counts:
                 counts[mesh] = back_end(clouds[key], np.shape(img)[1], params)[1]
-            reports[index] = confusion(classify_scanlines(counts[mesh], params.tau), truth)
+            reports.append(confusion(classify_scanlines(counts[mesh], params.tau), truth))
         return reports
 
-    per_frame = _map_ordered(frame_reports, sorted(dataset), workers)
-    zero = MetricsReport(0, 0, 0, 0)
-    return [sum((reports[i] for reports in per_frame), zero) for i in range(len(combos))]
+    pooled = [MetricsReport(0, 0, 0, 0)] * len(combos)
+    for (_, group), reports in zip(units, _map_ordered(build, units, workers, finish)):
+        for index, report in zip(group, reports):
+            pooled[index] = pooled[index] + report
+    return pooled

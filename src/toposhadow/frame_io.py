@@ -178,10 +178,15 @@ def write_map(field, path, mode="linear-8bit"):
             scaled = np.zeros_like(field)
         write_image(scaled.astype(np.uint8), path)
     elif mode == "csv-float":
+        # each distinct value is formatted once; values are told apart by
+        # their bits, so -0.0 keeps its own repr
+        bits = np.ascontiguousarray(field).view(np.int64)
+        distinct, index = np.unique(bits, return_inverse=True)
+        text = np.array([repr(float(v)) for v in distinct.view(np.float64)], dtype=object)
         with open(path, "w") as fh:
             fh.write(f"# max={peak!r}\n")
-            for row in field:
-                fh.write(",".join(repr(float(v)) for v in row))
+            for row in text[index.reshape(field.shape)]:
+                fh.write(",".join(row.tolist()))
                 fh.write("\n")
     else:
         raise ValueError(f"unknown map mode {mode!r}")

@@ -38,6 +38,14 @@ def on_backend(impl):
             setattr(_kernels, name, fn)
 
 
+@pytest.fixture
+def compiled_dispatch():
+    """The dispatch names on the compiled core for the test, whichever
+    backend the session loaded: for tests of how it splits."""
+    with on_backend(_core):
+        yield
+
+
 def random_cloud(rng, n, extent=200):
     pts = np.stack(
         [rng.integers(0, extent, n), rng.integers(0, extent, n)], axis=1
@@ -284,16 +292,14 @@ def test_thin_identical():
             cases.append((pts, spacing))
     for trial, (pts, spacing) in enumerate(cases):
         a = _core.thin_points(pts, spacing)
-        with np.errstate(over="ignore"):  # pure squares 1e200
-            b = _pure.thin_points(pts, spacing)
+        b = _pure.thin_points(pts, spacing)
         assert np.array_equal(a, b), trial
 
 
 def thin_outcome(fn):
     """fn()'s kept indices, or the class and message of what it raised."""
     try:
-        with np.errstate(over="ignore"):  # pure squares spacings of 1e200
-            kept = fn()
+        kept = fn()
     except (ValueError, IndexError) as exc:
         return type(exc), str(exc)
     assert kept.dtype == np.int64 and kept.ndim == 1
@@ -922,6 +928,7 @@ def same_detection(a, b):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.usefixtures("compiled_dispatch")
 def test_detect_after_fork():
     # fork copies only the forking thread; the child forgets the parent's
     # helper, starts its own, and its detect finishes with the same result
@@ -991,26 +998,44 @@ def dataset_command_outputs(data, out, workers):
     return [(out / name).read_bytes() for name in ("evaluate.csv", "sweep.csv")]
 
 
-def test_dataset_commands_split_without_a_pool(tmp_path, capsys):
-    # --workers 1 runs the frames on the calling thread, where the kernels
-    # split as in detect; a pool of 2 holds them serial, so 2 threads in
-    # total; outputs are the same bytes either way, and held serial
-    from toposhadow import cli
+@pytest.mark.usefixtures("compiled_dispatch")
+def test_dataset_commands_hold_the_kernels_serial(tmp_path, capsys, monkeypatch):
+    # --workers 1 builds each deviation map on the calling thread and
+    # finishes it on one helper thread; a pool of 2 runs both on its own
+    # threads.  Both hold the kernels serial, so no call splits, and let
+    # go when done, so the next detect splits.  Outputs are the same
+    # bytes either way, and under a hold of the caller's
+    from toposhadow import cli, evaluation
 
     data, out = tmp_path / "data", tmp_path / "out"
     out.mkdir()
     assert cli.main(["synth", "--out", str(data), "--frames", "3"]) == 0
+    img = phantom_frames([21])[0]
+    threads = {"texture": set(), "salient_cloud": set()}
+    for name in threads:
+        real = getattr(evaluation, name)
+
+        def on_thread(*args, _name=name, _real=real):
+            threads[_name].add(threading.get_ident())
+            return _real(*args)
+
+        monkeypatch.setattr(evaluation, name, on_thread)
     runs = {}
     for workers in ("1", "2"):
+        for seen in threads.values():
+            seen.clear()
         capsys.readouterr()
         before = split_calls()
         files = dataset_command_outputs(data, out, workers)
         runs[workers] = (capsys.readouterr().out, files)
-        split = split_calls() - before
-        if workers == "1" and TWO_CPUS:
-            assert split > 0
+        assert split_calls() == before, workers
+        classify.detect(img)
+        assert split_calls() > before or not TWO_CPUS, workers
+        if workers == "1":
+            assert threads["texture"] == {threading.get_ident()}
+            assert threads["salient_cloud"] and threading.get_ident() not in threads["salient_cloud"]
         else:
-            assert split == 0, workers
+            assert threading.get_ident() not in threads["texture"] | threads["salient_cloud"]
     before = split_calls()
     with _kernels.serial():
         files = dataset_command_outputs(data, out, "1")
@@ -1020,6 +1045,7 @@ def test_dataset_commands_split_without_a_pool(tmp_path, capsys):
     assert "accuracy=" in runs["1"][0]
 
 
+@pytest.mark.usefixtures("compiled_dispatch")
 def test_failed_pool_releases_its_hold(tmp_path, capsys):
     # a pool that stops on an error lets go of the kernels: the next
     # detect splits again, and no hold is left to release
@@ -1043,6 +1069,54 @@ def test_failed_pool_releases_its_hold(tmp_path, capsys):
     before = split_calls()
     assert cli.main(["detect", "--input", str(next(data.glob("*.pgm")))]) == 0
     assert split_calls() > before or not TWO_CPUS
+
+
+@pytest.mark.usefixtures("compiled_dispatch")
+def test_failed_pipeline_releases_its_hold(tmp_path, capsys):
+    # --workers 1 that stops on an error lets go of the kernels and of
+    # its helper thread: the next detect splits, and no hold is left
+    from toposhadow import cli
+
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--frames", "3"]) == 0
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("triangle_cap = 1\n")
+    for argv in (
+        ["gridsearch", "--grid", "tau=1,2"],
+        ["evaluate", "--folds", str(data / "folds.txt"), "--method", "topol"],
+    ):
+        threads = threading.active_count()
+        code = cli.main(argv + ["--dataset", str(data), "--config", str(cfg), "--workers", "1"])
+        assert code == 4, argv
+        assert threading.active_count() == threads
+        with pytest.raises(ValueError, match="while held"):
+            _core._hold_serial(-1)
+        before = split_calls()
+        classify.detect(phantom_frames([21])[0])
+        assert split_calls() > before or not TWO_CPUS
+    capsys.readouterr()
+
+
+def test_backends_warn_alike():
+    # pure squares a spacing of 1e200 to infinity, and an infinite pixel
+    # turns the maps around it NaN; neither backend warns about either,
+    # and both reach the same labels or the same error
+    img = phantom_frames([24])[0]
+    inf_img = img.astype(np.float64)
+    inf_img[150, 300] = np.inf
+    seen = {}
+    for impl in (_core, _pure):
+        outcomes = []
+        with on_backend(impl), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for frame, params in ((img, Params(phi1=1e200)), (inf_img, Params())):
+                try:
+                    outcomes.append(classify.detect(frame, params).labels.tolist())
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+        seen[impl.__name__] = outcomes, [str(w.message) for w in caught]
+    assert seen[_core.__name__] == seen[_pure.__name__]
+    assert seen[_pure.__name__][1] == []
 
 
 def test_huge_sigma_names_its_field():

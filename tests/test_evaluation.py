@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -218,32 +219,112 @@ def test_average_is_mean_of_fold_ratios():
         )
 
 
+def count_stages(monkeypatch, dataset):
+    """Frame ids of the deviation maps built and of the salient clouds
+    made from them, in call order, and the number of maps that were
+    alive as each build started."""
+    frame_of = {id(img): fid for fid, (img, _) in dataset.items()}
+    record = {"maps": [], "clouds": [], "alive": []}
+    built, map_of = [], {}
+    real_texture, real_cloud = evaluation.texture, evaluation.salient_cloud
+
+    def texture(img, params):
+        record["alive"].append(sum(ref() is not None for ref in built))
+        saliency = real_texture(img, params)
+        record["maps"].append(frame_of[id(img)])
+        built.append(weakref.ref(saliency))
+        map_of[id(saliency)] = frame_of[id(img)]
+        return saliency
+
+    def salient_cloud(saliency, params):
+        record["clouds"].append(map_of[id(saliency)])
+        return real_cloud(saliency, params)
+
+    monkeypatch.setattr(evaluation, "texture", texture)
+    monkeypatch.setattr(evaluation, "salient_cloud", salient_cloud)
+    return record
+
+
 def test_fold_independent_predictor_runs_once_per_frame(monkeypatch):
+    # the topol predictor builds one deviation map and makes one
+    # prediction per frame, whatever the folds and the worker count; a
+    # new predictor per fold predicts each frame once per fold
     dataset, entries, folds = small_dataset()
+    record = count_stages(monkeypatch, dataset)
     calls = []
     frame_of = {id(img): fid for fid, (img, _) in dataset.items()}
-    real = evaluation.detect_labels
-
-    def counting(img, params=None):
-        calls.append(frame_of[id(img)])
-        return real(img, params)
-
-    monkeypatch.setattr(evaluation, "detect_labels", counting)
 
     def per_fold(fold, seen):
         del fold, seen
-        return lambda img, truth: counting(img)
+
+        def predict(img, truth):
+            calls.append(frame_of[id(img)])
+            return classify.detect_labels(img)
+
+        return predict
 
     reports = {}
     for workers in (1, 3):
-        calls.clear()
+        for seen in (*record.values(), calls):
+            seen.clear()
         reports["shared", workers] = evaluate_folds(dataset, folds, topol_predictor(), workers)
-        assert Counter(calls) == Counter(folds.frame_ids())
-        calls.clear()
+        assert Counter(record["maps"]) == Counter(folds.frame_ids())
+        assert Counter(record["clouds"]) == Counter(folds.frame_ids())
         reports["per fold", workers] = evaluate_folds(dataset, folds, per_fold, workers)
         assert Counter(calls) == Counter(fid for fid, _, _, _ in entries)
         assert len(calls) == len(folds.frame_ids()) * len(folds.folds())
     assert all(report == reports["shared", 1] for report in reports.values())
+
+
+def test_pipeline_holds_at_most_two_maps(monkeypatch):
+    # one worker builds each (frame, texture group) map once, and as one
+    # is built at most one other is alive: the one the helper finishes
+    dataset, _, folds = small_dataset(n=4)
+    record = count_stages(monkeypatch, dataset)
+    grid = {"sigma_u": [1.2, 1.5, 1.8], "phi1": [10.0, 12.0, 14.0]}
+    best = grid_search(dataset, grid, workers=1)
+    assert Counter(Counter(record["maps"]).values()) == {len(grid["sigma_u"]): len(dataset)}
+    assert Counter(record["clouds"]) == Counter(
+        {fid: len(grid["sigma_u"]) * len(grid["phi1"]) for fid in dataset}
+    )
+    assert max(record["alive"]) <= 1
+    for values in record.values():
+        values.clear()
+    evaluate_folds(dataset, folds, topol_predictor(), workers=1)
+    assert sorted(record["maps"]) == sorted(dataset)
+    assert max(record["alive"]) <= 1
+    monkeypatch.undo()
+    assert best == plain_grid_search(dataset, grid)
+
+
+def test_pipeline_raises_the_first_error_in_frame_order(monkeypatch):
+    # the first frame's triangles exceed the cap while the next frame's
+    # map fails to build: the cap error comes first, at every worker
+    # count; without the cap the map's error is raised
+    dataset, _, folds = small_dataset(n=3)
+    late = {}
+    real = evaluation.texture
+
+    def texture(img, params):
+        if img is late["img"]:
+            raise MemoryError("no room for the map")
+        return real(img, params)
+
+    monkeypatch.setattr(evaluation, "texture", texture)
+    # the frames in the order each command runs them
+    commands = (
+        (sorted(dataset), lambda params, workers: grid_search(
+            dataset, {"triangle_cap": [params.triangle_cap]}, workers=workers)),
+        (folds.members(1, "seen"), lambda params, workers: evaluate_folds(
+            dataset, folds, topol_predictor(params), workers)),
+    )
+    for frames, run in commands:
+        late["img"] = dataset[frames[1]][0]
+        for workers in (1, 2):
+            with pytest.raises(TriangleCapError):
+                run(Params(triangle_cap=3), workers)
+            with pytest.raises(MemoryError, match="no room"):
+                run(Params(), workers)
 
 
 # ---------------------------------------------------------------- targets

@@ -105,6 +105,33 @@ def test_write_map_csv(tmp_path):
     assert parsed == field.tolist()
 
 
+def test_write_map_csv_bytes_are_each_values_repr(tmp_path):
+    # every cell is repr(float(v)), whether or not its value repeats:
+    # -0.0 and 0.0, subnormals, the extremes and a repeated row
+    tiny = np.nextafter(0.0, 1.0)
+    rng = np.random.default_rng(41)
+    rows = [
+        [0.0, -0.0, 0.0, -0.0, tiny, -tiny],
+        [tiny * 3, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1],
+        [0.1, 0.1, 1 / 3, 1 / 3, 0.0, 1e-320],
+    ]
+    for field in (
+        np.array(rows),
+        np.array(rows)[:, ::-1],  # not contiguous
+        rng.choice([0.0, -0.0, 0.5, 1 / 7, tiny], size=(40, 37)),
+        rng.uniform(-1.0, 1.0, size=(9, 11)),
+        np.zeros((3, 0)),
+        np.zeros((0, 4)),
+    ):
+        path = tmp_path / "m.csv"
+        write_map(field, path, mode="csv-float")
+        peak = float(field.max()) if field.size else 0.0
+        expected = f"# max={peak!r}\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in field
+        )
+        assert path.read_bytes() == expected.encode("ascii")
+
+
 def test_write_map_rejects_nan(tmp_path):
     with pytest.raises(ValueError):
         write_map(np.array([[0.0, math.nan]]), tmp_path / "m.pgm")
