@@ -887,21 +887,38 @@ static inline double spacing_of(double blurred, double phi1, double phi2)
 /* The spacing of candidate i, for when its bounds cannot decide it. */
 typedef double (*spacing_fn)(void *ctx, Py_ssize_t i);
 
+/* Salient thinning bounds the spacings of a TILE x TILE tile's points
+ * together. */
+#define TILE 8
+
+/* Candidate i's spacing lies in [lo[k], hi[k]]: k = i, or with tw > 0 the
+ * index of i's tile in a grid of tiles tw wide whose first column is c0. */
+typedef struct {
+    const double *lo, *hi;
+    Py_ssize_t tw, c0;
+} Bounds;
+
+static inline Py_ssize_t bound_at(const Bounds *b, const i64 *pts, Py_ssize_t i)
+{
+    return b->tw > 0 ? pts[2 * i] / TILE * b->tw + (pts[2 * i + 1] - b->c0) / TILE : i;
+}
+
 /* Greedy row-major thinning: keep a candidate iff no already-kept point
- * lies within the candidate's own spacing (inclusive).  Candidate i's
- * spacing lies in [lo[i], hi[i]], both >= 0, or equals both (thin_points,
- * whose spacings may be negative and are compared by their squares): a
- * kept point within lo[i] rules it out, and none within hi[i] keeps it;
- * only in between is `spacing` asked for the exact value.  The kept point that ruled out the
+ * lies within the candidate's own spacing (inclusive).  Its bounds are
+ * both >= 0, or equal (thin_points, whose spacings may be negative and are
+ * compared by their squares): a kept point within the lower one rules it
+ * out, and none within the upper one keeps it; only in between is
+ * `spacing` asked for the exact value.  The kept point that ruled out the
  * previous candidate is tried before the grid, as row-major neighbours
  * mostly fall to the same point.  The grid's cell must be at least the
- * largest hi[i]. */
-static Py_ssize_t thin_greedy(Grid *g, const i64 *pts, Py_ssize_t n, const double *lo,
-                              const double *hi, spacing_fn spacing, void *ctx, i64 *kept)
+ * largest upper bound. */
+static Py_ssize_t thin_greedy(Grid *g, const i64 *pts, Py_ssize_t n, const Bounds *b,
+                              spacing_fn spacing, void *ctx, i64 *kept)
 {
     Py_ssize_t n_kept = 0, blocker = -1;
     for (Py_ssize_t i = 0; i < n; i++) {
-        const double lo_sq = lo[i] * lo[i];
+        const Py_ssize_t k = bound_at(b, pts, i);
+        const double lo_sq = b->lo[k] * b->lo[k];
         if (blocker >= 0 && dist_sq(pts, i, blocker) <= lo_sq)
             continue;
         const Py_ssize_t gr = grid_row(g, pts[2 * i]), gc = grid_col(g, pts[2 * i + 1]);
@@ -928,7 +945,7 @@ static Py_ssize_t thin_greedy(Grid *g, const i64 *pts, Py_ssize_t n, const doubl
         }
         /* with no kept neighbour nothing rules i out, even at an infinite
          * spacing (inf <= inf would) */
-        if (nearest_j >= 0 && nearest <= hi[i] * hi[i]) {
+        if (nearest_j >= 0 && nearest <= b->hi[k] * b->hi[k]) {
             const double exact = spacing(ctx, i);
             if (nearest <= exact * exact)
                 goto ruled_out;
@@ -959,15 +976,14 @@ static PyObject *kept_array(const i64 *kept, Py_ssize_t n)
 }
 
 /* The kept indices of thin_greedy, after the checks that thin_points makes
- * on the spacings, here on `hi`: NaN raises, and a largest spacing <= 0
- * keeps every point.  NULL with an error set. */
-__attribute__((noinline)) static PyObject *thin_with(const i64 *p, Py_ssize_t n,
-                                                     const double *lo, const double *hi,
+ * on the spacings, here on the upper bounds: NaN raises, and a largest
+ * spacing <= 0 keeps every point.  NULL with an error set. */
+__attribute__((noinline)) static PyObject *thin_with(const i64 *p, Py_ssize_t n, const Bounds *b,
                                                      spacing_fn spacing, void *ctx)
 {
     double cell = 0.0;
     for (Py_ssize_t i = 0; i < n; i++) {
-        const double top = hi[i];
+        const double top = b->hi[bound_at(b, p, i)];
         if (top > cell || isnan(top))
             cell = top;
     }
@@ -987,7 +1003,7 @@ __attribute__((noinline)) static PyObject *thin_with(const i64 *p, Py_ssize_t n,
             return PyErr_NoMemory();
         }
         Py_BEGIN_ALLOW_THREADS
-        n_kept = thin_greedy(&g, p, n, lo, hi, spacing, ctx, kept);
+        n_kept = thin_greedy(&g, p, n, b, spacing, ctx, kept);
         Py_END_ALLOW_THREADS
         grid_free(&g);
     }
@@ -1015,7 +1031,7 @@ static PyObject *thin_points(PyObject *self, PyObject *args, PyObject *kwds)
         goto done;
     }
     const double *s = PyArray_DATA(lam);
-    out = thin_with(PyArray_DATA(pts), n, s, s, known_spacing, (void *)s);
+    out = thin_with(PyArray_DATA(pts), n, &(Bounds){s, s, 0, 0}, known_spacing, (void *)s);
 done:
     Py_DECREF(pts);
     Py_XDECREF(lam);
@@ -1040,7 +1056,6 @@ done:
  * the points read: the point's tile and `reach` tiles on every side, with
  * reach = ceil(radius / TILE), clamped to the slice.  It holds the window
  * of every point of the tile. */
-#define TILE 8
 #define EXT_MIN(a, b) ((b) < (a) ? (b) : (a))
 #define EXT_MAX(a, b) ((b) > (a) ? (b) : (a))
 
@@ -1198,10 +1213,13 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
     const Py_ssize_t w = c1 - c0, bands = (w + AXIS0_BAND - 1) / AXIS0_BAND;
     Salient t = {PyArray_DATA(sal), PyArray_DATA(wts), p, h, W, c0, w, radius, bands, phi1, phi2,
                  NULL, NULL, NULL, NULL, correlate_axis0, 0, 0};
-    /* x and a; the tile grids fit in a */
+    /* x and a; the raw tile grids fit in a */
     const Py_ssize_t plane = bands * AXIS0_BAND * h;
+    const Py_ssize_t th = (h + TILE - 1) / TILE, tw = (w + TILE - 1) / TILE;
+    /* the tiles' spacing bounds, or else every point's exact spacing */
+    const Py_ssize_t n_bound = n > 2 * th * tw ? n : 2 * th * tw;
     buf = malloc((size_t)plane * 2 * sizeof(double));
-    bound = malloc((size_t)n * 2 * sizeof(double));
+    bound = malloc((size_t)n_bound * sizeof(double));
     flags = calloc((size_t)(h + 1) * (size_t)bands, 1);
     if (buf == NULL || bound == NULL || flags == NULL) {
         PyErr_NoMemory();
@@ -1211,48 +1229,43 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
     t.a = buf + plane;
     t.x_done = flags + h * bands;
     t.a_done = flags;
-    double *lo = bound, *hi = bound + n;
+    const Bounds tiles = {bound, bound + th * tw, tw, c0};
     int bounded;
     Py_BEGIN_ALLOW_THREADS
-    const Py_ssize_t th = (h + TILE - 1) / TILE, tw = (w + TILE - 1) / TILE;
     double *tlo = t.a, *thi = tlo + th * tw, *tmp = thi + th * tw;
+    double *lo = bound, *hi = bound + th * tw;
     bounded = mean_weights(t.wt, radius) && tile_extremes(t.s + c0, W, h, w, tlo, thi);
     if (bounded) {
         const Py_ssize_t reach = radius / TILE + (radius % TILE != 0);
         reach_lines(tlo, thi, tmp, tmp + th * tw, tw, 1, th, tw, reach);
-        reach_lines(tmp, tmp + th * tw, tlo, thi, th, tw, tw, 1, reach);
+        reach_lines(tmp, tmp + th * tw, lo, hi, th, tw, tw, 1, reach);
         /* a tile's extremes, widened and mapped, bound the spacing of each
-         * of its points: tlo and thi become the tile's spacing bounds */
+         * of its points */
         for (Py_ssize_t cell = 0; cell < th * tw; cell++) {
-            const double mn = tlo[cell] / 255.0, mx = thi[cell] / 255.0;
+            const double mn = lo[cell] / 255.0, mx = hi[cell] / 255.0;
             const double margin = 8.0 * DBL_EPSILON
                                   * (((double)radius + 8.0) * (mx - mn)
                                      + (fabs(mn) > fabs(mx) ? fabs(mn) : fabs(mx)))
                                   + DBL_MIN;
-            tlo[cell] = spacing_of(mx + margin, phi1, phi2);
-            thi[cell] = spacing_of(mn - margin, phi1, phi2);
+            lo[cell] = spacing_of(mx + margin, phi1, phi2);
+            hi[cell] = spacing_of(mn - margin, phi1, phi2);
         }
         double top = 0.0;
-        for (Py_ssize_t i = 0; i < n; i++) {
-            const Py_ssize_t cell = p[2 * i] / TILE * tw + (p[2 * i + 1] - c0) / TILE;
-            lo[i] = tlo[cell];
-            hi[i] = thi[cell];
-            if (lo[i] > top)
-                top = lo[i];
-        }
+        for (Py_ssize_t i = 0; i < n; i++)
+            top = EXT_MAX(top, lo[bound_at(&tiles, p, i)]);
         /* with every lower bound 0, whether the largest spacing is 0, which
          * keeps every point, takes the exact values */
         bounded = top > 0.0;
     }
     Py_END_ALLOW_THREADS
     if (bounded) {
-        out = thin_with(p, n, lo, hi, salient_spacing, &t);
+        out = thin_with(p, n, &tiles, salient_spacing, &t);
     } else {
         Py_BEGIN_ALLOW_THREADS
         for (Py_ssize_t i = 0; i < n; i++)
-            lo[i] = salient_spacing(&t, i);
+            bound[i] = salient_spacing(&t, i);
         Py_END_ALLOW_THREADS
-        out = thin_with(p, n, lo, lo, known_spacing, lo);
+        out = thin_with(p, n, &(Bounds){bound, bound, 0, 0}, known_spacing, bound);
     }
     thin_candidates += n;
     thin_exact += t.exact;
