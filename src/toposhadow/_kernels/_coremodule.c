@@ -1049,8 +1049,9 @@ done:
  * spacing_of, those extremes bound the spacing, and thin_greedy asks for
  * the exact value only when the bounds cannot decide the point.  That
  * value is the dense passes' sum at the point: the axis-0 cells its row
- * reads are computed on demand by the same band body, each (row, band) at
- * most once per call.
+ * reads are computed on demand by the same band body, each (row, band)
+ * once per run of points on that row, so once per call for points in row
+ * order, as threshold_points gives them.
  *
  * The region is a square of whole TILE x TILE tiles of the column slice
  * the points read: the point's tile and `reach` tiles on every side, with
@@ -1126,12 +1127,12 @@ static int mean_weights(const double *wt, Py_ssize_t radius)
 
 /* Salient thinning state: the (h, W) map `s`, the column slice [c0, c0 + w)
  * that the points' taps read, and, filled on demand over that slice, s / 255
- * by band (`x`, each band's h rows of AXIS0_BAND values in turn) and its
- * axis-0 pass by (row, band) (`a`, h rows of w values). */
+ * by band (`x`, each band's h rows of AXIS0_BAND values in turn) and the
+ * axis-0 pass of row `a_row` by band (`a`, w values). */
 typedef struct {
     const double *s, *wt;
     const i64 *pts;
-    Py_ssize_t h, W, c0, w, radius, bands;
+    Py_ssize_t h, W, c0, w, radius, bands, a_row;
     double phi1, phi2;
     double *x, *a;
     unsigned char *x_done, *a_done;
@@ -1146,8 +1147,12 @@ __attribute__((noinline)) static double salient_spacing(void *ctx, Py_ssize_t i)
     const Py_ssize_t r = t->pts[2 * i], c = t->pts[2 * i + 1] - t->c0, w = t->w, h = t->h;
     const Py_ssize_t b0 = (c - t->radius < 0 ? 0 : c - t->radius) / AXIS0_BAND;
     const Py_ssize_t b1 = (c + t->radius > w - 1 ? w - 1 : c + t->radius) / AXIS0_BAND;
+    if (r != t->a_row) {
+        memset(t->a_done, 0, (size_t)t->bands);
+        t->a_row = r;
+    }
     for (Py_ssize_t b = b0; b <= b1; b++) {
-        if (t->a_done[r * t->bands + b])
+        if (t->a_done[b])
             continue;
         const Py_ssize_t cb = b * AXIS0_BAND, n = w - cb < AXIS0_BAND ? w - cb : AXIS0_BAND;
         double *restrict x = t->x + cb * h;
@@ -1158,12 +1163,14 @@ __attribute__((noinline)) static double salient_spacing(void *ctx, Py_ssize_t i)
                     x[y * AXIS0_BAND + k] = s[y * t->W + k] / 255.0;
             t->x_done[b] = 1;
         }
-        t->axis0(x, AXIS0_BAND, t->a + cb, w, h, n, r, r + 1, t->wt, t->radius);
-        t->a_done[r * t->bands + b] = 1;
+        /* row r of the pass, written at `a` itself (a row step of 0) */
+        t->axis0(x, AXIS0_BAND, t->a + cb, 0, h, n, r, r + 1, t->wt, t->radius);
+        t->a_done[b] = 1;
         t->cells += n;
     }
     double blurred;
-    correlate_points(t->a, w, t->wt, t->radius, t->pts + 2 * i, 1, t->c0, &blurred);
+    const i64 at[2] = {0, t->pts[2 * i + 1]}; /* the point, on `a` as row 0 */
+    correlate_points(t->a, w, t->wt, t->radius, at, 1, t->c0, &blurred);
     t->exact++;
     return spacing_of(blurred, t->phi1, t->phi2);
 }
@@ -1211,28 +1218,28 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
     const Py_ssize_t c0 = cols[0] - radius < 0 ? 0 : cols[0] - radius;
     const Py_ssize_t c1 = W - 1 - cols[1] < radius ? W : cols[1] + radius + 1;
     const Py_ssize_t w = c1 - c0, bands = (w + AXIS0_BAND - 1) / AXIS0_BAND;
-    Salient t = {PyArray_DATA(sal), PyArray_DATA(wts), p, h, W, c0, w, radius, bands, phi1, phi2,
-                 NULL, NULL, NULL, NULL, correlate_axis0, 0, 0};
-    /* x and a; the raw tile grids fit in a */
+    Salient t = {PyArray_DATA(sal), PyArray_DATA(wts), p, h, W, c0, w, radius, bands, -1,
+                 phi1, phi2, NULL, NULL, NULL, NULL, correlate_axis0, 0, 0};
+    /* x and a; the raw tile grids fit in x, which fills only after them */
     const Py_ssize_t plane = bands * AXIS0_BAND * h;
     const Py_ssize_t th = (h + TILE - 1) / TILE, tw = (w + TILE - 1) / TILE;
     /* the tiles' spacing bounds, or else every point's exact spacing */
     const Py_ssize_t n_bound = n > 2 * th * tw ? n : 2 * th * tw;
-    buf = malloc((size_t)plane * 2 * sizeof(double));
+    buf = malloc((size_t)(plane + bands * AXIS0_BAND) * sizeof(double));
     bound = malloc((size_t)n_bound * sizeof(double));
-    flags = calloc((size_t)(h + 1) * (size_t)bands, 1);
+    flags = calloc(2 * (size_t)bands, 1);
     if (buf == NULL || bound == NULL || flags == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     t.x = buf;
     t.a = buf + plane;
-    t.x_done = flags + h * bands;
+    t.x_done = flags + bands;
     t.a_done = flags;
     const Bounds tiles = {bound, bound + th * tw, tw, c0};
     int bounded;
     Py_BEGIN_ALLOW_THREADS
-    double *tlo = t.a, *thi = tlo + th * tw, *tmp = thi + th * tw;
+    double *tlo = t.x, *thi = tlo + th * tw, *tmp = thi + th * tw;
     double *lo = bound, *hi = bound + th * tw;
     bounded = mean_weights(t.wt, radius) && tile_extremes(t.s + c0, W, h, w, tlo, thi);
     if (bounded) {
