@@ -2,18 +2,22 @@
 
 The compiled C core (``_core``, built from ``_coremodule.c``) is preferred
 when it was built; otherwise the pure numpy twins take over.  Both produce
-bit-identical results, so the choice only affects speed.  On the compiled
-core ``deviation_map`` splits a large call over two cores when a second
+bit-identical results, so the choice only affects speed.  The detector
+and the dataset commands call four of the kernels: ``deviation_map``,
+``thin_salient``, ``rips_triangles`` and ``occurrence_counts``; the
+public references (``saliency.filter_stack``, ``sparsify.thin``) call
+``correlate1d_replicate`` and ``thin_points``.  On the compiled core
+``deviation_map`` splits a large call over two cores when a second
 one is free; ``serial()`` holds it on the calling thread while the
 dataset commands run their own threads: a pool of N at ``--workers N >=
 2``, and at ``--workers 1`` the calling thread and one helper.
-``thin_salient`` thins a cloud
-against the spacing field of a saliency map: the compiled kernel
-computes a point's spacing only where bounds on it cannot decide the
-point, and its pure twin runs the dense passes (``correlate1d_replicate``
-along axis 0, ``correlate1d_points``) and then ``thin_points``, as
-``sparsify.thin(cloud, sparsify.density_field(...))`` does.  Override
-with TOPOSHADOW_KERNELS=pure or =compiled (the latter raises if the
+``thin_salient`` thins a cloud against the spacing field of a saliency
+map: the compiled kernel computes a point's spacing only where bounds
+on it cannot decide the point, and its pure twin runs the dense passes
+and then ``thin_points``, as ``sparsify.thin(cloud,
+sparsify.density_field(...))`` does.  ``NAME`` names the kernels that
+run, such as ``compiled/avx512f`` or ``pure``.  Override with
+TOPOSHADOW_KERNELS=pure or =compiled (the latter raises if the
 extension is missing).
 """
 
@@ -45,7 +49,6 @@ else:
 # the dispatch table: every kernel name, bound to the chosen backend
 KERNELS = (
     "correlate1d_replicate",
-    "correlate1d_points",
     "deviation_map",
     "thin_points",
     "thin_salient",
@@ -53,6 +56,7 @@ KERNELS = (
     "occurrence_counts",
 )
 globals().update((name, getattr(_impl, name)) for name in KERNELS)
+NAME = f"compiled/{_impl.SIMD}" if BACKEND == "compiled" else BACKEND
 
 
 @contextlib.contextmanager

@@ -8,7 +8,8 @@
  *
  * The banded axis-0 pass and the axis-1 pass are each built twice from
  * one body: at 8 doubles per vector for AVX-512 hosts and at 2 for every
- * other CPU; module init picks one width and names it in ``SIMD``.  Both
+ * other CPU; module init picks one width and names it in ``SIMD``, and
+ * ``_force`` runs the 2-wide instances on any host, for tests.  Both
  * stay bit-identical, to each other and to ``_pure``: vector operations
  * are lane-wise IEEE adds, subtracts and multiplies, nothing is
  * contracted, and every element sees the same operations in the same
@@ -428,7 +429,25 @@ AXIS1_PASS(correlate_axis1_v8, v8df, __attribute__((target("avx512f"))))
 static axis0_fn correlate_axis0 = correlate_axis0_v2;
 static axis1_fn correlate_axis1 = correlate_axis1_v2;
 
-static PyObject *correlate1d_with(axis0_fn axis0, axis1_fn axis1, PyObject *args, PyObject *kwds)
+/* What `_force` set, for tests; read and written with the GIL held: the
+ * baseline instances in place of module init's pick, and a deviation
+ * map's column parts (0 to choose).  A call reads it once into its job,
+ * so the helper thread never reads it. */
+static struct {
+    int baseline, parts;
+} forced;
+
+static axis0_fn pick_axis0(void)
+{
+    return forced.baseline ? correlate_axis0_v2 : correlate_axis0;
+}
+
+static axis1_fn pick_axis1(void)
+{
+    return forced.baseline ? correlate_axis1_v2 : correlate_axis1;
+}
+
+static PyObject *correlate1d_replicate(PyObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"img", "weights", "axis", NULL};
     PyObject *img_obj, *w_obj;
@@ -459,6 +478,8 @@ static PyObject *correlate1d_with(axis0_fn axis0, axis1_fn axis1, PyObject *args
         goto done;
     const double *x = PyArray_DATA(img), *wt = PyArray_DATA(wts);
     double *o = PyArray_DATA(out);
+    const axis0_fn axis0 = pick_axis0();
+    const axis1_fn axis1 = pick_axis1();
     if (radius == 0 || h == 0 || w == 0) {
         memcpy(o, x, (size_t)(h * w) * sizeof(double));
     } else if (axis == 0) {
@@ -483,62 +504,40 @@ done:
     return (PyObject *)out;
 }
 
-static PyObject *correlate1d_replicate(PyObject *self, PyObject *args, PyObject *kwds)
+/* Same formula along a row of w values, only at column c, with taps
+ * clamped to the row.  Neither inlined nor cloned: it runs only for the
+ * candidates whose bounds cannot decide them. */
+__attribute__((noinline, noclone)) static double
+correlate_point(const double *restrict row, Py_ssize_t w, const double *restrict wt,
+                Py_ssize_t radius, Py_ssize_t c)
 {
-    return correlate1d_with(correlate_axis0, correlate_axis1, args, kwds);
-}
-
-/* The baseline instances whatever the CPU, so that tests can hold them to
- * the same outputs on a host that runs the wide ones. */
-static PyObject *baseline_correlate1d_replicate(PyObject *self, PyObject *args, PyObject *kwds)
-{
-    return correlate1d_with(correlate_axis0_v2, correlate_axis1_v2, args, kwds);
-}
-
-/* Same formula along axis 1, only at the given points: point i reads row
- * pts[i, 0] at column pts[i, 1] - col0, with taps clamped to the row.
- * Neither inlined nor cloned: both callers share one copy of its loops. */
-__attribute__((noinline, noclone)) static void
-correlate_points(const double *restrict x, Py_ssize_t w, const double *restrict wt,
-                 Py_ssize_t radius, const i64 *restrict pts, Py_ssize_t n, Py_ssize_t col0,
-                 double *restrict out)
-{
-    for (Py_ssize_t i = 0; i < n; i++) {
-        const double *restrict row = x + pts[2 * i] * w;
-        const Py_ssize_t c = pts[2 * i + 1] - col0;
-        const double xc = row[c];
-        if (radius == 0) {
-            out[i] = xc;
-            continue;
+    const double xc = row[c];
+    if (radius == 0)
+        return xc;
+    double acc = 0.0;
+    if (radius <= c && c + radius <= w - 1) {
+        /* no tap reaches a row end: the same sum without clamps */
+        const double *restrict at = row + c;
+        for (Py_ssize_t k = 1; k <= radius; k++)
+            acc += wt[radius + k] * ((at[-k] - xc) + (at[k] - xc));
+    } else {
+        for (Py_ssize_t k = 1; k <= radius; k++) {
+            const double xl = row[c - k < 0 ? 0 : c - k];
+            const double xh = row[c + k > w - 1 ? w - 1 : c + k];
+            acc += wt[radius + k] * ((xl - xc) + (xh - xc));
         }
-        double acc = 0.0;
-        if (radius <= c && c + radius <= w - 1) {
-            /* no tap reaches a slice edge: the same sum without clamps */
-            const double *restrict at = row + c;
-            for (Py_ssize_t k = 1; k <= radius; k++)
-                acc += wt[radius + k] * ((at[-k] - xc) + (at[k] - xc));
-        } else {
-            for (Py_ssize_t k = 1; k <= radius; k++) {
-                const double xl = row[c - k < 0 ? 0 : c - k];
-                const double xh = row[c + k > w - 1 ? w - 1 : c + k];
-                acc += wt[radius + k] * ((xl - xc) + (xh - xc));
-            }
-        }
-        out[i] = xc + acc;
     }
+    return xc + acc;
 }
 
-/* 0 when every point lies in the (h, w) image whose first column is frame
- * column col0, with the least and greatest point column in cols[0] and
- * cols[1] (col0 when there are no points); else -1 with IndexError set.
- * Not inlined: its callers share one copy. */
-__attribute__((noinline)) static int check_points(const i64 *p, Py_ssize_t n, Py_ssize_t h,
-                                                  Py_ssize_t w, Py_ssize_t col0, i64 cols[2])
+/* 0 when every point lies in the (h, w) image, with the least and greatest
+ * point column in cols[0] and cols[1]; else -1 with IndexError set. */
+static int check_points(const i64 *p, Py_ssize_t n, Py_ssize_t h, Py_ssize_t w, i64 cols[2])
 {
-    cols[0] = cols[1] = col0;
+    cols[0] = cols[1] = 0;
     for (Py_ssize_t i = 0; i < n; i++) {
         const i64 c = p[2 * i + 1];
-        if (p[2 * i] < 0 || p[2 * i] >= h || c - col0 < 0 || c - col0 >= w) {
+        if (p[2 * i] < 0 || p[2 * i] >= h || c < 0 || c >= w) {
             PyErr_SetString(PyExc_IndexError, "point outside the image");
             return -1;
         }
@@ -548,48 +547,6 @@ __attribute__((noinline)) static int check_points(const i64 *p, Py_ssize_t n, Py
             cols[1] = c;
     }
     return 0;
-}
-
-static PyObject *correlate1d_points(PyObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"img", "weights", "points", "col0", NULL};
-    PyObject *img_obj, *w_obj, *p_obj;
-    Py_ssize_t col0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOn", kwlist, &img_obj, &w_obj, &p_obj, &col0))
-        return NULL;
-    PyArrayObject *img = AS_ARRAY(img_obj, NPY_DOUBLE);
-    if (img == NULL)
-        return NULL;
-    PyArrayObject *wts = AS_ARRAY(w_obj, NPY_DOUBLE);
-    Py_ssize_t n = 0;
-    PyArrayObject *pts = wts == NULL ? NULL : as_points(p_obj, &n);
-    PyArrayObject *out = NULL;
-    if (pts == NULL)
-        goto done;
-    if (PyArray_NDIM(img) != 2 || PyArray_NDIM(wts) != 1 || PyArray_DIM(wts, 0) == 0) {
-        PyErr_SetString(PyExc_ValueError, "expected a 2D image and a non-empty 1D kernel");
-        goto done;
-    }
-    Py_ssize_t h = PyArray_DIM(img, 0), w = PyArray_DIM(img, 1);
-    const i64 *p = PyArray_DATA(pts);
-    i64 cols[2];
-    if (check_points(p, n, h, w, col0, cols) < 0)
-        goto done;
-    npy_intp dims[1] = {n};
-    out = (PyArrayObject *)PyArray_SimpleNew(1, dims, NPY_DOUBLE);
-    if (out == NULL)
-        goto done;
-    const double *x = PyArray_DATA(img), *wt = PyArray_DATA(wts);
-    double *o = PyArray_DATA(out);
-    Py_ssize_t radius = (PyArray_DIM(wts, 0) - 1) / 2;
-    Py_BEGIN_ALLOW_THREADS
-    correlate_points(x, w, wt, radius, p, n, col0, o);
-    Py_END_ALLOW_THREADS
-done:
-    Py_DECREF(img);
-    Py_XDECREF(wts);
-    Py_XDECREF(pts);
-    return (PyObject *)out;
 }
 
 /* ------------------------------------------------------------ stack std */
@@ -717,10 +674,13 @@ static int cast_columns(PyArrayObject *img, Py_ssize_t b0, Py_ssize_t b1, double
  * columns cost more than the second core saves. */
 #define SPLIT_HALOS 4
 
-/* `parts` is 0 to choose, 1 to run serial and 2 to split. */
-static PyObject *deviation_with(PyObject *img_obj, PyObject *ku_obj, PyObject *kv_obj,
-                                PyObject *layers_obj, int parts)
+static PyObject *deviation_map(PyObject *self, PyObject *args, PyObject *kwds)
 {
+    static char *kwlist[] = {"img", "ku", "kv", "layers", NULL};
+    PyObject *img_obj, *ku_obj, *kv_obj, *layers_obj;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOO", kwlist, &img_obj, &ku_obj, &kv_obj,
+                                     &layers_obj))
+        return NULL;
     /* a count past Py_ssize_t clips to its maximum and fails the size check */
     Py_ssize_t layers = PyNumber_AsSsize_t(layers_obj, NULL);
     if (layers == -1 && PyErr_Occurred())
@@ -743,7 +703,7 @@ static PyObject *deviation_with(PyObject *img_obj, PyObject *ku_obj, PyObject *k
         PyErr_SetString(PyExc_ValueError, "expected a 2D image and non-empty 1D kernels");
         goto done;
     }
-    DevJob job = {correlate_axis0, correlate_axis1, PyArray_DATA(ku), PyArray_DATA(kv), NULL,
+    DevJob job = {pick_axis0(), pick_axis1(), PyArray_DATA(ku), PyArray_DATA(kv), NULL,
                   PyArray_DIM(img, 0), PyArray_DIM(img, 1), (PyArray_DIM(ku, 0) - 1) / 2,
                   (PyArray_DIM(kv, 0) - 1) / 2, layers, 0, {0, 0, 0}, {NULL, NULL}};
     const Py_ssize_t h = job.h, w = job.w;
@@ -753,6 +713,8 @@ static PyObject *deviation_with(PyObject *img_obj, PyObject *ku_obj, PyObject *k
     if (__builtin_mul_overflow((size_t)(layers - 1), (size_t)job.rv, &halo) || halo > (size_t)w)
         halo = (size_t)w;
     job.halo = (Py_ssize_t)halo;
+    /* 1 to run serial and 2 to split, as forced; 0 to choose */
+    int parts = forced.parts;
     if (parts == 0) {
         /* per pixel and layer: the taps of both passes, and the copy and std */
         double work = (double)h * (double)(w - mid) * (double)(layers - 1)
@@ -818,29 +780,32 @@ done:
     return (PyObject *)out;
 }
 
-static PyObject *deviation_map(PyObject *self, PyObject *args, PyObject *kwds)
+/* Force the baseline instances (simd="baseline") or module init's pick
+ * (simd=None), and a deviation map's column parts (1 or 2, or 0 to
+ * choose), for tests.  Returns the previous (simd, parts). */
+static PyObject *force(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"img", "ku", "kv", "layers", NULL};
-    PyObject *img, *ku, *kv, *layers;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOO", kwlist, &img, &ku, &kv, &layers))
+    static char *kwlist[] = {"simd", "parts", NULL};
+    PyObject *simd = Py_None;
+    int parts = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|Oi", kwlist, &simd, &parts))
         return NULL;
-    return deviation_with(img, ku, kv, layers, 0);
-}
-
-/* deviation_map on one column part or on two, whatever the frame and the
- * host, for tests. */
-static PyObject *deviation_map_parts(PyObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"img", "ku", "kv", "layers", "parts", NULL};
-    PyObject *img, *ku, *kv, *layers;
-    int parts;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOi", kwlist, &img, &ku, &kv, &layers, &parts))
-        return NULL;
-    if (parts != 1 && parts != 2) {
-        PyErr_SetString(PyExc_ValueError, "parts must be 1 or 2");
+    const int baseline = simd != Py_None;
+    if (baseline
+        && !(PyUnicode_Check(simd) && PyUnicode_CompareWithASCIIString(simd, "baseline") == 0)) {
+        PyErr_SetString(PyExc_ValueError, "simd must be None or 'baseline'");
         return NULL;
     }
-    return deviation_with(img, ku, kv, layers, parts);
+    if (parts < 0 || parts > 2) {
+        PyErr_SetString(PyExc_ValueError, "parts must be 0, 1 or 2");
+        return NULL;
+    }
+    PyObject *prev = Py_BuildValue("zi", forced.baseline ? "baseline" : NULL, forced.parts);
+    if (prev != NULL) {
+        forced.baseline = baseline;
+        forced.parts = parts;
+    }
+    return prev;
 }
 
 /* Hold the kernels serial (+1) or release one hold (-1). */
@@ -1168,11 +1133,8 @@ __attribute__((noinline)) static double salient_spacing(void *ctx, Py_ssize_t i)
         t->a_done[b] = 1;
         t->cells += n;
     }
-    double blurred;
-    const i64 at[2] = {0, t->pts[2 * i + 1]}; /* the point, on `a` as row 0 */
-    correlate_points(t->a, w, t->wt, t->radius, at, 1, t->c0, &blurred);
     t->exact++;
-    return spacing_of(blurred, t->phi1, t->phi2);
+    return spacing_of(correlate_point(t->a, w, t->wt, t->radius, c), t->phi1, t->phi2);
 }
 
 /* Counters over every call, for tests; read and written with the GIL. */
@@ -1212,14 +1174,14 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
         goto done;
     }
     i64 cols[2];
-    if (check_points(p, n, h, W, 0, cols) < 0)
+    if (check_points(p, n, h, W, cols) < 0)
         goto done;
     const Py_ssize_t radius = (PyArray_DIM(wts, 0) - 1) / 2;
     const Py_ssize_t c0 = cols[0] - radius < 0 ? 0 : cols[0] - radius;
     const Py_ssize_t c1 = W - 1 - cols[1] < radius ? W : cols[1] + radius + 1;
     const Py_ssize_t w = c1 - c0, bands = (w + AXIS0_BAND - 1) / AXIS0_BAND;
     Salient t = {PyArray_DATA(sal), PyArray_DATA(wts), p, h, W, c0, w, radius, bands, -1,
-                 phi1, phi2, NULL, NULL, NULL, NULL, correlate_axis0, 0, 0};
+                 phi1, phi2, NULL, NULL, NULL, NULL, pick_axis0(), 0, 0};
     /* x and a; the raw tile grids fit in x, which fills only after them */
     const Py_ssize_t plane = bands * AXIS0_BAND * h;
     const Py_ssize_t th = (h + TILE - 1) / TILE, tw = (w + TILE - 1) / TILE;
@@ -1546,22 +1508,16 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "Symmetric 1D correlation with clamp-to-edge borders, evaluated in\n"
      "center-deviation form (see the pure twin for the exact formula)."},
-    {"_baseline_correlate1d_replicate",
-     (PyCFunction)(void (*)(void))baseline_correlate1d_replicate, METH_VARARGS | METH_KEYWORDS,
-     "correlate1d_replicate on the baseline-width axis-0 pass, for tests."},
-    {"correlate1d_points", (PyCFunction)(void (*)(void))correlate1d_points,
-     METH_VARARGS | METH_KEYWORDS,
-     "The axis-1 correlation of correlate1d_replicate, evaluated only at\n"
-     "the given (row, col) points; `col0` is the frame column of img[:, 0]."},
     {"deviation_map", (PyCFunction)(void (*)(void))deviation_map, METH_VARARGS | METH_KEYWORDS,
      "Per-pixel population standard deviation across the filter stack of\n"
      "`img`: layer 0 the image, each later layer the previous one\n"
      "correlated along axis 0 by `ku` and then along axis 1 by `kv`.\n"
      "Equal to saliency.std_map of that stack; splits over two cores when\n"
      "one is free."},
-    {"_deviation_map_parts", (PyCFunction)(void (*)(void))deviation_map_parts,
-     METH_VARARGS | METH_KEYWORDS,
-     "deviation_map on parts=1 or parts=2 column parts, for tests."},
+    {"_force", (PyCFunction)(void (*)(void))force, METH_VARARGS | METH_KEYWORDS,
+     "_force(simd=None, parts=0): run the kernels on the baseline vector\n"
+     "instances (simd='baseline') and deviation maps on forced column parts\n"
+     "(1 or 2), for tests; returns the previous (simd, parts)."},
     {"_hold_serial", hold_serial, METH_O,
      "Hold the kernels on their calling thread (+1), or release a hold (-1)."},
     {"_split_stats", split_stats, METH_NOARGS,

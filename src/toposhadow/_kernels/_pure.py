@@ -118,8 +118,7 @@ def _correlate_into(img, weights, axis, out):
     return out
 
 
-@_quiet
-def correlate1d_points(img, weights, points, col0):
+def _correlate_points(img, weights, points, col0):
     """The axis-1 pass of `correlate1d_replicate`, only at `points`.
 
     Point i reads row points[i, 0] of `img` at column points[i, 1] - col0,
@@ -220,19 +219,18 @@ def deviation_map(img, ku, kv, layers):
     return _stack_std(stack)
 
 
-def _spacing_at(saliency, weights, points, phi1, phi2,
-                axis0=correlate1d_replicate, at_points=correlate1d_points):
+@_quiet
+def _spacing_at(saliency, weights, points, phi1, phi2):
     """The spacing threshold in [phi1, phi1 + phi2] at each (row, col) point.
 
-    The map over 255 is correlated by `weights` along axis 0 (`axis0`),
-    then along axis 1 at the points alone (`at_points`), clamped to
-    [0, 1] and mapped so that high saliency gives the minimum spacing
-    phi1.  The axis-0 pass runs over the columns within the kernel radius
-    of a point only: columns are independent in it, and a point's axis-1
-    taps clamp inside that slice exactly where they clamp in the frame.
-    Raises IndexError for a point outside the map.  The one statement of
-    the spacing formula in Python: ``sparsify.density_field`` calls it
-    with the dispatched passes.
+    The map over 255 is correlated by `weights` along axis 0, then along
+    axis 1 at the points alone, clamped to [0, 1] and mapped so that high
+    saliency gives the minimum spacing phi1.  The axis-0 pass runs over
+    the columns within the kernel radius of a point only: columns are
+    independent in it, and a point's axis-1 taps clamp inside that slice
+    exactly where they clamp in the frame.  Raises IndexError for a point
+    outside the map.  The one statement of the spacing formula in
+    Python: ``sparsify.density_field`` calls it too.
     """
     s = np.asarray(saliency, dtype=np.float64)
     pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
@@ -241,7 +239,9 @@ def _spacing_at(saliency, weights, points, phi1, phi2,
     radius = (len(weights) - 1) // 2
     c0 = max(0, int(pts[:, 1].min()) - radius)
     c1 = min(s.shape[1], int(pts[:, 1].max()) + radius + 1)
-    blurred = at_points(axis0(s[:, c0:c1] / 255.0, weights, 0), weights, pts, c0)
+    blurred = _correlate_points(
+        correlate1d_replicate(s[:, c0:c1] / 255.0, weights, 0), weights, pts, c0
+    )
     np.clip(blurred, 0.0, 1.0, out=blurred)
     return phi1 + phi2 * (1.0 - blurred)
 

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from . import frame_io
+from . import _kernels, frame_io
 from .baseline import select_kappa, thresh_classify
 from .classify import detect
 from .errors import FormatError, TriangleCapError
@@ -164,7 +164,7 @@ def cmd_detect(args):
     print(f"mean_confidence={_float_repr(result.mean_confidence)}")
     print(
         f"detect: {elapsed_ms:.2f} ms, cloud {result.cloud_size}, "
-        f"triangles {result.triangle_count}",
+        f"triangles {result.triangle_count}, kernels {_kernels.NAME}",
         file=sys.stderr,
     )
     return 0

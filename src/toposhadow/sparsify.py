@@ -22,16 +22,14 @@ def density_field(saliency, points, params):
     the axis-1 pass, clamp and map at the points alone.  Each value is
     bit-identical to the full-frame field at its point.  Returns a
     float64 vector, one value per point.  The reference for the
-    ``thin_salient`` kernel, which the detector runs.
+    ``thin_salient`` kernel, which the detector runs; it runs on the pure
+    numpy passes whichever backend is loaded.
     """
     pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
     if len(pts) == 0:
         return np.zeros(0, dtype=np.float64)
     kw = gaussian_kernel_1d(params.sigma_w, "sigma_w")
-    return _pure._spacing_at(
-        saliency, kw, pts, params.phi1, params.phi2,
-        _kernels.correlate1d_replicate, _kernels.correlate1d_points,
-    )
+    return _pure._spacing_at(saliency, kw, pts, params.phi1, params.phi2)
 
 
 def thin(cloud, spacing):

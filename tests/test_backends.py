@@ -38,6 +38,23 @@ def on_backend(impl):
             setattr(_kernels, name, fn)
 
 
+@contextlib.contextmanager
+def forced(simd=None, parts=0):
+    """Run the compiled kernels on the baseline vector instances
+    (simd="baseline"), and deviation maps on `parts` column parts (0 to
+    choose), for a while."""
+    prev = _core._force(simd=simd, parts=parts)
+    try:
+        yield
+    finally:
+        _core._force(*prev)
+
+
+# the compiled instances a test runs: module init's pick, and the 2-wide
+# baseline, which an AVX-512 host would not pick
+SIMDS = (None, "baseline")
+
+
 @pytest.fixture
 def compiled_dispatch():
     """The dispatch names on the compiled core for the test, whichever
@@ -66,8 +83,10 @@ def test_correlate_identical():
             img = rng.uniform(0.0, 255.0, size=shape)
             for axis in (0, 1):
                 b = _pure.correlate1d_replicate(img, weights, axis)
-                for fn in (_core.correlate1d_replicate, _core._baseline_correlate1d_replicate):
-                    assert np.array_equal(fn(img, weights, axis), b), (sigma, axis)
+                for simd in SIMDS:
+                    with forced(simd):
+                        got = _core.correlate1d_replicate(img, weights, axis)
+                    assert np.array_equal(got, b), (sigma, axis, simd)
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -82,13 +101,13 @@ def test_correlate_identical_property(h, w, sigma, axis, seed):
     # heights below the radius clamp most taps, and frames of more than
     # _pure._ROW_BLOCK pixels split the pure pass into row blocks; widths
     # cross the 16, 32 and 48 column band edges of the compiled axis-0
-    # pass.  The baseline entry runs the 2-lane instance, which an
-    # AVX-512 host would not pick.
+    # pass, on both of its instances
     img = np.random.default_rng(seed).uniform(-255.0, 255.0, size=(h, w))
     weights = gaussian_kernel_1d(sigma)
     b = _pure.correlate1d_replicate(img, weights, axis)
-    assert np.array_equal(_core.correlate1d_replicate(img, weights, axis), b)
-    assert np.array_equal(_core._baseline_correlate1d_replicate(img, weights, axis), b)
+    for simd in SIMDS:
+        with forced(simd):
+            assert np.array_equal(_core.correlate1d_replicate(img, weights, axis), b), simd
 
 
 def test_pure_dense_passes_allocate_block_buffers():
@@ -146,6 +165,9 @@ def test_dispatch_table_covers_both_backends(monkeypatch):
     }
     assert core_names == set(_kernels.KERNELS)
     assert pure_names == set(_kernels.KERNELS)
+    # the core's private entries are its test hooks and nothing else
+    core_private = {name for name in vars(_core) if name[:1] == "_" and name[:2] != "__"}
+    assert core_private == {"_force", "_hold_serial", "_split_stats", "_thin_stats"}
     # detect calls the kernels through their dispatch names, so a wrapper
     # installed there sees every call: one deviation map and one salient
     # thinning, and no correlation; filter_stack, the reference, makes two
@@ -161,7 +183,7 @@ def test_dispatch_table_covers_both_backends(monkeypatch):
 
         return call
 
-    for name in ("correlate1d_replicate", "correlate1d_points", "deviation_map", "thin_salient"):
+    for name in ("correlate1d_replicate", "deviation_map", "thin_salient"):
         monkeypatch.setattr(_kernels, name, counted(name))
     from toposhadow.synth import PhantomSpec, synth_phantom
 
@@ -173,6 +195,18 @@ def test_dispatch_table_covers_both_backends(monkeypatch):
     assert calls == [("correlate1d_replicate", 0), ("correlate1d_replicate", 1)] * (
         Params().stack_size - 1
     )
+
+
+def test_force_returns_the_previous_setting():
+    assert _core._force() == (None, 0)
+    assert _core._force(simd="baseline", parts=2) == (None, 0)
+    assert _core._force(parts=1) == ("baseline", 2)
+    # a rejected setting changes nothing
+    for bad in ({"simd": "avx512f"}, {"simd": 1}, {"parts": 3}, {"parts": -1}):
+        with pytest.raises(ValueError):
+            _core._force(**bad)
+    assert _core._force() == (None, 1)
+    assert _core._force() == (None, 0)
 
 
 def test_simd_names_the_instance():
@@ -194,9 +228,10 @@ def dense_at_points(img, weights, pts, col0):
 
 
 def assert_points_identical(img, weights, pts, col0):
-    a = _core.correlate1d_points(img, weights, pts, col0)
-    b = _pure.correlate1d_points(img, weights, pts, col0)
-    assert np.array_equal(a, b)
+    """The point pass of the pure spacing gives the dense pass's values;
+    its compiled twin runs inside thin_salient, whose tests hold it to
+    the same values."""
+    a = _pure._correlate_points(img, weights, pts, col0)
     assert np.array_equal(a, dense_at_points(img, weights, pts, col0))
     assert a.shape == (len(pts),) and a.dtype == np.float64
 
@@ -242,9 +277,8 @@ def test_correlate_points_rejects_point_outside_the_image():
     img = np.zeros((4, 5))
     weights = gaussian_kernel_1d(1.0)
     for pts, col0 in (([[4, 0]], 0), ([[0, 5]], 0), ([[-1, 0]], 0), ([[0, 2]], 3), ([[0, 8]], 3)):
-        for mod in (_core, _pure):
-            with pytest.raises(IndexError):
-                mod.correlate1d_points(img, weights, np.array(pts), col0)
+        with pytest.raises(IndexError):
+            _pure._correlate_points(img, weights, np.array(pts), col0)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -307,23 +341,23 @@ def thin_outcome(fn):
 
 
 def reference_thin(impl, saliency, weights, pts, phi1, phi2):
-    """thin(cloud, density_field(...)) on backend `impl`: the dense passes,
-    then thin_points, as sparsify runs them."""
+    """thin(cloud, density_field(...)) with backend `impl`'s thin_points:
+    the pure dense passes, then thin_points, as sparsify runs them."""
     pts = np.asarray(pts, dtype=np.int64).reshape(-1, 2)
-    spacing = _pure._spacing_at(
-        saliency, weights, pts, phi1, phi2, impl.correlate1d_replicate, impl.correlate1d_points
-    )
-    return impl.thin_points(pts, spacing)
+    return impl.thin_points(pts, _pure._spacing_at(saliency, weights, pts, phi1, phi2))
 
 
 def assert_thin_salient_identical(saliency, weights, pts, phi1, phi2):
     """Both kernels give the reference's kept indices on either backend,
-    or raise its exception class with its message."""
+    the compiled one on both of its instances, or raise the reference's
+    exception class with its message."""
     args = (saliency, weights, pts, phi1, phi2)
     expected = thin_outcome(lambda: reference_thin(_pure, *args))
     assert thin_outcome(lambda: reference_thin(_core, *args)) == expected
-    for mod in (_core, _pure):
-        assert thin_outcome(lambda: mod.thin_salient(*args)) == expected, mod.__name__
+    assert thin_outcome(lambda: _pure.thin_salient(*args)) == expected
+    for simd in SIMDS:
+        with forced(simd):
+            assert thin_outcome(lambda: _core.thin_salient(*args)) == expected, simd
     return expected
 
 
@@ -422,7 +456,7 @@ def test_thin_salient_margin_covers_rounding():
     weights = np.array([0.5, 0.0, 0.5])
     pts = np.array([[0, 0], [1, 1]])
     assert assert_thin_salient_identical(sal, weights, pts, 1.0, 2.0**52) == [0, 1]
-    blurred = _pure.correlate1d_points(
+    blurred = _pure._correlate_points(
         _pure.correlate1d_replicate(sal / 255.0, weights, 0), weights, pts[1:], 0
     )
     assert blurred[0] == 1.0 > (sal / 255.0).max()
@@ -430,7 +464,7 @@ def test_thin_salient_margin_covers_rounding():
 
 def test_thin_salient_weights_that_are_not_a_mean():
     # negative taps or taps summing past 1: the bounds do not hold, and
-    # every spacing is computed
+    # every spacing is computed, on each compiled instance
     rng = np.random.default_rng(241)
     sal = rng.uniform(0.0, 255.0, size=(20, 30))
     pts = np.argwhere(sal > 100.0)
@@ -438,7 +472,7 @@ def test_thin_salient_weights_that_are_not_a_mean():
         before = _core._thin_stats()
         assert_thin_salient_identical(sal, weights, pts, 3.0, 4.0)
         if len(weights) > 1:
-            assert _core._thin_stats()[1] - before[1] == len(pts)
+            assert _core._thin_stats()[1] - before[1] == len(SIMDS) * len(pts)
 
 
 def test_thin_salient_non_finite_maps():
@@ -658,13 +692,17 @@ def test_full_pipeline_identical(monkeypatch):
     for name in _kernels.KERNELS:
         monkeypatch.setattr(_kernels, name, getattr(pure, name))
     res_pure = classify.detect(img, Params())
-    # and on the compiled core's baseline-width axis-0 pass
-    for name in _kernels.KERNELS:
-        monkeypatch.setattr(_kernels, name, getattr(_core, name))
-    monkeypatch.setattr(_kernels, "correlate1d_replicate", _core._baseline_correlate1d_replicate)
-    res_baseline = classify.detect(img, Params())
+    # and on the compiled core's 2-wide instances, on one column part and
+    # on two; the deviation maps match bit for bit too
+    texture = classify.texture(img, Params()).tobytes()
+    res_baseline = []
+    with on_backend(_core):
+        for parts in (1, 2):
+            with forced("baseline", parts):
+                res_baseline.append(classify.detect(img, Params()))
+                assert classify.texture(img, Params()).tobytes() == texture, parts
 
-    for res in (res_pure, res_baseline):
+    for res in (res_pure, *res_baseline):
         assert np.array_equal(res_default.labels, res.labels)
         assert np.array_equal(res_default.confidence, res.confidence)
         assert res_default.mean_confidence == res.mean_confidence
@@ -682,7 +720,9 @@ def test_full_pipeline_identical(monkeypatch):
 )
 def test_full_pipeline_identical_property(h, w, kind, crop, seed):
     # 1-column frames, crop_rows = H - 1 (one row left) and constant frames,
-    # through every dispatch name on each backend
+    # through every dispatch name on each backend, and on the compiled
+    # core's 2-wide instances on one column part and on two; the
+    # deviation maps match bit for bit too
     rng = np.random.default_rng(seed)
     if kind == "noise":
         img = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
@@ -692,17 +732,28 @@ def test_full_pipeline_identical_property(h, w, kind, crop, seed):
         img = np.repeat(rng.integers(0, 256, size=(1, w)), h, axis=0).astype(np.uint8)
     crop_rows = {"none": 0, "some": int(rng.integers(0, h)), "all but one": h - 1}[crop]
     params = Params(crop_rows=crop_rows, gamma=float(rng.choice([0.5, 4.0, 30.0])))
-    results = []
+    results, textures = [], set()
+
+    def run():
+        results.append(classify.detect(img, params))
+        textures.add(classify.texture(img, params).tobytes())
+
     for impl in (_core, _pure):
         with on_backend(impl):
-            results.append(classify.detect(img, params))
-    a, b = results
-    assert np.array_equal(a.labels, b.labels)
-    assert a.confidence.tobytes() == b.confidence.tobytes()
-    assert a.mean_confidence == b.mean_confidence
-    assert np.array_equal(a.simplex_counts, b.simplex_counts)
-    assert np.array_equal(a.triangle_complex.vertices, b.triangle_complex.vertices)
-    assert np.array_equal(a.triangle_complex.triangles, b.triangle_complex.triangles)
+            run()
+    with on_backend(_core):
+        for parts in (1, 2):
+            with forced("baseline", parts):
+                run()
+    assert len(textures) == 1
+    a = results[0]
+    for b in results[1:]:
+        assert np.array_equal(a.labels, b.labels)
+        assert a.confidence.tobytes() == b.confidence.tobytes()
+        assert a.mean_confidence == b.mean_confidence
+        assert np.array_equal(a.simplex_counts, b.simplex_counts)
+        assert np.array_equal(a.triangle_complex.vertices, b.triangle_complex.vertices)
+        assert np.array_equal(a.triangle_complex.triangles, b.triangle_complex.triangles)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -776,8 +827,10 @@ def layered_std(stack):
 
 
 def assert_deviation_identical(img, params, split=None):
-    """Every deviation-map entry gives the bytes of the reference stack's
-    std; `split` says whether the choosing entry must split or not."""
+    """The deviation map gives the bytes of the reference stack's std on
+    either backend, the compiled one also on both instances and on one
+    and on two column parts; `split` says whether it must split or not
+    where it chooses."""
     ku, kv = taps(params)
     stack = filter_stack(img, params)
     expected = layered_std(stack).tobytes()
@@ -787,9 +840,11 @@ def assert_deviation_identical(img, params, split=None):
     assert _core.deviation_map(img, ku, kv, params.stack_size).tobytes() == expected
     if split is not None and TWO_CPUS:
         assert split_calls() - before == int(split), (img.shape, params)
-    for parts in (1, 2):
-        got = _core._deviation_map_parts(img, ku, kv, params.stack_size, parts)
-        assert got.tobytes() == expected, (parts, img.shape, params)
+    for simd in SIMDS:
+        for parts in (1, 2):
+            with forced(simd, parts):
+                got = _core.deviation_map(img, ku, kv, params.stack_size)
+            assert got.tobytes() == expected, (simd, parts, img.shape, params)
     assert _pure.deviation_map(img, ku, kv, params.stack_size).tobytes() == expected
     assert deviation_map(img, params).tobytes() == std_map(stack).tobytes()
 

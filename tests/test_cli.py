@@ -43,6 +43,28 @@ def test_detect_constant_frame(tmp_path):
     assert "ms" in r.stderr and "ms" not in r.stdout
 
 
+def test_detect_stderr_names_the_kernels(tmp_path, capsys):
+    # stdout holds the data alone; the stderr line gives the time, the
+    # thinned cloud and triangle counts and the kernels that ran
+    from toposhadow import _kernels
+    from toposhadow.synth import PhantomSpec, synth_phantom
+
+    frame = tmp_path / "f.pgm"
+    write_image(synth_phantom(PhantomSpec(seed=123))[0], frame)
+    res = classify.detect(load_image(frame))
+    capsys.readouterr()
+    assert cli.main(["detect", "--input", str(frame)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"mean_confidence={cli._float_repr(res.mean_confidence)}\n"
+    head, tail = captured.err.split(" ms, ")
+    assert head.startswith("detect: ") and float(head[len("detect: "):]) > 0
+    assert tail == (
+        f"cloud {res.cloud_size}, triangles {res.triangle_count}, kernels {_kernels.NAME}\n"
+    )
+    assert _kernels.NAME in ("pure", "compiled/avx512f", "compiled/baseline")
+    assert _kernels.NAME.startswith(_kernels.BACKEND)
+
+
 def test_detect_missing_input(tmp_path):
     r = run_cli("detect", "--input", str(tmp_path / "nope.pgm"))
     assert r.returncode == 2

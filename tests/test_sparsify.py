@@ -142,17 +142,11 @@ def test_thin_pairwise_spacing_respected():
         assert np.all(d > lam)
 
 
-@pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_density_field_allocates_two_frames(backend, monkeypatch):
+def test_density_field_allocates_two_frames():
     # the axis-0 pass cannot run in place, so its input (the map over 255)
-    # and its output are alive together; the pure pass adds its padded copy
-    # of the input (height + 2 radius rows) and its row-block buffers
-    try:
-        impl = _kernels.get_backend(backend)
-    except ImportError:
-        pytest.skip("compiled core not built")
-    for name in _kernels.KERNELS:
-        monkeypatch.setattr(_kernels, name, getattr(impl, name))
+    # and its output are alive together; the pure pass, which density_field
+    # runs on either backend, adds its padded copy of the input (height +
+    # 2 radius rows) and its row-block buffers
     img, _ = synth_phantom(PhantomSpec(seed=123))
     p = Params()
     sal = texture(img, p)
@@ -164,5 +158,4 @@ def test_density_field_allocates_two_frames(backend, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    frames = {"compiled": 2.01, "pure": 4.01}[backend]
-    assert peak < frames * sal.nbytes, (peak / sal.nbytes, backend)
+    assert peak < 4.01 * sal.nbytes, peak / sal.nbytes
