@@ -6,18 +6,22 @@
  * ``_pure`` too.  Build with -ffp-contract=off: a fused multiply-add
  * rounds once where the twin rounds twice.
  *
- * The banded axis-0 pass and the axis-1 pass are each built twice from
- * one body: at 8 doubles per vector for AVX-512 hosts and at 2 for every
- * other CPU; module init picks one width and names it in ``SIMD``, and
- * ``_force`` runs the 2-wide instances on any host, for tests.  Both
- * stay bit-identical, to each other and to ``_pure``: vector operations
- * are lane-wise IEEE adds, subtracts and multiplies, nothing is
+ * The dense loops are each built twice from one body: the banded axis-0
+ * pass, the one-pass axis-1 pass, the stack std and the salient
+ * thinning's tile extremes, at 8 doubles per vector for AVX-512 hosts and
+ * at 2 for every other CPU (see "instances" below).  Module init picks one
+ * width and names it in ``SIMD``, and ``_force`` runs the 2-wide
+ * instances on any host, for tests.  Both stay bit-identical, to each
+ * other and to ``_pure``: vector operations are lane-wise IEEE adds,
+ * subtracts, multiplies, divides, roots and compares, nothing is
  * contracted, and every element sees the same operations in the same
  * order at either width.
  *
  * Every kernel releases the GIL around its loops.  The deviation map
  * splits a large call into two parts, the second run by one helper thread
- * (see "two parts" below).  The salient thinning computes a candidate's
+ * (see "two parts" below), and builds each part's layers 8 rows at a time
+ * as a wavefront, so that the rows a layer reads are still in cache (see
+ * "deviation map" below).  The salient thinning computes a candidate's
  * spacing only where bounds on it cannot decide the candidate (see
  * "thin" below).
  */
@@ -369,65 +373,270 @@ typedef void (*axis0_fn)(const double *restrict, Py_ssize_t, double *restrict, P
 typedef double v2df __attribute__((vector_size(16)));
 AXIS0_BANDS(correlate_axis0_v2, v2df, )
 
-/* Same formula along each row; `pad` holds the row with `radius`
- * edge-replicated cells on either side.  AXIS1_PASS(name, V, attr) builds
- * it with explicit vectors of type V, as many columns as whole vectors
- * cover and the rest one by one, under the target `attr`.  Written out,
- * the wide instance adds almost nothing to the build; auto-vectorised, it
- * took about a tenth of it.  Not inlined: its callers share one copy of
+/* Same formula along a row of w values, only at column c, with taps
+ * clamped to the row. */
+static inline __attribute__((always_inline)) double
+axis1_clamped(const double *restrict row, Py_ssize_t w, const double *restrict wt,
+              Py_ssize_t radius, Py_ssize_t c)
+{
+    const double xc = row[c];
+    double acc = 0.0;
+    for (Py_ssize_t k = 1; k <= radius; k++) {
+        const double xl = row[c - k < 0 ? 0 : c - k];
+        const double xh = row[c + k > w - 1 ? w - 1 : c + k];
+        acc += wt[radius + k] * ((xl - xc) + (xh - xc));
+    }
+    return xc + acc;
+}
+
+/* Same formula along each row, in one pass over it.  The interior
+ * columns, whose taps all lie in the row, run AXIS1_BLOCK at a time as
+ * vectors read straight from the row, with their accumulators in
+ * registers; the last block overlaps the one before it and rewrites the
+ * same bytes.  The `radius` columns at either end, and an interior
+ * narrower than a block, take clamped taps one column at a time.
+ * AXIS1_PASS(name, V, attr) builds it with explicit vectors of type V
+ * under the target `attr`.  Not inlined: its callers share one copy of
  * its loops. */
+#define AXIS1_BLOCK 8
+
 typedef void (*axis1_fn)(const double *restrict, double *restrict, Py_ssize_t, Py_ssize_t,
-                         const double *restrict, Py_ssize_t, double *restrict);
+                         const double *restrict, Py_ssize_t);
 
 #define AXIS1_PASS(name, V, attr)                                                         \
     attr __attribute__((noinline)) static void name(                                      \
         const double *restrict x, double *restrict out, Py_ssize_t h, Py_ssize_t w,       \
-        const double *restrict wt, Py_ssize_t radius, double *restrict pad)               \
+        const double *restrict wt, Py_ssize_t radius)                                     \
     {                                                                                     \
-        enum { N = sizeof(V) / sizeof(double) };                                          \
-        const Py_ssize_t wv = w - w % N;                                                  \
+        enum { N = sizeof(V) / sizeof(double), NV = AXIS1_BLOCK / N };                    \
+        /* the interior columns [i0, i1): no tap reaches a row end */                     \
+        const Py_ssize_t i0 = radius < w ? radius : w;                                    \
+        const Py_ssize_t i1 = w - radius > i0 ? w - radius : i0;                          \
+        const int blocks = i1 - i0 >= AXIS1_BLOCK;                                        \
         for (Py_ssize_t r = 0; r < h; r++) {                                              \
             const double *restrict row = x + r * w;                                       \
-            double *restrict acc = out + r * w;                                           \
-            for (Py_ssize_t i = 0; i < radius; i++) {                                     \
-                pad[i] = row[0];                                                          \
-                pad[radius + w + i] = row[w - 1];                                         \
-            }                                                                             \
-            memcpy(pad + radius, row, (size_t)w * sizeof(double));                        \
-            const double *restrict xc = pad + radius;                                     \
-            memset(acc, 0, (size_t)w * sizeof(double));                                   \
-            for (Py_ssize_t k = 1; k <= radius; k++) {                                    \
-                const double wk = wt[radius + k];                                         \
-                Py_ssize_t c = 0;                                                         \
-                for (; c < wv; c += N) {                                                  \
-                    V lo, mid, hi, a;                                                     \
-                    memcpy(&lo, xc + c - k, sizeof(V));                                   \
-                    memcpy(&mid, xc + c, sizeof(V));                                      \
-                    memcpy(&hi, xc + c + k, sizeof(V));                                   \
-                    memcpy(&a, acc + c, sizeof(V));                                       \
-                    a += wk * ((lo - mid) + (hi - mid));                                  \
-                    memcpy(acc + c, &a, sizeof(V));                                       \
+            double *restrict o = out + r * w;                                             \
+            for (Py_ssize_t c = 0; c < (blocks ? i0 : i1); c++)                           \
+                o[c] = axis1_clamped(row, w, wt, radius, c);                              \
+            for (Py_ssize_t c = i0; blocks && c < i1; c += AXIS1_BLOCK) {                 \
+                const Py_ssize_t b = c + AXIS1_BLOCK <= i1 ? c : i1 - AXIS1_BLOCK;        \
+                V xc[NV], acc[NV], lo, hi;                                                \
+                memcpy(xc, row + b, sizeof(xc));                                          \
+                for (int v = 0; v < NV; v++)                                              \
+                    acc[v] = (V){0};                                                      \
+                for (Py_ssize_t k = 1; k <= radius; k++) {                                \
+                    const double wk = wt[radius + k];                                     \
+                    for (int v = 0; v < NV; v++) {                                        \
+                        memcpy(&lo, row + b + v * N - k, sizeof(V));                      \
+                        memcpy(&hi, row + b + v * N + k, sizeof(V));                      \
+                        acc[v] += wk * ((lo - xc[v]) + (hi - xc[v]));                     \
+                    }                                                                     \
                 }                                                                         \
-                for (; c < w; c++)                                                        \
-                    acc[c] += wk * ((xc[c - k] - xc[c]) + (xc[c + k] - xc[c]));           \
+                for (int v = 0; v < NV; v++)                                              \
+                    acc[v] = xc[v] + acc[v];                                              \
+                memcpy(o + b, acc, sizeof(acc));                                          \
             }                                                                             \
-            for (Py_ssize_t c = 0; c < w; c++)                                            \
-                acc[c] = xc[c] + acc[c];                                                  \
+            for (Py_ssize_t c = i1; c < w; c++)                                           \
+                o[c] = axis1_clamped(row, w, wt, radius, c);                              \
         }                                                                                 \
     }
 
 AXIS1_PASS(correlate_axis1_v2, v2df, )
 
+/* ------------------------------------------------------------ stack std */
+
+/* Population standard deviation across the L layers of an (L, h*w) stack,
+ * layer by layer as numpy reduces a contiguous stack of more than one pixel
+ * per layer: the mean sums the layers from layer 0 and divides by L, the
+ * variance sums the squared deviations in the same order and divides by L.
+ * STD_BLOCK pixels at a time, so that each step runs across the block as
+ * vectors and no stack-sized temporary exists.  The square root vectorises
+ * because the build sets -fno-math-errno. */
+#define STD_BLOCK 16
+
+typedef void (*std_fn)(const double *restrict, double *restrict, Py_ssize_t, Py_ssize_t,
+                       Py_ssize_t);
+
+/* One pixel, for runs shorter than a block. */
+static void std_pixel(const double *restrict s, double *restrict out, Py_ssize_t L,
+                      Py_ssize_t plane)
+{
+    double m = s[0];
+    for (Py_ssize_t l = 1; l < L; l++)
+        m += s[l * plane];
+    m /= (double)L;
+    double q = (s[0] - m) * (s[0] - m);
+    for (Py_ssize_t l = 1; l < L; l++) {
+        const double d = s[l * plane] - m;
+        q += d * d;
+    }
+    *out = sqrt(q / (double)L);
+}
+
+/* STD_RUN(name, V, attr) defines the deviation of `n` contiguous pixels
+ * of a plane, a block of STD_BLOCK / lanes vectors of type V at a time.
+ * When n >= STD_BLOCK the last block overlaps the one before it: a
+ * pixel's value does not depend on its block, so the overlap rewrites the
+ * same bytes.  Kept out of line: the vector loops compile apart from the
+ * band loop that calls them. */
+#define STD_RUN(name, V, attr)                                                            \
+    attr static inline __attribute__((always_inline)) void name##_block(                  \
+        const double *restrict s, double *restrict out, Py_ssize_t L, Py_ssize_t plane)   \
+    {                                                                                     \
+        enum { N = sizeof(V) / sizeof(double), NV = STD_BLOCK / N };                      \
+        V m[NV], q[NV], d;                                                                \
+        double var[STD_BLOCK];                                                            \
+        memcpy(m, s, sizeof(m));                                                          \
+        for (Py_ssize_t l = 1; l < L; l++)                                                \
+            for (int v = 0; v < NV; v++) {                                                \
+                memcpy(&d, s + l * plane + v * N, sizeof(V));                             \
+                m[v] += d;                                                                \
+            }                                                                             \
+        for (int v = 0; v < NV; v++) {                                                    \
+            m[v] /= (double)L;                                                            \
+            memcpy(&d, s + v * N, sizeof(V));                                             \
+            q[v] = (d - m[v]) * (d - m[v]);                                               \
+        }                                                                                 \
+        for (Py_ssize_t l = 1; l < L; l++)                                                \
+            for (int v = 0; v < NV; v++) {                                                \
+                memcpy(&d, s + l * plane + v * N, sizeof(V));                             \
+                d -= m[v];                                                                \
+                q[v] += d * d;                                                            \
+            }                                                                             \
+        for (int v = 0; v < NV; v++)                                                      \
+            q[v] /= (double)L;                                                            \
+        memcpy(var, q, sizeof(var));                                                      \
+        for (int j = 0; j < STD_BLOCK; j++)                                               \
+            out[j] = sqrt(var[j]);                                                        \
+    }                                                                                     \
+                                                                                          \
+    attr __attribute__((noinline)) static void name(const double *restrict s,             \
+                                                    double *restrict out, Py_ssize_t L,   \
+                                                    Py_ssize_t plane, Py_ssize_t n)       \
+    {                                                                                     \
+        if (n < STD_BLOCK) {                                                              \
+            for (Py_ssize_t p = 0; p < n; p++)                                            \
+                std_pixel(s + p, out + p, L, plane);                                      \
+            return;                                                                       \
+        }                                                                                 \
+        for (Py_ssize_t p = 0; p < n; p += STD_BLOCK) {                                   \
+            const Py_ssize_t q = p + STD_BLOCK <= n ? p : n - STD_BLOCK;                  \
+            name##_block(s + q, out + q, L, plane);                                       \
+        }                                                                                 \
+    }
+
+STD_RUN(std_run_v2, v2df, )
+
+/* -------------------------------------------------------- tile extremes */
+
+/* Salient thinning bounds the spacings of a TILE x TILE tile's points
+ * together, from the extremes of the map over the tile and its
+ * neighbours (see "salient thinning" below). */
+#define TILE 8
+#define EXT_MIN(a, b) ((b) < (a) ? (b) : (a))
+#define EXT_MAX(a, b) ((b) > (a) ? (b) : (a))
+
+/* The extremes of each TILE x TILE tile of the (h, w) slice `s` (row
+ * stride ld), clamped to the slice, into the (th, tw) grids lo and hi.
+ * Returns whether every value of the slice is finite.  TILE_EXTREMES(name,
+ * V, attr) builds it with explicit vectors of type V: a tile's rows are
+ * reduced lane by lane, TILE / lanes vectors to a row, and its lanes then
+ * one by one.  The tiles of a last, narrower tile column take the scalar
+ * loop, which reads no column past the slice.  Lanes pick as EXT_MIN and
+ * EXT_MAX do: the new value only when it compares below (above) the
+ * current one.  With every value finite, the order of the picks can only
+ * choose between 0.0 and -0.0, which the bounds map to the same spacing;
+ * a NaN or an infinity marks the slice unbounded whatever the order. */
+typedef int (*tiles_fn)(const double *, Py_ssize_t, Py_ssize_t, Py_ssize_t, double *, double *);
+
+#define TILE_EXTREMES(name, V, attr)                                                      \
+    attr __attribute__((noinline)) static int name(const double *s, Py_ssize_t ld,        \
+                                                   Py_ssize_t h, Py_ssize_t w, double *lo, \
+                                                   double *hi)                            \
+    {                                                                                     \
+        enum { N = sizeof(V) / sizeof(double), NV = TILE / N };                           \
+        typedef __typeof__((V){0} < (V){0}) M;                                            \
+        const Py_ssize_t tw = (w + TILE - 1) / TILE, whole = w / TILE * TILE;             \
+        V nanv = {0}; /* NaN from a NaN or an infinity */                                 \
+        double nan = 0.0;                                                                 \
+        for (Py_ssize_t r0 = 0; r0 < h; r0 += TILE) {                                     \
+            const Py_ssize_t rows = h - r0 < TILE ? h - r0 : TILE;                        \
+            double *tlo = lo + r0 / TILE * tw, *thi = hi + r0 / TILE * tw;                \
+            for (Py_ssize_t c0 = 0; c0 < whole; c0 += TILE) {                             \
+                const double *v = s + r0 * ld + c0;                                       \
+                V mn[NV], mx[NV], x;                                                      \
+                memcpy(mn, v, sizeof(mn));                                                \
+                memcpy(mx, v, sizeof(mx));                                                \
+                for (Py_ssize_t r = 0; r < rows; r++)                                     \
+                    for (int k = 0; k < NV; k++) {                                        \
+                        memcpy(&x, v + r * ld + k * N, sizeof(V));                        \
+                        const M below = x < mn[k], above = x > mx[k];                     \
+                        mn[k] = (V)(((M)x & below) | ((M)mn[k] & ~below));                \
+                        mx[k] = (V)(((M)x & above) | ((M)mx[k] & ~above));                \
+                        nanv += x - x;                                                    \
+                    }                                                                     \
+                double a[TILE], b[TILE];                                                  \
+                memcpy(a, mn, sizeof(a));                                                 \
+                memcpy(b, mx, sizeof(b));                                                 \
+                for (int k = 1; k < TILE; k++) {                                          \
+                    a[0] = EXT_MIN(a[0], a[k]);                                           \
+                    b[0] = EXT_MAX(b[0], b[k]);                                           \
+                }                                                                         \
+                tlo[c0 / TILE] = a[0];                                                    \
+                thi[c0 / TILE] = b[0];                                                    \
+            }                                                                             \
+            if (whole < w) {                                                              \
+                const double *v = s + r0 * ld + whole;                                    \
+                double mn = v[0], mx = v[0];                                              \
+                for (Py_ssize_t r = 0; r < rows; r++)                                     \
+                    for (Py_ssize_t k = 0; k < w - whole; k++) {                          \
+                        const double x = v[r * ld + k];                                   \
+                        mn = EXT_MIN(mn, x);                                              \
+                        mx = EXT_MAX(mx, x);                                              \
+                        nan += x - x;                                                     \
+                    }                                                                     \
+                tlo[tw - 1] = mn;                                                         \
+                thi[tw - 1] = mx;                                                         \
+            }                                                                             \
+        }                                                                                 \
+        double lanes[N];                                                                  \
+        memcpy(lanes, &nanv, sizeof(lanes));                                              \
+        for (int k = 0; k < N; k++)                                                       \
+            nan += lanes[k];                                                              \
+        return nan == 0.0;                                                                \
+    }
+
+TILE_EXTREMES(tile_extremes_v2, v2df, )
+
+/* ------------------------------------------------------------ instances */
+
+/* The loops above at 8 doubles per vector, for AVX-512 hosts. */
 #if defined(__x86_64__) || defined(__i386__)
 #define HAVE_AVX512 1
 typedef double v8df __attribute__((vector_size(64)));
 AXIS0_BANDS(correlate_axis0_v8, v8df, __attribute__((target("avx512f"))))
 AXIS1_PASS(correlate_axis1_v8, v8df, __attribute__((target("avx512f"))))
+STD_RUN(std_run_v8, v8df, __attribute__((target("avx512f"))))
+TILE_EXTREMES(tile_extremes_v8, v8df, __attribute__((target("avx512f"))))
+#endif
+
+/* The vector instances of the dense loops at one width. */
+typedef struct {
+    axis0_fn axis0;
+    axis1_fn axis1;
+    std_fn std;
+    tiles_fn tiles;
+} Simd;
+
+static const Simd baseline = {correlate_axis0_v2, correlate_axis1_v2, std_run_v2,
+                              tile_extremes_v2};
+#ifdef HAVE_AVX512
+static const Simd avx512 = {correlate_axis0_v8, correlate_axis1_v8, std_run_v8,
+                            tile_extremes_v8};
 #endif
 
 /* The instances module init picked; `SIMD` names them. */
-static axis0_fn correlate_axis0 = correlate_axis0_v2;
-static axis1_fn correlate_axis1 = correlate_axis1_v2;
+static const Simd *picked = &baseline;
 
 /* What `_force` set, for tests; read and written with the GIL held: the
  * baseline instances in place of module init's pick, and a deviation
@@ -437,14 +646,9 @@ static struct {
     int baseline, parts;
 } forced;
 
-static axis0_fn pick_axis0(void)
+static const Simd *pick(void)
 {
-    return forced.baseline ? correlate_axis0_v2 : correlate_axis0;
-}
-
-static axis1_fn pick_axis1(void)
-{
-    return forced.baseline ? correlate_axis1_v2 : correlate_axis1;
+    return forced.baseline ? &baseline : picked;
 }
 
 static PyObject *correlate1d_replicate(PyObject *self, PyObject *args, PyObject *kwds)
@@ -478,25 +682,16 @@ static PyObject *correlate1d_replicate(PyObject *self, PyObject *args, PyObject 
         goto done;
     const double *x = PyArray_DATA(img), *wt = PyArray_DATA(wts);
     double *o = PyArray_DATA(out);
-    const axis0_fn axis0 = pick_axis0();
-    const axis1_fn axis1 = pick_axis1();
+    const Simd *simd = pick();
     if (radius == 0 || h == 0 || w == 0) {
         memcpy(o, x, (size_t)(h * w) * sizeof(double));
-    } else if (axis == 0) {
-        Py_BEGIN_ALLOW_THREADS
-        axis0(x, w, o, w, h, w, 0, h, wt, radius);
-        Py_END_ALLOW_THREADS
     } else {
-        double *pad = malloc((size_t)(w + 2 * radius) * sizeof(double));
-        if (pad == NULL) {
-            Py_CLEAR(out);
-            PyErr_NoMemory();
-            goto done;
-        }
         Py_BEGIN_ALLOW_THREADS
-        axis1(x, o, h, w, wt, radius, pad);
+        if (axis == 0)
+            simd->axis0(x, w, o, w, h, w, 0, h, wt, radius);
+        else
+            simd->axis1(x, o, h, w, wt, radius);
         Py_END_ALLOW_THREADS
-        free(pad);
     }
 done:
     Py_DECREF(img);
@@ -504,9 +699,9 @@ done:
     return (PyObject *)out;
 }
 
-/* Same formula along a row of w values, only at column c, with taps
- * clamped to the row.  Neither inlined nor cloned: it runs only for the
- * candidates whose bounds cannot decide them. */
+/* axis1_clamped, without the clamps where no tap reaches a row end.
+ * Neither inlined nor cloned: it runs only for the candidates whose bounds
+ * cannot decide them. */
 __attribute__((noinline, noclone)) static double
 correlate_point(const double *restrict row, Py_ssize_t w, const double *restrict wt,
                 Py_ssize_t radius, Py_ssize_t c)
@@ -514,19 +709,13 @@ correlate_point(const double *restrict row, Py_ssize_t w, const double *restrict
     const double xc = row[c];
     if (radius == 0)
         return xc;
+    if (!(radius <= c && c + radius <= w - 1))
+        return axis1_clamped(row, w, wt, radius, c);
+    /* no tap reaches a row end: the same sum without clamps */
+    const double *restrict at = row + c;
     double acc = 0.0;
-    if (radius <= c && c + radius <= w - 1) {
-        /* no tap reaches a row end: the same sum without clamps */
-        const double *restrict at = row + c;
-        for (Py_ssize_t k = 1; k <= radius; k++)
-            acc += wt[radius + k] * ((at[-k] - xc) + (at[k] - xc));
-    } else {
-        for (Py_ssize_t k = 1; k <= radius; k++) {
-            const double xl = row[c - k < 0 ? 0 : c - k];
-            const double xh = row[c + k > w - 1 ? w - 1 : c + k];
-            acc += wt[radius + k] * ((xl - xc) + (xh - xc));
-        }
-    }
+    for (Py_ssize_t k = 1; k <= radius; k++)
+        acc += wt[radius + k] * ((at[-k] - xc) + (at[k] - xc));
     return xc + acc;
 }
 
@@ -549,72 +738,19 @@ static int check_points(const i64 *p, Py_ssize_t n, Py_ssize_t h, Py_ssize_t w, 
     return 0;
 }
 
-/* ------------------------------------------------------------ stack std */
-
-/* Population standard deviation across the L layers of an (L, h*w) stack,
- * layer by layer as numpy reduces a contiguous stack of more than one pixel
- * per layer: the mean sums the layers from layer 0 and divides by L, the
- * variance sums the squared deviations in the same order and divides by L.
- * STD_BLOCK pixels at a time, so that each step runs across the block as
- * vectors and no stack-sized temporary exists.  The square root vectorises
- * because the build sets -fno-math-errno. */
-#define STD_BLOCK 16
-
-static inline __attribute__((always_inline)) void
-std_block(const double *restrict s, double *restrict out, Py_ssize_t L, Py_ssize_t plane, int n)
-{
-    double m[STD_BLOCK], q[STD_BLOCK];
-    for (int j = 0; j < n; j++)
-        m[j] = s[j];
-    for (Py_ssize_t l = 1; l < L; l++)
-        for (int j = 0; j < n; j++)
-            m[j] += s[l * plane + j];
-    for (int j = 0; j < n; j++) {
-        m[j] /= (double)L;
-        q[j] = (s[j] - m[j]) * (s[j] - m[j]);
-    }
-    for (Py_ssize_t l = 1; l < L; l++)
-        for (int j = 0; j < n; j++) {
-            const double d = s[l * plane + j] - m[j];
-            q[j] += d * d;
-        }
-    for (int j = 0; j < n; j++)
-        out[j] = sqrt(q[j] / (double)L);
-}
-
-/* The deviation of `n` contiguous pixels of a plane.  When n >= STD_BLOCK
- * the last block overlaps the one before it: a pixel's value does not
- * depend on its block, so the overlap rewrites the same bytes.  Kept out
- * of line: the vector loops compile apart from the band loop that calls
- * them. */
-__attribute__((noinline)) static void std_run(const double *restrict s, double *restrict out, Py_ssize_t L,
-                    Py_ssize_t plane, Py_ssize_t n)
-{
-    if (n < STD_BLOCK) {
-        for (Py_ssize_t p = 0; p < n; p++)
-            std_block(s + p, out + p, L, plane, 1);
-        return;
-    }
-    for (Py_ssize_t p = 0; p < n; p += STD_BLOCK) {
-        const Py_ssize_t q = p + STD_BLOCK <= n ? p : n - STD_BLOCK;
-        std_block(s + q, out + q, L, plane, STD_BLOCK);
-    }
-}
-
 /* -------------------------------------------------------- deviation map */
 
 /* The deviation map of a frame: the per-pixel std_map of its filter stack,
  * without the stack.  Each part owns columns [cut[p], cut[p + 1]) and
  * works in a private band: its columns plus `halo` columns on either side,
- * clamped to the frame, with the band's own stack, scratch layer and
- * padded row.  A layer's axis-1 pass clamps at the band's inner edge, so
- * the radius(kv) columns nearest that edge go wrong once per layer; with
- * halo = (layers - 1) * radius(kv), every owned column stays exact, and
- * the part writes only those to `out`.  The caller casts each band's
- * layer 0 from the image. */
+ * clamped to the frame, with the band's own stack and scratch layer.  A
+ * layer's axis-1 pass clamps at the band's inner edge, so the radius(kv)
+ * columns nearest that edge go wrong once per layer; with halo = (layers -
+ * 1) * radius(kv), every owned column stays exact, and the part writes
+ * only those to `out`.  The caller casts each band's layer 0 from the
+ * image. */
 typedef struct {
-    axis0_fn axis0;
-    axis1_fn axis1;
+    const Simd *simd;
     const double *ku, *kv;
     double *out;
     Py_ssize_t h, w, ru, rv, layers, halo, cut[3];
@@ -627,29 +763,55 @@ static void band_range(const DevJob *j, int part, Py_ssize_t *b0, Py_ssize_t *b1
     *b1 = j->w - j->cut[part + 1] < j->halo ? j->w : j->cut[part + 1] + j->halo;
 }
 
+/* A part builds its layers ROW_BLOCK rows at a time, as a wavefront down
+ * the planes: at step s, layer f builds block s - (f - 1) * lag, where lag
+ * is the number of blocks the axis-0 taps reach below a block, but no more
+ * than the frame has, and layer f - 1 has just built the last block that
+ * they read.  Block b's deviation follows as soon as the top layer has
+ * built it.  So a block's rows are still in cache when the next layer
+ * reads them, where whole planes of a frame are not.  8 rows ran faster
+ * than 4, 16 or 32. */
+#define ROW_BLOCK 8
+
 static void deviation_part(void *job, int part)
 {
     DevJob *j = job;
     Py_ssize_t b0, b1;
     band_range(j, part, &b0, &b1);
-    const Py_ssize_t h = j->h, bw = b1 - b0, plane = h * bw;
-    double *stack = j->band[part], *scratch = stack + j->layers * plane;
-    double *pad = scratch + plane;
-    for (Py_ssize_t f = 1; f < j->layers; f++) {
-        const double *prev = stack + (f - 1) * plane;
-        double *next = stack + f * plane;
-        if (j->ru == 0)
-            memcpy(scratch, prev, (size_t)plane * sizeof(double));
-        else
-            j->axis0(prev, bw, scratch, bw, h, bw, 0, h, j->ku, j->ru);
-        if (j->rv == 0)
-            memcpy(next, scratch, (size_t)plane * sizeof(double));
-        else
-            j->axis1(scratch, next, h, bw, j->kv, j->rv, pad);
-    }
+    const Py_ssize_t h = j->h, bw = b1 - b0, plane = h * bw, L = j->layers;
     const Py_ssize_t c0 = j->cut[part], c1 = j->cut[part + 1];
-    for (Py_ssize_t r = 0; r < h; r++)
-        std_run(stack + r * bw + (c0 - b0), j->out + r * j->w + c0, j->layers, plane, c1 - c0);
+    double *stack = j->band[part], *scratch = stack + L * plane;
+    const Py_ssize_t blocks = (h + ROW_BLOCK - 1) / ROW_BLOCK;
+    Py_ssize_t lag = j->ru / ROW_BLOCK + (j->ru % ROW_BLOCK != 0);
+    if (lag > blocks)
+        lag = blocks;
+    const Py_ssize_t top = L > 2 ? (L - 2) * lag : 0; /* the top layer's lag */
+    for (Py_ssize_t s = 0; s < blocks + top; s++) {
+        /* the layers with a block to build at step s, from the lowest */
+        const Py_ssize_t f0 = lag == 0 || s < blocks ? 1 : (s - blocks) / lag + 2;
+        const Py_ssize_t f1 = lag == 0 || s / lag + 1 > L - 1 ? L - 1 : s / lag + 1;
+        for (Py_ssize_t f = f0; f <= f1; f++) {
+            const Py_ssize_t r0 = (s - (f - 1) * lag) * ROW_BLOCK;
+            const Py_ssize_t rows = h - r0 < ROW_BLOCK ? h - r0 : ROW_BLOCK;
+            const double *prev = stack + (f - 1) * plane;
+            double *next = stack + f * plane;
+            if (j->ru == 0)
+                memcpy(scratch + r0 * bw, prev + r0 * bw, (size_t)(rows * bw) * sizeof(double));
+            else
+                j->simd->axis0(prev, bw, scratch, bw, h, bw, r0, r0 + rows, j->ku, j->ru);
+            if (j->rv == 0)
+                memcpy(next + r0 * bw, scratch + r0 * bw, (size_t)(rows * bw) * sizeof(double));
+            else
+                j->simd->axis1(scratch + r0 * bw, next + r0 * bw, rows, bw, j->kv, j->rv);
+        }
+        if (s >= top) {
+            const Py_ssize_t r0 = (s - top) * ROW_BLOCK;
+            const Py_ssize_t r1 = h - r0 < ROW_BLOCK ? h : r0 + ROW_BLOCK;
+            for (Py_ssize_t r = r0; r < r1; r++)
+                j->simd->std(stack + r * bw + (c0 - b0), j->out + r * j->w + c0, L, plane,
+                             c1 - c0);
+        }
+    }
 }
 
 /* Columns [b0, b1) of `img`, of any real dtype, cast into the (h, b1 - b0)
@@ -703,7 +865,7 @@ static PyObject *deviation_map(PyObject *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_ValueError, "expected a 2D image and non-empty 1D kernels");
         goto done;
     }
-    DevJob job = {pick_axis0(), pick_axis1(), PyArray_DATA(ku), PyArray_DATA(kv), NULL,
+    DevJob job = {pick(), PyArray_DATA(ku), PyArray_DATA(kv), NULL,
                   PyArray_DIM(img, 0), PyArray_DIM(img, 1), (PyArray_DIM(ku, 0) - 1) / 2,
                   (PyArray_DIM(kv, 0) - 1) / 2, layers, 0, {0, 0, 0}, {NULL, NULL}};
     const Py_ssize_t h = job.h, w = job.w;
@@ -731,11 +893,9 @@ static PyObject *deviation_map(PyObject *self, PyObject *args, PyObject *kwds)
         Py_ssize_t b0, b1;
         band_range(&job, p, &b0, &b1);
         size_t cells;
-        /* (layers + 1) planes of h x bw, and a row padded by 2 rv */
+        /* (layers + 1) planes of h x bw */
         overflow |= __builtin_mul_overflow((size_t)h, (size_t)(b1 - b0), &cells);
         overflow |= __builtin_mul_overflow(cells, (size_t)layers + 1, &band[p]);
-        overflow |= __builtin_add_overflow(band[p], (size_t)(b1 - b0), &band[p]);
-        overflow |= __builtin_add_overflow(band[p], 2 * (size_t)job.rv, &band[p]);
         overflow |= __builtin_add_overflow(total, band[p], &total);
     }
     if (overflow || total > PY_SSIZE_T_MAX / sizeof(double)) {
@@ -851,10 +1011,6 @@ static inline double spacing_of(double blurred, double phi1, double phi2)
 
 /* The spacing of candidate i, for when its bounds cannot decide it. */
 typedef double (*spacing_fn)(void *ctx, Py_ssize_t i);
-
-/* Salient thinning bounds the spacings of a TILE x TILE tile's points
- * together. */
-#define TILE 8
 
 /* Candidate i's spacing lies in [lo[k], hi[k]]: k = i, or with tw > 0 the
  * index of i's tile in a grid of tiles tw wide whose first column is c0. */
@@ -1022,35 +1178,6 @@ done:
  * the points read: the point's tile and `reach` tiles on every side, with
  * reach = ceil(radius / TILE), clamped to the slice.  It holds the window
  * of every point of the tile. */
-#define EXT_MIN(a, b) ((b) < (a) ? (b) : (a))
-#define EXT_MAX(a, b) ((b) > (a) ? (b) : (a))
-
-/* The extremes of each TILE x TILE tile of the (h, w) slice `s` (row
- * stride ld), clamped to the slice, into the (th, tw) grids lo and hi.
- * Returns whether every value of the slice is finite. */
-__attribute__((noinline)) static int tile_extremes(const double *s, Py_ssize_t ld, Py_ssize_t h,
-                                                   Py_ssize_t w, double *lo, double *hi)
-{
-    const Py_ssize_t tw = (w + TILE - 1) / TILE;
-    double nan = 0.0; /* NaN from a NaN or an infinity */
-    for (Py_ssize_t r0 = 0; r0 < h; r0 += TILE)
-        for (Py_ssize_t c0 = 0; c0 < w; c0 += TILE) {
-            const double *v = s + r0 * ld + c0;
-            const Py_ssize_t rows = h - r0 < TILE ? h - r0 : TILE;
-            const Py_ssize_t cols = w - c0 < TILE ? w - c0 : TILE;
-            double mn = v[0], mx = v[0];
-            for (Py_ssize_t r = 0; r < rows; r++)
-                for (Py_ssize_t k = 0; k < cols; k++) {
-                    const double x = v[r * ld + k];
-                    mn = EXT_MIN(mn, x);
-                    mx = EXT_MAX(mx, x);
-                    nan += x - x;
-                }
-            lo[r0 / TILE * tw + c0 / TILE] = mn;
-            hi[r0 / TILE * tw + c0 / TILE] = mx;
-        }
-    return nan == 0.0;
-}
 
 /* Along each of `count` lines (`gap` apart) of n cells (`step` apart) of
  * the grids lo and hi, each cell's min (of lo) or max (of hi) over the
@@ -1180,8 +1307,9 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
     const Py_ssize_t c0 = cols[0] - radius < 0 ? 0 : cols[0] - radius;
     const Py_ssize_t c1 = W - 1 - cols[1] < radius ? W : cols[1] + radius + 1;
     const Py_ssize_t w = c1 - c0, bands = (w + AXIS0_BAND - 1) / AXIS0_BAND;
+    const Simd *simd = pick();
     Salient t = {PyArray_DATA(sal), PyArray_DATA(wts), p, h, W, c0, w, radius, bands, -1,
-                 phi1, phi2, NULL, NULL, NULL, NULL, pick_axis0(), 0, 0};
+                 phi1, phi2, NULL, NULL, NULL, NULL, simd->axis0, 0, 0};
     /* x and a; the raw tile grids fit in x, which fills only after them */
     const Py_ssize_t plane = bands * AXIS0_BAND * h;
     const Py_ssize_t th = (h + TILE - 1) / TILE, tw = (w + TILE - 1) / TILE;
@@ -1203,7 +1331,7 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
     Py_BEGIN_ALLOW_THREADS
     double *tlo = t.x, *thi = tlo + th * tw, *tmp = thi + th * tw;
     double *lo = bound, *hi = bound + th * tw;
-    bounded = mean_weights(t.wt, radius) && tile_extremes(t.s + c0, W, h, w, tlo, thi);
+    bounded = mean_weights(t.wt, radius) && simd->tiles(t.s + c0, W, h, w, tlo, thi);
     if (bounded) {
         const Py_ssize_t reach = radius / TILE + (radius % TILE != 0);
         reach_lines(tlo, thi, tmp, tmp + th * tw, tw, 1, th, tw, reach);
@@ -1562,17 +1690,16 @@ PyMODINIT_FUNC PyInit__core(void)
         }
         forks_handled = 1;
     }
-    const char *simd = "baseline";
+    const char *width = "baseline";
 #ifdef HAVE_AVX512
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f")) {
-        correlate_axis0 = correlate_axis0_v8;
-        correlate_axis1 = correlate_axis1_v8;
-        simd = "avx512f";
+        picked = &avx512;
+        width = "avx512f";
     }
 #endif
     PyObject *mod = PyModule_Create(&module);
-    if (mod != NULL && PyModule_AddStringConstant(mod, "SIMD", simd) < 0)
+    if (mod != NULL && PyModule_AddStringConstant(mod, "SIMD", width) < 0)
         Py_CLEAR(mod);
     return mod;
 }

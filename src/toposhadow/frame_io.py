@@ -164,7 +164,8 @@ def write_map(field, path, mode="linear-8bit"):
     """Write a real-valued 2D field.
 
     linear-8bit: PGM with v -> round(255 * v / max(field)); an all-zero
-    field writes all zeros.  csv-float: row-major full-precision CSV with
+    field writes all zeros, and a value below zero, which no 8-bit pixel
+    holds, raises ValueError.  csv-float: row-major full-precision CSV with
     the true maximum in a leading ``# max=`` comment line.
     """
     field = np.asarray(field, dtype=np.float64)
@@ -172,6 +173,8 @@ def write_map(field, path, mode="linear-8bit"):
         raise ValueError("map contains non-finite values")
     peak = float(field.max()) if field.size else 0.0
     if mode == "linear-8bit":
+        if field.size and field.min() < 0.0:
+            raise ValueError("map contains negative values, which linear-8bit cannot write")
         if peak > 0.0:
             scaled = np.floor(field * 255.0 / peak + 0.5)
         else:

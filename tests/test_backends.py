@@ -391,9 +391,10 @@ def test_thin_salient_identical_property(h, w, kind, scale, sigma, phi, points, 
     if kind == "noise":
         sal = rng.uniform(-scale, scale, size=(h, w))
     elif kind == "constant":
-        sal = np.full((h, w), rng.choice([0.0, 127.5, 255.0, scale, -scale]))
+        sal = np.full((h, w), rng.choice([0.0, -0.0, 127.5, 255.0, scale, -scale]))
     elif kind == "ties":
-        sal = rng.choice([0.0, 127.5, 255.0], size=(h // 4 + 1, w // 4 + 1))
+        # -0.0 beside 0.0 in whole 8 x 8 tiles and in partial ones
+        sal = rng.choice([0.0, -0.0, 127.5, 255.0], size=(h // 4 + 1, w // 4 + 1))
         sal = np.repeat(np.repeat(sal, 4, axis=0), 4, axis=1)[:h, :w]
     elif kind == "spikes":
         sal = rng.uniform(0.0, 255.0, size=(h, w))
@@ -443,6 +444,21 @@ def test_thin_salient_window_reaches_its_edge():
             pts = np.argwhere(np.ones(sal.shape, dtype=bool))
             for phi in ((2.0, 6.0), (1.0, 2.0)):
                 assert_thin_salient_identical(sal, weights, pts, *phi)
+
+
+def test_thin_salient_tiles_reach_the_map_edge():
+    # a spike in the last row or the last column of maps whose height or
+    # width is no multiple of the 8-pixel tile, so that it lies in a
+    # partial tile: tile extremes that skip a partial tile's last row or
+    # column miss it and keep or drop the wrong points
+    weights = gaussian_kernel_1d(1.0)
+    for h, w in ((9, 16), (13, 24), (15, 17), (8, 21), (23, 31)):
+        pts = np.argwhere(np.ones((h, w), dtype=bool))
+        for r, c in ((h - 1, 3), (h - 1, 8), (h - 1, w - 1), (2, w - 1)):
+            for value in (1e6, -1e6):
+                sal = np.full((h, w), 100.0)
+                sal[r, c] = value
+                assert_thin_salient_identical(sal, weights, pts, 2.0, 6.0)
 
 
 def test_thin_salient_margin_covers_rounding():
@@ -854,20 +870,38 @@ def halo(params):
     return (params.stack_size - 1) * ((len(gaussian_kernel_1d(params.sigma_v)) - 1) // 2)
 
 
-@settings(max_examples=120, deadline=None, database=None)
+# the compiled core builds a deviation map's layers 8 rows at a time
+ROW_BLOCK = 8
+
+
+@settings(max_examples=160, deadline=None, database=None)
 @given(
-    st.integers(1, 60),
+    st.integers(0, 7),
+    st.integers(-2, 2),
     st.integers(-3, 3),
     st.sampled_from([0.2, 1.8, 5.0]),
+    st.sampled_from([0.2, 1.8, 2.4, 3.0, 5.0, 11.0, 25.0]),
     st.sampled_from([2, 3, 6, 9]),
+    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-def test_deviation_map_identical_property(h, offset, sigma_v, layers, seed):
-    # widths around the split threshold of 2 parts of 4 halos each, and
-    # around 2 halos, where a part's halo reaches past the other part
-    params = Params(sigma_v=sigma_v, stack_size=layers)
+def test_deviation_map_identical_property(
+    blocks, h_offset, offset, sigma_v, sigma_u, layers, signed_zeros, seed
+):
+    # heights around multiples of the row block; sigma_u radii of 1, 6, 8,
+    # 9, 15, 33 and 75 rows: below, at and past one block, and past the
+    # frame, where a layer must wait for the whole layer below; widths
+    # around the split threshold of 2 parts of 4 halos each, and around 2
+    # halos, where a part's halo reaches past the other part; and -0.0
+    # pixels among 0.0 ones in some frames
+    params = Params(sigma_u=sigma_u, sigma_v=sigma_v, stack_size=layers)
+    h = max(1, blocks * ROW_BLOCK + h_offset)
     w = max(1, 2 * (4 if seed % 2 else 1) * halo(params) + offset)
-    img = np.random.default_rng(seed).uniform(0.0, 255.0, size=(h, w))
+    rng = np.random.default_rng(seed)
+    img = rng.uniform(0.0, 255.0, size=(h, w))
+    if signed_zeros:
+        img[rng.random((h, w)) < 0.3] = 0.0
+        img[rng.random((h, w)) < 0.3] = -0.0
     assert_deviation_identical(img, params)
 
 

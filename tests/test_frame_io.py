@@ -137,6 +137,21 @@ def test_write_map_rejects_nan(tmp_path):
         write_map(np.array([[0.0, math.nan]]), tmp_path / "m.pgm")
 
 
+def test_write_map_linear_rejects_negative_values(tmp_path):
+    # a negative value would wrap around uint8: [-1, 0.5, 1] wrote 1 128 255
+    path = tmp_path / "m.pgm"
+    with pytest.raises(ValueError, match="negative"):
+        write_map(np.array([[-1.0, 0.5, 1.0]]), path)
+    assert not path.exists()
+    with pytest.raises(ValueError, match="negative"):
+        write_map(np.array([[-1e-300, 0.0]]), path)
+    # -0.0 is not below zero, and csv-float writes any finite value
+    write_map(np.array([[-0.0, 0.5, 1.0]]), path)
+    assert load_image(path).tolist() == [[0, 128, 255]]
+    write_map(np.array([[-1.0, 0.5]]), tmp_path / "m.csv", mode="csv-float")
+    assert (tmp_path / "m.csv").read_text() == "# max=0.5\n-1.0,0.5\n"
+
+
 def test_load_dataset(tmp_path):
     img = np.zeros((5, 4), dtype=np.uint8)
     for fid in ("b", "a"):
