@@ -769,8 +769,8 @@ static void band_range(const DevJob *j, int part, Py_ssize_t *b0, Py_ssize_t *b1
  * than the frame has, and layer f - 1 has just built the last block that
  * they read.  Block b's deviation follows as soon as the top layer has
  * built it.  So a block's rows are still in cache when the next layer
- * reads them, where whole planes of a frame are not.  8 rows ran faster
- * than 4, 16 or 32. */
+ * reads them, where whole planes of a frame are not.  On 200 x 600
+ * frames, 8 rows ran as fast as 16 and faster than 4, 32 or whole planes. */
 #define ROW_BLOCK 8
 
 static void deviation_part(void *job, int part)
