@@ -1,6 +1,7 @@
 """Hot-kernel backend selection.
 
-The compiled C core (``_core``, built from ``_coremodule.c``) is preferred
+The compiled C core (``_core``, linked from ``_dense.c``, the dense loops,
+and ``_coremodule.c``, the bindings and the other kernels) is preferred
 when it was built; otherwise the pure numpy twins take over.  Both produce
 bit-identical results, so the choice only affects speed.  The detector
 and the dataset commands call four of the kernels: ``deviation_map``,

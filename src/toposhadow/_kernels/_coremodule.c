@@ -1,4 +1,5 @@
-/* Compiled twins of the pure numpy kernels in ``_pure``.
+/* The CPython bindings of the compiled twins of the pure numpy kernels in
+ * ``_pure``, and the kernels that are not dense loops.
  *
  * Bit-identical by construction: every float result follows the same
  * per-element operation order as its twin, and the geometric kernels are
@@ -6,22 +7,17 @@
  * ``_pure`` too.  Build with -ffp-contract=off: a fused multiply-add
  * rounds once where the twin rounds twice.
  *
- * The dense loops are each built twice from one body: the banded axis-0
- * pass, the one-pass axis-1 pass, the stack std and the salient
- * thinning's tile extremes, at 8 doubles per vector for AVX-512 hosts and
- * at 2 for every other CPU (see "instances" below).  Module init picks one
- * width and names it in ``SIMD``, and ``_force`` runs the 2-wide
- * instances on any host, for tests.  Both stay bit-identical, to each
- * other and to ``_pure``: vector operations are lane-wise IEEE adds,
- * subtracts, multiplies, divides, roots and compares, nothing is
- * contracted, and every element sees the same operations in the same
- * order at either width.
+ * The dense loops (the axis-0 and axis-1 passes, the stack std, the tile
+ * extremes and a deviation map's part) live in ``_dense.c``, which
+ * includes no Python header, so that setup.py compiles both units at
+ * the same time; they are built at two vector widths into the `Simd`
+ * tables of ``_dense.h``.  Module init picks one width and names it in
+ * ``SIMD``, and ``_force`` runs the 2-wide instances on any host, for
+ * tests.
  *
  * Every kernel releases the GIL around its loops.  The deviation map
  * splits a large call into two parts, the second run by one helper thread
- * (see "two parts" below), and builds each part's layers 8 rows at a time
- * as a wavefront, so that the rows a layer reads are still in cache (see
- * "deviation map" below).  The salient thinning computes a candidate's
+ * (see "two parts" below).  The salient thinning computes a candidate's
  * spacing only where bounds on it cannot decide the candidate (see
  * "thin" below).
  */
@@ -40,6 +36,11 @@
 #include <stdlib.h>
 #include <string.h>
 #include <unistd.h>
+
+#include "_dense.h"
+
+/* the dense loops take Py_ssize_t sizes as ptrdiff_t */
+_Static_assert(sizeof(ptrdiff_t) == sizeof(Py_ssize_t), "ptrdiff_t must be Py_ssize_t's width");
 
 typedef npy_int64 i64;
 typedef npy_int32 i32;
@@ -284,359 +285,8 @@ __attribute__((noinline)) static int should_split(double part_work)
 
 /* ------------------------------------------------------------ correlate */
 
-/* out[p] = x[p] + sum_{k=1..radius} w[k] * ((x[p-k]-x[p]) + (x[p+k]-x[p])),
- * accumulated from k = 1 outward in a per-row accumulator so that the
- * loop over the n columns of row r vectorizes without changing any
- * element's operation order.  `x` and `out` point at the first column;
- * their rows are ldx and ldo values apart.  Not inlined: it runs only
- * the narrow last band of a pass, and its callers share one copy. */
-__attribute__((noinline)) static void
-axis0_row_cols(const double *restrict x, Py_ssize_t ldx, double *restrict out, Py_ssize_t ldo,
-               Py_ssize_t h, Py_ssize_t r, Py_ssize_t n, const double *restrict wt,
-               Py_ssize_t radius)
-{
-    const double *restrict xc = x + r * ldx;
-    double *restrict acc = out + r * ldo;
-    for (Py_ssize_t c = 0; c < n; c++)
-        acc[c] = 0.0;
-    for (Py_ssize_t k = 1; k <= radius; k++) {
-        const double *restrict xl = x + (r - k < 0 ? 0 : r - k) * ldx;
-        const double *restrict xh = x + (r + k > h - 1 ? h - 1 : r + k) * ldx;
-        const double wk = wt[radius + k];
-        for (Py_ssize_t c = 0; c < n; c++)
-            acc[c] += wk * ((xl[c] - xc[c]) + (xh[c] - xc[c]));
-    }
-    for (Py_ssize_t c = 0; c < n; c++)
-        acc[c] = xc[c] + acc[c];
-}
-
-/* The same formula over bands of AXIS0_BAND columns.  A band's rows are
- * 128-byte strips, so the 2 * radius + 1 strips an output row reads stay
- * in L1 and its accumulators in registers.  Streaming whole rows instead
- * made the pass bound by L2, and its time swung with the load on the
- * shared caches.  The last, narrower band takes the general loop.
- *
- * AXIS0_BANDS(name, V, attr) defines the pass for a GNU C vector type V,
- * a band holding AXIS0_BAND / lanes of them.  The body is written with
- * explicit vectors: a band of scalars left to auto-vectorise under an
- * AVX-512 target ran 3x slower than its SSE2 build. */
-#define AXIS0_BAND 16
-
-/* Rows [r0, r1) of the w columns of `out`, from the h rows of `x`; rows
- * are laid out as in axis0_row_cols.  The whole pass is rows [0, h) of an
- * image with ldx = ldo = w. */
-typedef void (*axis0_fn)(const double *restrict, Py_ssize_t, double *restrict, Py_ssize_t,
-                         Py_ssize_t, Py_ssize_t, Py_ssize_t, Py_ssize_t, const double *restrict,
-                         Py_ssize_t);
-
-#define AXIS0_BANDS(name, V, attr)                                                        \
-    attr static inline __attribute__((always_inline)) void name##_band(                   \
-        const double *restrict x, Py_ssize_t ldx, double *restrict out, Py_ssize_t ldo,   \
-        Py_ssize_t h, Py_ssize_t r, const double *restrict wt, Py_ssize_t radius)         \
-    {                                                                                     \
-        enum { N = sizeof(V) / sizeof(double), NV = AXIS0_BAND / N };                     \
-        V xc[NV], acc[NV], lo, hi;                                                        \
-        memcpy(xc, x + r * ldx, sizeof(xc));                                              \
-        for (int v = 0; v < NV; v++)                                                      \
-            acc[v] = (V){0};                                                              \
-        for (Py_ssize_t k = 1; k <= radius; k++) {                                        \
-            const double *xl = x + (r - k < 0 ? 0 : r - k) * ldx;                         \
-            const double *xh = x + (r + k > h - 1 ? h - 1 : r + k) * ldx;                 \
-            const double wk = wt[radius + k];                                             \
-            for (int v = 0; v < NV; v++) {                                                \
-                memcpy(&lo, xl + v * N, sizeof(V));                                       \
-                memcpy(&hi, xh + v * N, sizeof(V));                                       \
-                acc[v] += wk * ((lo - xc[v]) + (hi - xc[v]));                             \
-            }                                                                             \
-        }                                                                                 \
-        for (int v = 0; v < NV; v++)                                                      \
-            acc[v] = xc[v] + acc[v];                                                      \
-        memcpy(out + r * ldo, acc, sizeof(acc));                                          \
-    }                                                                                     \
-                                                                                          \
-    attr static void name(const double *restrict x, Py_ssize_t ldx, double *restrict out, \
-                          Py_ssize_t ldo, Py_ssize_t h, Py_ssize_t w, Py_ssize_t r0,      \
-                          Py_ssize_t r1, const double *restrict wt, Py_ssize_t radius)    \
-    {                                                                                     \
-        Py_ssize_t c0 = 0;                                                                \
-        for (; c0 + AXIS0_BAND <= w; c0 += AXIS0_BAND)                                    \
-            for (Py_ssize_t r = r0; r < r1; r++)                                          \
-                name##_band(x + c0, ldx, out + c0, ldo, h, r, wt, radius);                \
-        if (c0 < w)                                                                       \
-            for (Py_ssize_t r = r0; r < r1; r++)                                          \
-                axis0_row_cols(x + c0, ldx, out + c0, ldo, h, r, w - c0, wt, radius);     \
-    }
-
-/* The baseline width: 16-byte vectors, native on every 64-bit CPU.  A
- * 64-byte type at baseline width ran 5x slower, and a 4-wide AVX2 body
- * 12x slower under generic tuning, so neither is built. */
-typedef double v2df __attribute__((vector_size(16)));
-AXIS0_BANDS(correlate_axis0_v2, v2df, )
-
-/* Same formula along a row of w values, only at column c, with taps
- * clamped to the row. */
-static inline __attribute__((always_inline)) double
-axis1_clamped(const double *restrict row, Py_ssize_t w, const double *restrict wt,
-              Py_ssize_t radius, Py_ssize_t c)
-{
-    const double xc = row[c];
-    double acc = 0.0;
-    for (Py_ssize_t k = 1; k <= radius; k++) {
-        const double xl = row[c - k < 0 ? 0 : c - k];
-        const double xh = row[c + k > w - 1 ? w - 1 : c + k];
-        acc += wt[radius + k] * ((xl - xc) + (xh - xc));
-    }
-    return xc + acc;
-}
-
-/* Same formula along each row, in one pass over it.  The interior
- * columns, whose taps all lie in the row, run AXIS1_BLOCK at a time as
- * vectors read straight from the row, with their accumulators in
- * registers; the last block overlaps the one before it and rewrites the
- * same bytes.  The `radius` columns at either end, and an interior
- * narrower than a block, take clamped taps one column at a time.
- * AXIS1_PASS(name, V, attr) builds it with explicit vectors of type V
- * under the target `attr`.  Not inlined: its callers share one copy of
- * its loops. */
-#define AXIS1_BLOCK 8
-
-typedef void (*axis1_fn)(const double *restrict, double *restrict, Py_ssize_t, Py_ssize_t,
-                         const double *restrict, Py_ssize_t);
-
-#define AXIS1_PASS(name, V, attr)                                                         \
-    attr __attribute__((noinline)) static void name(                                      \
-        const double *restrict x, double *restrict out, Py_ssize_t h, Py_ssize_t w,       \
-        const double *restrict wt, Py_ssize_t radius)                                     \
-    {                                                                                     \
-        enum { N = sizeof(V) / sizeof(double), NV = AXIS1_BLOCK / N };                    \
-        /* the interior columns [i0, i1): no tap reaches a row end */                     \
-        const Py_ssize_t i0 = radius < w ? radius : w;                                    \
-        const Py_ssize_t i1 = w - radius > i0 ? w - radius : i0;                          \
-        const int blocks = i1 - i0 >= AXIS1_BLOCK;                                        \
-        for (Py_ssize_t r = 0; r < h; r++) {                                              \
-            const double *restrict row = x + r * w;                                       \
-            double *restrict o = out + r * w;                                             \
-            for (Py_ssize_t c = 0; c < (blocks ? i0 : i1); c++)                           \
-                o[c] = axis1_clamped(row, w, wt, radius, c);                              \
-            for (Py_ssize_t c = i0; blocks && c < i1; c += AXIS1_BLOCK) {                 \
-                const Py_ssize_t b = c + AXIS1_BLOCK <= i1 ? c : i1 - AXIS1_BLOCK;        \
-                V xc[NV], acc[NV], lo, hi;                                                \
-                memcpy(xc, row + b, sizeof(xc));                                          \
-                for (int v = 0; v < NV; v++)                                              \
-                    acc[v] = (V){0};                                                      \
-                for (Py_ssize_t k = 1; k <= radius; k++) {                                \
-                    const double wk = wt[radius + k];                                     \
-                    for (int v = 0; v < NV; v++) {                                        \
-                        memcpy(&lo, row + b + v * N - k, sizeof(V));                      \
-                        memcpy(&hi, row + b + v * N + k, sizeof(V));                      \
-                        acc[v] += wk * ((lo - xc[v]) + (hi - xc[v]));                     \
-                    }                                                                     \
-                }                                                                         \
-                for (int v = 0; v < NV; v++)                                              \
-                    acc[v] = xc[v] + acc[v];                                              \
-                memcpy(o + b, acc, sizeof(acc));                                          \
-            }                                                                             \
-            for (Py_ssize_t c = i1; c < w; c++)                                           \
-                o[c] = axis1_clamped(row, w, wt, radius, c);                              \
-        }                                                                                 \
-    }
-
-AXIS1_PASS(correlate_axis1_v2, v2df, )
-
-/* ------------------------------------------------------------ stack std */
-
-/* Population standard deviation across the L layers of an (L, h*w) stack,
- * layer by layer as numpy reduces a contiguous stack of more than one pixel
- * per layer: the mean sums the layers from layer 0 and divides by L, the
- * variance sums the squared deviations in the same order and divides by L.
- * STD_BLOCK pixels at a time, so that each step runs across the block as
- * vectors and no stack-sized temporary exists.  The square root vectorises
- * because the build sets -fno-math-errno. */
-#define STD_BLOCK 16
-
-typedef void (*std_fn)(const double *restrict, double *restrict, Py_ssize_t, Py_ssize_t,
-                       Py_ssize_t);
-
-/* One pixel, for runs shorter than a block. */
-static void std_pixel(const double *restrict s, double *restrict out, Py_ssize_t L,
-                      Py_ssize_t plane)
-{
-    double m = s[0];
-    for (Py_ssize_t l = 1; l < L; l++)
-        m += s[l * plane];
-    m /= (double)L;
-    double q = (s[0] - m) * (s[0] - m);
-    for (Py_ssize_t l = 1; l < L; l++) {
-        const double d = s[l * plane] - m;
-        q += d * d;
-    }
-    *out = sqrt(q / (double)L);
-}
-
-/* STD_RUN(name, V, attr) defines the deviation of `n` contiguous pixels
- * of a plane, a block of STD_BLOCK / lanes vectors of type V at a time.
- * When n >= STD_BLOCK the last block overlaps the one before it: a
- * pixel's value does not depend on its block, so the overlap rewrites the
- * same bytes.  Kept out of line: the vector loops compile apart from the
- * band loop that calls them. */
-#define STD_RUN(name, V, attr)                                                            \
-    attr static inline __attribute__((always_inline)) void name##_block(                  \
-        const double *restrict s, double *restrict out, Py_ssize_t L, Py_ssize_t plane)   \
-    {                                                                                     \
-        enum { N = sizeof(V) / sizeof(double), NV = STD_BLOCK / N };                      \
-        V m[NV], q[NV], d;                                                                \
-        double var[STD_BLOCK];                                                            \
-        memcpy(m, s, sizeof(m));                                                          \
-        for (Py_ssize_t l = 1; l < L; l++)                                                \
-            for (int v = 0; v < NV; v++) {                                                \
-                memcpy(&d, s + l * plane + v * N, sizeof(V));                             \
-                m[v] += d;                                                                \
-            }                                                                             \
-        for (int v = 0; v < NV; v++) {                                                    \
-            m[v] /= (double)L;                                                            \
-            memcpy(&d, s + v * N, sizeof(V));                                             \
-            q[v] = (d - m[v]) * (d - m[v]);                                               \
-        }                                                                                 \
-        for (Py_ssize_t l = 1; l < L; l++)                                                \
-            for (int v = 0; v < NV; v++) {                                                \
-                memcpy(&d, s + l * plane + v * N, sizeof(V));                             \
-                d -= m[v];                                                                \
-                q[v] += d * d;                                                            \
-            }                                                                             \
-        for (int v = 0; v < NV; v++)                                                      \
-            q[v] /= (double)L;                                                            \
-        memcpy(var, q, sizeof(var));                                                      \
-        for (int j = 0; j < STD_BLOCK; j++)                                               \
-            out[j] = sqrt(var[j]);                                                        \
-    }                                                                                     \
-                                                                                          \
-    attr __attribute__((noinline)) static void name(const double *restrict s,             \
-                                                    double *restrict out, Py_ssize_t L,   \
-                                                    Py_ssize_t plane, Py_ssize_t n)       \
-    {                                                                                     \
-        if (n < STD_BLOCK) {                                                              \
-            for (Py_ssize_t p = 0; p < n; p++)                                            \
-                std_pixel(s + p, out + p, L, plane);                                      \
-            return;                                                                       \
-        }                                                                                 \
-        for (Py_ssize_t p = 0; p < n; p += STD_BLOCK) {                                   \
-            const Py_ssize_t q = p + STD_BLOCK <= n ? p : n - STD_BLOCK;                  \
-            name##_block(s + q, out + q, L, plane);                                       \
-        }                                                                                 \
-    }
-
-STD_RUN(std_run_v2, v2df, )
-
-/* -------------------------------------------------------- tile extremes */
-
-/* Salient thinning bounds the spacings of a TILE x TILE tile's points
- * together, from the extremes of the map over the tile and its
- * neighbours (see "salient thinning" below). */
-#define TILE 8
-#define EXT_MIN(a, b) ((b) < (a) ? (b) : (a))
-#define EXT_MAX(a, b) ((b) > (a) ? (b) : (a))
-
-/* The extremes of each TILE x TILE tile of the (h, w) slice `s` (row
- * stride ld), clamped to the slice, into the (th, tw) grids lo and hi.
- * Returns whether every value of the slice is finite.  TILE_EXTREMES(name,
- * V, attr) builds it with explicit vectors of type V: a tile's rows are
- * reduced lane by lane, TILE / lanes vectors to a row, and its lanes then
- * one by one.  The tiles of a last, narrower tile column take the scalar
- * loop, which reads no column past the slice.  Lanes pick as EXT_MIN and
- * EXT_MAX do: the new value only when it compares below (above) the
- * current one.  With every value finite, the order of the picks can only
- * choose between 0.0 and -0.0, which the bounds map to the same spacing;
- * a NaN or an infinity marks the slice unbounded whatever the order. */
-typedef int (*tiles_fn)(const double *, Py_ssize_t, Py_ssize_t, Py_ssize_t, double *, double *);
-
-#define TILE_EXTREMES(name, V, attr)                                                      \
-    attr __attribute__((noinline)) static int name(const double *s, Py_ssize_t ld,        \
-                                                   Py_ssize_t h, Py_ssize_t w, double *lo, \
-                                                   double *hi)                            \
-    {                                                                                     \
-        enum { N = sizeof(V) / sizeof(double), NV = TILE / N };                           \
-        typedef __typeof__((V){0} < (V){0}) M;                                            \
-        const Py_ssize_t tw = (w + TILE - 1) / TILE, whole = w / TILE * TILE;             \
-        V nanv = {0}; /* NaN from a NaN or an infinity */                                 \
-        double nan = 0.0;                                                                 \
-        for (Py_ssize_t r0 = 0; r0 < h; r0 += TILE) {                                     \
-            const Py_ssize_t rows = h - r0 < TILE ? h - r0 : TILE;                        \
-            double *tlo = lo + r0 / TILE * tw, *thi = hi + r0 / TILE * tw;                \
-            for (Py_ssize_t c0 = 0; c0 < whole; c0 += TILE) {                             \
-                const double *v = s + r0 * ld + c0;                                       \
-                V mn[NV], mx[NV], x;                                                      \
-                memcpy(mn, v, sizeof(mn));                                                \
-                memcpy(mx, v, sizeof(mx));                                                \
-                for (Py_ssize_t r = 0; r < rows; r++)                                     \
-                    for (int k = 0; k < NV; k++) {                                        \
-                        memcpy(&x, v + r * ld + k * N, sizeof(V));                        \
-                        const M below = x < mn[k], above = x > mx[k];                     \
-                        mn[k] = (V)(((M)x & below) | ((M)mn[k] & ~below));                \
-                        mx[k] = (V)(((M)x & above) | ((M)mx[k] & ~above));                \
-                        nanv += x - x;                                                    \
-                    }                                                                     \
-                double a[TILE], b[TILE];                                                  \
-                memcpy(a, mn, sizeof(a));                                                 \
-                memcpy(b, mx, sizeof(b));                                                 \
-                for (int k = 1; k < TILE; k++) {                                          \
-                    a[0] = EXT_MIN(a[0], a[k]);                                           \
-                    b[0] = EXT_MAX(b[0], b[k]);                                           \
-                }                                                                         \
-                tlo[c0 / TILE] = a[0];                                                    \
-                thi[c0 / TILE] = b[0];                                                    \
-            }                                                                             \
-            if (whole < w) {                                                              \
-                const double *v = s + r0 * ld + whole;                                    \
-                double mn = v[0], mx = v[0];                                              \
-                for (Py_ssize_t r = 0; r < rows; r++)                                     \
-                    for (Py_ssize_t k = 0; k < w - whole; k++) {                          \
-                        const double x = v[r * ld + k];                                   \
-                        mn = EXT_MIN(mn, x);                                              \
-                        mx = EXT_MAX(mx, x);                                              \
-                        nan += x - x;                                                     \
-                    }                                                                     \
-                tlo[tw - 1] = mn;                                                         \
-                thi[tw - 1] = mx;                                                         \
-            }                                                                             \
-        }                                                                                 \
-        double lanes[N];                                                                  \
-        memcpy(lanes, &nanv, sizeof(lanes));                                              \
-        for (int k = 0; k < N; k++)                                                       \
-            nan += lanes[k];                                                              \
-        return nan == 0.0;                                                                \
-    }
-
-TILE_EXTREMES(tile_extremes_v2, v2df, )
-
-/* ------------------------------------------------------------ instances */
-
-/* The loops above at 8 doubles per vector, for AVX-512 hosts. */
-#if defined(__x86_64__) || defined(__i386__)
-#define HAVE_AVX512 1
-typedef double v8df __attribute__((vector_size(64)));
-AXIS0_BANDS(correlate_axis0_v8, v8df, __attribute__((target("avx512f"))))
-AXIS1_PASS(correlate_axis1_v8, v8df, __attribute__((target("avx512f"))))
-STD_RUN(std_run_v8, v8df, __attribute__((target("avx512f"))))
-TILE_EXTREMES(tile_extremes_v8, v8df, __attribute__((target("avx512f"))))
-#endif
-
-/* The vector instances of the dense loops at one width. */
-typedef struct {
-    axis0_fn axis0;
-    axis1_fn axis1;
-    std_fn std;
-    tiles_fn tiles;
-} Simd;
-
-static const Simd baseline = {correlate_axis0_v2, correlate_axis1_v2, std_run_v2,
-                              tile_extremes_v2};
-#ifdef HAVE_AVX512
-static const Simd avx512 = {correlate_axis0_v8, correlate_axis1_v8, std_run_v8,
-                            tile_extremes_v8};
-#endif
-
 /* The instances module init picked; `SIMD` names them. */
-static const Simd *picked = &baseline;
+static const Simd *picked = &simd_baseline;
 
 /* What `_force` set, for tests; read and written with the GIL held: the
  * baseline instances in place of module init's pick, and a deviation
@@ -648,7 +298,7 @@ static struct {
 
 static const Simd *pick(void)
 {
-    return forced.baseline ? &baseline : picked;
+    return forced.baseline ? &simd_baseline : picked;
 }
 
 static PyObject *correlate1d_replicate(PyObject *self, PyObject *args, PyObject *kwds)
@@ -699,120 +349,11 @@ done:
     return (PyObject *)out;
 }
 
-/* axis1_clamped, without the clamps where no tap reaches a row end.
- * Neither inlined nor cloned: it runs only for the candidates whose bounds
- * cannot decide them. */
-__attribute__((noinline, noclone)) static double
-correlate_point(const double *restrict row, Py_ssize_t w, const double *restrict wt,
-                Py_ssize_t radius, Py_ssize_t c)
-{
-    const double xc = row[c];
-    if (radius == 0)
-        return xc;
-    if (!(radius <= c && c + radius <= w - 1))
-        return axis1_clamped(row, w, wt, radius, c);
-    /* no tap reaches a row end: the same sum without clamps */
-    const double *restrict at = row + c;
-    double acc = 0.0;
-    for (Py_ssize_t k = 1; k <= radius; k++)
-        acc += wt[radius + k] * ((at[-k] - xc) + (at[k] - xc));
-    return xc + acc;
-}
-
-/* 0 when every point lies in the (h, w) image, with the least and greatest
- * point column in cols[0] and cols[1]; else -1 with IndexError set. */
-static int check_points(const i64 *p, Py_ssize_t n, Py_ssize_t h, Py_ssize_t w, i64 cols[2])
-{
-    cols[0] = cols[1] = 0;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        const i64 c = p[2 * i + 1];
-        if (p[2 * i] < 0 || p[2 * i] >= h || c < 0 || c >= w) {
-            PyErr_SetString(PyExc_IndexError, "point outside the image");
-            return -1;
-        }
-        if (i == 0 || c < cols[0])
-            cols[0] = c;
-        if (i == 0 || c > cols[1])
-            cols[1] = c;
-    }
-    return 0;
-}
-
 /* -------------------------------------------------------- deviation map */
 
-/* The deviation map of a frame: the per-pixel std_map of its filter stack,
- * without the stack.  Each part owns columns [cut[p], cut[p + 1]) and
- * works in a private band: its columns plus `halo` columns on either side,
- * clamped to the frame, with the band's own stack and scratch layer.  A
- * layer's axis-1 pass clamps at the band's inner edge, so the radius(kv)
- * columns nearest that edge go wrong once per layer; with halo = (layers -
- * 1) * radius(kv), every owned column stays exact, and the part writes
- * only those to `out`.  The caller casts each band's layer 0 from the
- * image. */
-typedef struct {
-    const Simd *simd;
-    const double *ku, *kv;
-    double *out;
-    Py_ssize_t h, w, ru, rv, layers, halo, cut[3];
-    double *band[2];
-} DevJob;
-
-static void band_range(const DevJob *j, int part, Py_ssize_t *b0, Py_ssize_t *b1)
-{
-    *b0 = j->cut[part] - j->halo < 0 ? 0 : j->cut[part] - j->halo;
-    *b1 = j->w - j->cut[part + 1] < j->halo ? j->w : j->cut[part + 1] + j->halo;
-}
-
-/* A part builds its layers ROW_BLOCK rows at a time, as a wavefront down
- * the planes: at step s, layer f builds block s - (f - 1) * lag, where lag
- * is the number of blocks the axis-0 taps reach below a block, but no more
- * than the frame has, and layer f - 1 has just built the last block that
- * they read.  Block b's deviation follows as soon as the top layer has
- * built it.  So a block's rows are still in cache when the next layer
- * reads them, where whole planes of a frame are not.  On 200 x 600
- * frames, 8 rows ran as fast as 16 and faster than 4, 32 or whole planes. */
-#define ROW_BLOCK 8
-
-static void deviation_part(void *job, int part)
-{
-    DevJob *j = job;
-    Py_ssize_t b0, b1;
-    band_range(j, part, &b0, &b1);
-    const Py_ssize_t h = j->h, bw = b1 - b0, plane = h * bw, L = j->layers;
-    const Py_ssize_t c0 = j->cut[part], c1 = j->cut[part + 1];
-    double *stack = j->band[part], *scratch = stack + L * plane;
-    const Py_ssize_t blocks = (h + ROW_BLOCK - 1) / ROW_BLOCK;
-    Py_ssize_t lag = j->ru / ROW_BLOCK + (j->ru % ROW_BLOCK != 0);
-    if (lag > blocks)
-        lag = blocks;
-    const Py_ssize_t top = L > 2 ? (L - 2) * lag : 0; /* the top layer's lag */
-    for (Py_ssize_t s = 0; s < blocks + top; s++) {
-        /* the layers with a block to build at step s, from the lowest */
-        const Py_ssize_t f0 = lag == 0 || s < blocks ? 1 : (s - blocks) / lag + 2;
-        const Py_ssize_t f1 = lag == 0 || s / lag + 1 > L - 1 ? L - 1 : s / lag + 1;
-        for (Py_ssize_t f = f0; f <= f1; f++) {
-            const Py_ssize_t r0 = (s - (f - 1) * lag) * ROW_BLOCK;
-            const Py_ssize_t rows = h - r0 < ROW_BLOCK ? h - r0 : ROW_BLOCK;
-            const double *prev = stack + (f - 1) * plane;
-            double *next = stack + f * plane;
-            if (j->ru == 0)
-                memcpy(scratch + r0 * bw, prev + r0 * bw, (size_t)(rows * bw) * sizeof(double));
-            else
-                j->simd->axis0(prev, bw, scratch, bw, h, bw, r0, r0 + rows, j->ku, j->ru);
-            if (j->rv == 0)
-                memcpy(next + r0 * bw, scratch + r0 * bw, (size_t)(rows * bw) * sizeof(double));
-            else
-                j->simd->axis1(scratch + r0 * bw, next + r0 * bw, rows, bw, j->kv, j->rv);
-        }
-        if (s >= top) {
-            const Py_ssize_t r0 = (s - top) * ROW_BLOCK;
-            const Py_ssize_t r1 = h - r0 < ROW_BLOCK ? h : r0 + ROW_BLOCK;
-            for (Py_ssize_t r = r0; r < r1; r++)
-                j->simd->std(stack + r * bw + (c0 - b0), j->out + r * j->w + c0, L, plane,
-                             c1 - c0);
-        }
-    }
-}
+/* The call sets up a DevJob (see ``_dense.h``): its column parts, their
+ * bands with layer 0 cast from the image, and the output; the parts then
+ * run in ``_dense.c``'s deviation_part, the second on the helper thread. */
 
 /* Columns [b0, b1) of `img`, of any real dtype, cast into the (h, b1 - b0)
  * float64 rows at `dst` as numpy assigns them.  0, or -1 with an error. */
@@ -890,7 +431,7 @@ static PyObject *deviation_map(PyObject *self, PyObject *args, PyObject *kwds)
     size_t band[2] = {0, 0}, total = 0;
     int overflow = 0;
     for (int p = 0; p < parts; p++) {
-        Py_ssize_t b0, b1;
+        ptrdiff_t b0, b1;
         band_range(&job, p, &b0, &b1);
         size_t cells;
         /* (layers + 1) planes of h x bw */
@@ -919,7 +460,7 @@ static PyObject *deviation_map(PyObject *self, PyObject *args, PyObject *kwds)
     job.band[0] = PyArray_DATA(bands);
     job.band[1] = job.band[0] + band[0];
     for (int p = 0; p < parts; p++) {
-        Py_ssize_t b0, b1;
+        ptrdiff_t b0, b1;
         band_range(&job, p, &b0, &b1);
         if (cast_columns(img, b0, b1, job.band[p]) < 0) {
             Py_CLEAR(out);
@@ -1266,6 +807,25 @@ __attribute__((noinline)) static double salient_spacing(void *ctx, Py_ssize_t i)
 
 /* Counters over every call, for tests; read and written with the GIL. */
 static long long thin_candidates, thin_exact, thin_cells;
+
+/* 0 when every point lies in the (h, w) image, with the least and greatest
+ * point column in cols[0] and cols[1]; else -1 with IndexError set. */
+static int check_points(const i64 *p, Py_ssize_t n, Py_ssize_t h, Py_ssize_t w, i64 cols[2])
+{
+    cols[0] = cols[1] = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        const i64 c = p[2 * i + 1];
+        if (p[2 * i] < 0 || p[2 * i] >= h || c < 0 || c >= w) {
+            PyErr_SetString(PyExc_IndexError, "point outside the image");
+            return -1;
+        }
+        if (i == 0 || c < cols[0])
+            cols[0] = c;
+        if (i == 0 || c > cols[1])
+            cols[1] = c;
+    }
+    return 0;
+}
 
 static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
 {
@@ -1694,7 +1254,7 @@ PyMODINIT_FUNC PyInit__core(void)
 #ifdef HAVE_AVX512
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f")) {
-        picked = &avx512;
+        picked = &simd_avx512;
         width = "avx512f";
     }
 #endif

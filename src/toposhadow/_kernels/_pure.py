@@ -1,10 +1,10 @@
 """Pure numpy fallback for the hot kernels.
 
 Every function here is the semantic twin of its compiled counterpart in
-the C extension ``_core`` (source ``_coremodule.c``) and must stay
-bit-identical to it: same arithmetic, same accumulation order, same tie
-rules.  The compiled core exists for speed only; the cross-backend
-equality tests hold both sides to that contract.
+the C extension ``_core`` (sources ``_coremodule.c`` and ``_dense.c``)
+and must stay bit-identical to it: same arithmetic, same accumulation
+order, same tie rules.  The compiled core exists for speed only; the
+cross-backend equality tests hold both sides to that contract.
 
 Python loops here run over a correlation's taps (also when it is
 evaluated only at given points), a stack's layers, blocks of output rows
@@ -91,10 +91,7 @@ def _correlate_into(img, weights, axis, out):
             return padded[radius + r0 + k : radius + r1 + k]
 
     else:
-        padded = np.empty((height, width + 2 * radius))
-        padded[:, radius : radius + width] = img
-        padded[:, :radius] = img[:, :1]
-        padded[:, radius + width :] = img[:, -1:]
+        padded = _pad_rows(img, radius)
 
         def tap(k, r0, r1):  # columns shifted by k, clamped
             return padded[r0:r1, radius + k : radius + k + width]
@@ -118,6 +115,17 @@ def _correlate_into(img, weights, axis, out):
     return out
 
 
+def _pad_rows(img, pad):
+    """A copy of the 2D `img` with each row edge-replicated by `pad`
+    columns on either side."""
+    height, width = img.shape
+    padded = np.empty((height, width + 2 * pad))
+    padded[:, pad : pad + width] = img
+    padded[:, :pad] = img[:, :1]
+    padded[:, pad + width :] = img[:, -1:]
+    return padded
+
+
 def _correlate_points(img, weights, points, col0):
     """The axis-1 pass of `correlate1d_replicate`, only at `points`.
 
@@ -134,18 +142,26 @@ def _correlate_points(img, weights, points, col0):
     rows, cols = pts[:, 0], pts[:, 1] - col0
     if len(pts) and (rows.min() < 0 or rows.max() >= height or cols.min() < 0 or cols.max() >= width):
         raise IndexError("point outside the image")
-    flat = img.ravel()
-    first = rows * width  # flat index of each point's row ends
-    last = first + (width - 1)
-    at = first + cols
-    center = flat.take(at)
     radius = (len(weights) - 1) // 2
-    if radius == 0:
-        return center
+    if radius == 0 or len(pts) == 0:
+        return img[rows, cols]
+    # each row edge-replicated by `pad` columns on either side, so that every
+    # tap gathers at the points' one base index from an offset view: tap
+    # +-k reads flat[pad +- min(k, pad):], which holds the clamped column,
+    # as a tap `width` or more columns away reads the row end either way
+    pad = min(radius, width)
+    padded = _pad_rows(img, pad)
+    flat = padded.ravel()
+    at = rows * padded.shape[1] + cols
+    center = flat[pad:].take(at)
     acc = np.zeros_like(center)
+    before, after = np.empty_like(center), np.empty_like(center)
     for k in range(1, radius + 1):
-        before = flat.take(np.maximum(at - k, first))
-        after = flat.take(np.minimum(at + k, last))
+        j = min(k, pad)
+        # "clip" never clamps: every index is in range, as checked above.
+        # Unlike the default "raise", it writes `out` without a buffer.
+        flat[pad - j :].take(at, out=before, mode="clip")
+        flat[pad + j :].take(at, out=after, mode="clip")
         # w[k] * ((before - center) + (after - center)), in place
         before -= center
         after -= center

@@ -47,8 +47,9 @@ def occurrence_map(cx, width, height):
 
 
 def confidence_map(occurrence):
-    """Natural log of (count + 1): zero exactly where nothing covers."""
-    return np.log1p(np.asarray(occurrence, dtype=np.float64))
+    """Natural log of (count + 1): zero exactly where nothing covers.  The
+    counts are cast to float64 inside the ufunc, with no frame-sized copy."""
+    return np.log1p(np.asarray(occurrence), dtype=np.float64)
 
 
 def mean_confidence(confidence):

@@ -55,7 +55,9 @@ def _build_core(dest):
     )
     built = sorted((dest / "lib").glob("toposhadow/_kernels/_core.*"))
     if built:
-        return built[0], "built this session from src/toposhadow/_kernels/_coremodule.c"
+        return built[0], (
+            "built this session from src/toposhadow/_kernels/_coremodule.c and _dense.c"
+        )
     lines = [ln for ln in (proc.stderr + proc.stdout).splitlines() if ln.strip()]
     reason = lines[-1] if lines else f"setup.py exited {proc.returncode}"
     return None, f"C core not built: {reason}"

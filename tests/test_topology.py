@@ -265,6 +265,18 @@ def test_confidence_values():
     assert conf[0, 2] == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
 
 
+def test_confidence_matches_log1p_of_float64_counts():
+    # the cast inside the ufunc gives the bytes of casting first
+    rng = np.random.default_rng(260)
+    occ = rng.integers(0, 40, size=(30, 50), dtype=np.int32)
+    occ[0, :4] = (0, 1, 2, 2**31 - 1)
+    for counts in (occ, occ[::2, 1::3], occ.T):
+        conf = confidence_map(counts)
+        expect = np.log1p(np.asarray(counts, dtype=np.float64))
+        assert conf.dtype == np.float64 and conf.shape == counts.shape
+        assert conf.tobytes() == expect.tobytes()
+
+
 def test_mean_confidence():
     assert mean_confidence(np.zeros((4, 4))) == 0.0
     half = np.zeros(10)
