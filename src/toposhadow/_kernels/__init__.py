@@ -8,10 +8,10 @@ and the dataset commands call four of the kernels: ``deviation_map``,
 ``thin_salient``, ``rips_triangles`` and ``occurrence_counts``; the
 public references (``saliency.filter_stack``, ``sparsify.thin``) call
 ``correlate1d_replicate`` and ``thin_points``.  On the compiled core
-``deviation_map`` splits a large call over two cores when a second
-one is free; ``serial()`` holds it on the calling thread while the
-dataset commands run their own threads: a pool of N at ``--workers N >=
-2``, and at ``--workers 1`` the calling thread and one helper.
+``deviation_map`` splits a large call over two cores when its caller is
+the process's only Python thread; while the dataset commands run their
+own threads (a pool of N at ``--workers N >= 2``, and at ``--workers 1``
+the calling thread and one helper) their maps stay on one core.
 ``thin_salient`` thins a cloud against the spacing field of a saliency
 map: the compiled kernel computes a point's spacing only where bounds
 on it cannot decide the point, and its pure twin runs the dense passes
@@ -22,9 +22,7 @@ TOPOSHADOW_KERNELS=pure or =compiled (the latter raises if the
 extension is missing).
 """
 
-import contextlib
 import os
-import sys
 
 from . import _pure
 
@@ -58,24 +56,6 @@ KERNELS = (
 )
 globals().update((name, getattr(_impl, name)) for name in KERNELS)
 NAME = f"compiled/{_impl.SIMD}" if BACKEND == "compiled" else BACKEND
-
-
-@contextlib.contextmanager
-def serial():
-    """Keep every compiled kernel call, from any thread, on its calling
-    thread while the block runs.  Entered around a command's own threads
-    (a worker pool, or a pipeline's caller and helper), so that no kernel
-    adds one; outside it the deviation map splits.  Outputs are the same
-    either way."""
-    core = sys.modules.get(__name__ + "._core")
-    if core is None:  # never loaded: nothing splits
-        yield
-        return
-    core._hold_serial(1)
-    try:
-        yield
-    finally:
-        core._hold_serial(-1)
 
 
 def get_backend(name="auto"):

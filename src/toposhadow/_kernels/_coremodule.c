@@ -156,11 +156,14 @@ static inline double dist_sq(const i64 *pts, Py_ssize_t a, Py_ssize_t b)
  * calling thread runs the left one and a helper thread the right one.
  * There is at most one helper per process.  It starts on the first
  * split call, sleeps on `wake` while idle, and touches no Python object.
- * A call that finds the helper busy with another thread's call runs both
- * parts itself, and a caller whose right part the helper has not picked
- * up by the time its left part is done takes it back, so a busy second
- * core costs at most the serial time.  Parts write disjoint outputs, so
- * the result does not depend on who ran which part. */
+ * A map splits only while its caller is the process's only Python thread
+ * (should_split), so callers meet at the helper only when tests force
+ * the split.  A call that finds the helper busy with another thread's
+ * call runs both parts itself, and a caller whose right part the helper
+ * has not picked up by the time its left part is done takes it back, so
+ * a busy second core costs at most the serial time.  Parts write
+ * disjoint outputs, so the result does not depend on who ran which
+ * part. */
 typedef void (*part_fn)(void *job, int part);
 
 enum { HELPER_IDLE, HELPER_POSTED, HELPER_RUNNING, HELPER_DONE };
@@ -175,10 +178,8 @@ static struct {
 } helper = {PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER, PTHREAD_COND_INITIALIZER,
             0, HELPER_IDLE, NULL, NULL, 0};
 
-/* Both are read and written with the GIL held. */
-static long long split_calls; /* calls that split, for tests */
-static long serial_holds;     /* > 0 while a dataset command runs its own
-                                 * threads; a lone caller splits */
+/* Calls that split, for tests; read and written with the GIL held. */
+static long long split_calls;
 
 static void *helper_main(void *unused)
 {
@@ -270,14 +271,27 @@ static int cpus_allowed(void)
     return n > 0 ? (int)n : 1;
 }
 
+/* Whether the calling thread is its interpreter's only Python thread;
+ * call with the GIL held: an ending thread leaves the list while it holds
+ * the GIL, so the walk reads no freed state, and a thread that ended
+ * before this call is gone from it. */
+static int only_thread(void)
+{
+    PyThreadState *head = PyInterpreterState_ThreadHead(PyInterpreterState_Get());
+    return head != NULL && PyThreadState_Next(head) == NULL;
+}
+
 /* Whether a call whose parts each do about `part_work` multiply-adds
  * should split; call with the GIL held.  Below SPLIT_MIN_WORK the wake-up
- * of the helper costs more than the part. */
+ * of the helper costs more than the part.  A call splits only while its
+ * caller is the process's only Python thread: other threads, such as a
+ * dataset command's pool or pipeline helper, already use the other
+ * cores, and a split would take one from them. */
 #define SPLIT_MIN_WORK 100000.0
 
 __attribute__((noinline)) static int should_split(double part_work)
 {
-    if (serial_holds > 0 || part_work < SPLIT_MIN_WORK || cpus_allowed() < 2)
+    if (part_work < SPLIT_MIN_WORK || !only_thread() || cpus_allowed() < 2)
         return 0;
     split_calls++;
     return 1;
@@ -507,20 +521,6 @@ static PyObject *force(PyObject *self, PyObject *args, PyObject *kwds)
         forced.parts = parts;
     }
     return prev;
-}
-
-/* Hold the kernels serial (+1) or release one hold (-1). */
-static PyObject *hold_serial(PyObject *self, PyObject *arg)
-{
-    long delta = PyLong_AsLong(arg);
-    if (delta == -1 && PyErr_Occurred())
-        return NULL;
-    if ((delta != 1 && delta != -1) || serial_holds + delta < 0) {
-        PyErr_SetString(PyExc_ValueError, "expected +1, or -1 while held");
-        return NULL;
-    }
-    serial_holds += delta;
-    Py_RETURN_NONE;
 }
 
 static PyObject *split_stats(PyObject *self, PyObject *unused)
@@ -1201,13 +1201,11 @@ static PyMethodDef methods[] = {
      "`img`: layer 0 the image, each later layer the previous one\n"
      "correlated along axis 0 by `ku` and then along axis 1 by `kv`.\n"
      "Equal to saliency.std_map of that stack; splits over two cores when\n"
-     "one is free."},
+     "its caller is the only Python thread."},
     {"_force", (PyCFunction)(void (*)(void))force, METH_VARARGS | METH_KEYWORDS,
      "_force(simd=None, parts=0): run the kernels on the baseline vector\n"
      "instances (simd='baseline') and deviation maps on forced column parts\n"
      "(1 or 2), for tests; returns the previous (simd, parts)."},
-    {"_hold_serial", hold_serial, METH_O,
-     "Hold the kernels on their calling thread (+1), or release a hold (-1)."},
     {"_split_stats", split_stats, METH_NOARGS,
      "(calls that split, right parts the helper thread ran), for tests."},
     {"thin_points", (PyCFunction)(void (*)(void))thin_points, METH_VARARGS | METH_KEYWORDS,

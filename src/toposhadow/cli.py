@@ -59,8 +59,9 @@ _WORKERS_HELP = (
     "frames run on this many threads (default 1); at 1 frames are reported "
     "one at a time in order, on two threads: the calling thread builds each "
     "deviation map while a helper finishes the one before; at N >= 2 a pool "
-    "of N runs them; either way the kernels are held serial, so it keeps "
-    "two or N threads busy"
+    "of N runs them; a deviation map splits over two cores only while its "
+    "caller is the process's only thread, so either way two or N threads "
+    "stay busy"
 )
 
 
@@ -296,9 +297,10 @@ def cmd_gridsearch(args):
 
 
 def cmd_synth(args):
-    os.makedirs(args.out, exist_ok=True)
+    # the frames are made before the directory, so bad counts leave none
     if args.tilt is not None:
         frames = synth_tilt_sequence(args.tilt, PhantomSpec(seed=args.seed))
+        os.makedirs(args.out, exist_ok=True)
         for i, (img, labels) in enumerate(frames):
             stem = os.path.join(args.out, f"tilt{i:03d}")
             frame_io.write_image(img, stem + ".pgm")
@@ -308,6 +310,7 @@ def cmd_synth(args):
     frames, entries = make_dataset(
         n_frames=args.frames, base=PhantomSpec(), seed=args.seed
     )
+    os.makedirs(args.out, exist_ok=True)
     for frame_id, (img, labels) in frames.items():
         stem = os.path.join(args.out, frame_id)
         frame_io.write_image(img, stem + ".pgm")
@@ -337,8 +340,9 @@ def build_parser():
     p.add_argument("--folds", required=True)
     p.add_argument("--method", choices=_METHODS)
     p.add_argument("--config")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--fit-kappa", action="store_true")
+    kappa = p.add_mutually_exclusive_group()
+    kappa.add_argument("--kappa", type=float)
+    kappa.add_argument("--fit-kappa", action="store_true")
     p.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)

@@ -8,7 +8,6 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import _kernels
 from .classify import (
     CLOUD_FIELDS,
     TEXTURE_FIELDS,
@@ -249,14 +248,15 @@ def _map_ordered(fn, items, workers, finish=None):
     the kernels split as they do in ``detect``.  With it one worker is a
     two-stage pipeline: the calling thread runs ``fn`` on each item in
     turn while a helper thread runs ``finish`` on the item before.  A pool
-    of N >= 2 runs both stages of an item on one of its threads.  Both
-    hold the kernels serial, so the pipeline keeps two threads busy and
-    the pool N.  Outputs, and the first error in item order, are the same
-    either way.
+    of N >= 2 runs both stages of an item on one of its threads.  A
+    deviation map splits only while its caller is the only Python thread,
+    so only the pipeline's first map, built before its helper starts,
+    splits: the pipeline keeps two threads busy and the pool N.  Outputs,
+    and the first error in item order, are the same either way.
     """
     if workers <= 1 and finish is None:
         return [fn(item) for item in items]
-    with _kernels.serial(), ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         if finish is None:
             return list(pool.map(fn, items))
         if workers > 1:

@@ -43,7 +43,8 @@ class Params:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
+            # an int is finite, and one past float range would overflow
+            if not (isinstance(value, int) or math.isfinite(value)):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("sigma_u", "sigma_v", "sigma_w"):
             sigma = getattr(self, name)

@@ -167,7 +167,7 @@ def test_dispatch_table_covers_both_backends(monkeypatch):
     assert pure_names == set(_kernels.KERNELS)
     # the core's private entries are its test hooks and nothing else
     core_private = {name for name in vars(_core) if name[:1] == "_" and name[:2] != "__"}
-    assert core_private == {"_force", "_hold_serial", "_split_stats", "_thin_stats"}
+    assert core_private == {"_force", "_split_stats", "_thin_stats"}
     # detect calls the kernels through their dispatch names, so a wrapper
     # installed there sees every call: one deviation map and one salient
     # thinning, and no correlation; filter_stack, the reference, makes two
@@ -1022,7 +1022,7 @@ def test_detect_after_fork():
     # fork copies only the forking thread; the child forgets the parent's
     # helper, starts its own, and its detect finishes with the same result
     img = phantom_frames([21])[0]
-    with _kernels.serial():
+    with forced(parts=1):
         expected = classify.detect(img)
     assert same_detection(classify.detect(img), expected)  # splits, helper started
     with warnings.catch_warnings():
@@ -1049,11 +1049,12 @@ def test_detect_after_fork():
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-def test_concurrent_callers_match_serial():
-    # two threads split at once: one holds the helper, the other finds it
-    # busy and runs both parts itself; both get the serial result
+def test_concurrent_callers_match_one_part():
+    # two threads split at once, as forced, since neither is the only
+    # thread: one holds the helper, the other finds it busy and runs both
+    # parts itself; both get the one-part result
     frames = phantom_frames([21, 22])
-    with _kernels.serial():
+    with forced(parts=1):
         expected = [classify.detect(img) for img in frames]
     results = [[], []]
 
@@ -1062,10 +1063,11 @@ def test_concurrent_callers_match_serial():
             results[k].append(classify.detect(frames[k]))
 
     threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120.0)
+    with forced(parts=2):
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
     assert not any(t.is_alive() for t in threads)
     for k in (0, 1):
         assert len(results[k]) == 6
@@ -1091,9 +1093,11 @@ def dataset_command_outputs(data, out, workers):
 def test_dataset_commands_hold_the_kernels_serial(tmp_path, capsys, monkeypatch):
     # --workers 1 builds each deviation map on the calling thread and
     # finishes it on one helper thread; a pool of 2 runs both on its own
-    # threads.  Both hold the kernels serial, so no call splits, and let
-    # go when done, so the next detect splits.  Outputs are the same
-    # bytes either way, and under a hold of the caller's
+    # threads.  A map splits only while its caller is the only Python
+    # thread: the pipeline's first map, built before its helper starts,
+    # splits, and no map built while a helper or pool thread is alive
+    # does.  The next detect splits.  Outputs are the same bytes either
+    # way, and with every map forced onto one part
     from toposhadow import cli, evaluation
 
     data, out = tmp_path / "data", tmp_path / "out"
@@ -1109,35 +1113,49 @@ def test_dataset_commands_hold_the_kernels_serial(tmp_path, capsys, monkeypatch)
             return _real(*args)
 
         monkeypatch.setattr(evaluation, name, on_thread)
+    # (Python threads alive, calls that split) around each texture call
+    textures = []
+    real_texture = evaluation.texture
+
+    def texture(*args):
+        alive, before = threading.active_count(), split_calls()
+        result = real_texture(*args)
+        textures.append((alive, split_calls() - before))
+        return result
+
+    monkeypatch.setattr(evaluation, "texture", texture)
     runs = {}
     for workers in ("1", "2"):
         for seen in threads.values():
             seen.clear()
+        textures.clear()
         capsys.readouterr()
-        before = split_calls()
         files = dataset_command_outputs(data, out, workers)
         runs[workers] = (capsys.readouterr().out, files)
-        assert split_calls() == before, workers
-        classify.detect(img)
-        assert split_calls() > before or not TWO_CPUS, workers
+        assert textures, workers
+        assert all(alive == 1 for alive, split in textures if split), (workers, textures)
         if workers == "1":
+            assert any(split for _, split in textures) or not TWO_CPUS, textures
             assert threads["texture"] == {threading.get_ident()}
             assert threads["salient_cloud"] and threading.get_ident() not in threads["salient_cloud"]
         else:
             assert threading.get_ident() not in threads["texture"] | threads["salient_cloud"]
+        before = split_calls()
+        classify.detect(img)
+        assert split_calls() > before or not TWO_CPUS, workers
     before = split_calls()
-    with _kernels.serial():
+    with forced(parts=1):
         files = dataset_command_outputs(data, out, "1")
-        runs["serial"] = (capsys.readouterr().out, files)
+        runs["one part"] = (capsys.readouterr().out, files)
     assert split_calls() == before
-    assert runs["1"] == runs["2"] == runs["serial"]
+    assert runs["1"] == runs["2"] == runs["one part"]
     assert "accuracy=" in runs["1"][0]
 
 
 @pytest.mark.usefixtures("compiled_dispatch")
 def test_failed_pool_releases_its_hold(tmp_path, capsys):
-    # a pool that stops on an error lets go of the kernels: the next
-    # detect splits again, and no hold is left to release
+    # a pool that stops on an error splits no map while its threads run,
+    # and shuts them down: the next detect splits again
     from toposhadow import cli
 
     data = tmp_path / "data"
@@ -1152,8 +1170,6 @@ def test_failed_pool_releases_its_hold(tmp_path, capsys):
         code = cli.main(argv + ["--dataset", str(data), "--config", str(cfg), "--workers", "2"])
         assert code == 4, argv
         assert split_calls() == before
-        with pytest.raises(ValueError, match="while held"):
-            _core._hold_serial(-1)
     capsys.readouterr()
     before = split_calls()
     assert cli.main(["detect", "--input", str(next(data.glob("*.pgm")))]) == 0
@@ -1162,8 +1178,8 @@ def test_failed_pool_releases_its_hold(tmp_path, capsys):
 
 @pytest.mark.usefixtures("compiled_dispatch")
 def test_failed_pipeline_releases_its_hold(tmp_path, capsys):
-    # --workers 1 that stops on an error lets go of the kernels and of
-    # its helper thread: the next detect splits, and no hold is left
+    # --workers 1 that stops on an error shuts its helper thread down:
+    # the thread count is back, and the next detect splits
     from toposhadow import cli
 
     data = tmp_path / "data"
@@ -1178,8 +1194,6 @@ def test_failed_pipeline_releases_its_hold(tmp_path, capsys):
         code = cli.main(argv + ["--dataset", str(data), "--config", str(cfg), "--workers", "1"])
         assert code == 4, argv
         assert threading.active_count() == threads
-        with pytest.raises(ValueError, match="while held"):
-            _core._hold_serial(-1)
         before = split_calls()
         classify.detect(phantom_frames([21])[0])
         assert split_calls() > before or not TWO_CPUS

@@ -340,6 +340,31 @@ def test_evaluate_thresh_requires_kappa(tmp_path):
     assert r.returncode != 0
 
 
+def test_evaluate_kappa_and_fit_kappa_exclude_each_other(tmp_path, capsys):
+    # a given kappa would leave --fit-kappa nothing to fit: a usage error
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--frames", "3"]) == 0
+    argv = ["evaluate", "--dataset", str(data), "--folds", str(data / "folds.txt"),
+            "--method", "thresh"]
+    for flags in (["--kappa", "5000", "--fit-kappa"], ["--fit-kappa", "--kappa", "5000"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + flags)
+        assert exc.value.code == 1, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err, flags
+    assert cli.main(argv + ["--kappa", "5000"]) == 0
+
+
+def test_synth_bad_counts_leave_no_directory(tmp_path, capsys):
+    for flags in (["--frames", "0"], ["--tilt", "2"]):
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--out", str(out), *flags]) == 3, flags
+        assert not out.exists(), flags
+        assert "error: " in capsys.readouterr().err
+
+
 def test_trajectory(tmp_path):
     seq = tmp_path / "seq"
     r = run_cli("synth", "--out", str(seq), "--tilt", "5")

@@ -167,9 +167,11 @@ def test_params_validation():
         assert taps.tolist() == [0.0, 1.0, 0.0]
     # the compiled core reads the cap as a C long long
     assert Params(triangle_cap=2**63 - 1).triangle_cap == 2**63 - 1
-    too_large = r"^triangle_cap must be at most 2\*\*63 - 1, got 9223372036854775808$"
-    with pytest.raises(ValueError, match=too_large):
-        Params(triangle_cap=2**63)
+    # one past it, and one past float range, which is compared as an int
+    for value in (2**63, 10**400):
+        too_large = rf"^triangle_cap must be at most 2\*\*63 - 1, got {value}$"
+        with pytest.raises(ValueError, match=too_large):
+            Params(triangle_cap=value)
 
 
 def test_field_value_coerces_by_field_type():
