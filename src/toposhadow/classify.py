@@ -116,15 +116,6 @@ def back_end(sparse, width, params):
     return cx, counts, classify_scanlines(counts, params.tau)
 
 
-def detect_labels(img, params=None):
-    """The labels of ``detect(img, params)``, without the occurrence and
-    confidence maps."""
-    if params is None:
-        params = Params()
-    sparse = salient_cloud(texture(img, params), params)
-    return back_end(sparse, np.shape(img)[1], params)[2]
-
-
 def detect(img, params=None):
     """Run the full pipeline on one uncropped frame.
 

@@ -61,7 +61,8 @@ _WORKERS_HELP = (
     "deviation map while a helper finishes the one before; at N >= 2 a pool "
     "of N runs them; a deviation map splits over two cores only while its "
     "caller is the process's only thread, so either way two or N threads "
-    "stay busy"
+    "stay busy; evaluate's thresh and oracle methods always run on the "
+    "calling thread alone"
 )
 
 
@@ -210,7 +211,7 @@ def cmd_evaluate(args):
     folds = load_folds(args.folds)
     chosen_kappa = {}
     if method == "topol":
-        make_predict = topol_predictor(params)
+        make_predict = topol_predictor(params, args.workers)
     elif method == "oracle":
         make_predict = oracle_predictor()
     else:
@@ -220,14 +221,17 @@ def cmd_evaluate(args):
         def make_predict(fold, seen):
             if args.kappa is not None:
                 kappa = float(args.kappa)
+            elif not seen:
+                raise FormatError(f"fold {fold} has an empty seen split: no frames to fit kappa on")
             else:
-                frames = [img for img, _ in seen.values()]
-                labels = [lab for _, lab in seen.values()]
-                kappa, _acc = select_kappa(frames, labels, params.crop_rows)
+                images, labels = zip(*seen.values())
+                kappa, _acc = select_kappa(images, labels, params.crop_rows)
             chosen_kappa[fold] = kappa
-            return lambda img, truth: thresh_classify(img, kappa, params.crop_rows)
+            return lambda frames: [
+                thresh_classify(img, kappa, params.crop_rows) for img, _ in frames
+            ]
 
-    report = evaluate_folds(dataset, folds, make_predict, workers=args.workers)
+    report = evaluate_folds(dataset, folds, make_predict)
     with _output(args.out) as out:
         for fold in sorted(chosen_kappa):
             out.write(f"# fold {fold} kappa={_float_repr(chosen_kappa[fold])}\n")

@@ -179,24 +179,21 @@ class EvalReport:
     averages: dict
 
 
-def evaluate_folds(dataset, folds, make_predict, workers=1):
+def evaluate_folds(dataset, folds, make_predict):
     """Evaluate a predictor under a fold manifest.
 
     ``dataset`` maps frame id -> (image, truth labels).  ``make_predict``
     is called once per fold with (fold, seen subset) and must return a
-    ``predict(img, truth) -> labels`` callable; confusion counts are
-    pooled over the frames of each (fold, role) cell and the four
-    ratios averaged across folds per role.
+    ``predict(frames) -> labels`` callable, ``frames`` a list of (image,
+    truth) pairs and ``labels`` one label vector per pair; confusion
+    counts are pooled over the frames of each (fold, role) cell and the
+    four ratios averaged across folds per role.
 
     A fold-independent ``make_predict`` returns the same callable for
     every fold; each frame is then predicted once and its labels reused
     in every fold, so that callable must give the same labels for the
     same frame each time.  A new callable per fold (a predictor fitted
     on the seen frames) predicts each frame once per fold.
-
-    A callable may carry ``stages``, a pair ``(build, finish)`` with
-    ``predict(img, truth) == finish(build(img, truth), img, truth)``;
-    ``_map_ordered`` then pipelines the two over the frames.
     """
     missing = [fid for fid in folds.frame_ids() if fid not in dataset]
     if missing:
@@ -213,22 +210,9 @@ def evaluate_folds(dataset, folds, make_predict, workers=1):
             if not ids:
                 continue
             todo = [fid for fid in ids if fid not in labels]
-            stages = getattr(predict, "stages", None)
-            if stages is None:
-                preds = _map_ordered(lambda fid: predict(*dataset[fid]), todo, workers)
-            else:
-                build, finish = stages
-                preds = _map_ordered(
-                    lambda fid: build(*dataset[fid]),
-                    todo,
-                    workers,
-                    lambda fid, built: finish(built, *dataset[fid]),
-                )
-            labels.update(zip(todo, preds))
-            pooled = MetricsReport(0, 0, 0, 0)
-            for fid in ids:
-                pooled = pooled + confusion(labels[fid], dataset[fid][1])
-            rows.append(FoldResult(fold, role, pooled))
+            labels.update(zip(todo, predict([dataset[fid] for fid in todo])))
+            reports = (confusion(labels[fid], dataset[fid][1]) for fid in ids)
+            rows.append(FoldResult(fold, role, sum(reports, MetricsReport(0, 0, 0, 0))))
     averages = {}
     for role in ("seen", "unseen"):
         per_fold = [r.metrics for r in rows if r.role == role]
@@ -240,78 +224,52 @@ def evaluate_folds(dataset, folds, make_predict, workers=1):
     return EvalReport(rows=tuple(rows), averages=averages)
 
 
-def _map_ordered(fn, items, workers, finish=None):
-    """``[fn(item) for item in items]`` on ``workers`` threads, or with
-    ``finish``, ``[finish(item, fn(item)) for item in items]``.
+def _map_ordered(build, finish, items, workers):
+    """``[finish(item, build(item)) for item in items]`` on ``workers``
+    threads: a pool of N >= 2 runs both stages of an item on one thread.
 
-    Without ``finish`` one worker runs ``fn`` on the calling thread, where
-    the kernels split as they do in ``detect``.  With it one worker is a
-    two-stage pipeline: the calling thread runs ``fn`` on each item in
-    turn while a helper thread runs ``finish`` on the item before.  A pool
-    of N >= 2 runs both stages of an item on one of its threads.  A
-    deviation map splits only while its caller is the only Python thread,
-    so only the pipeline's first map, built before its helper starts,
-    splits: the pipeline keeps two threads busy and the pool N.  Outputs,
-    and the first error in item order, are the same either way.
+    One worker is a two-stage pipeline: the calling thread builds each
+    item while a helper thread finishes the one before.  ``finish`` takes
+    its value out of a one-item list, so at most two built values are
+    alive at once.  A deviation map splits only while its caller is the
+    only Python thread, so only the pipeline's first map, built before
+    its helper starts, splits: the pipeline keeps two threads busy and
+    the pool N.  Outputs, and the first error in item order, are the
+    same either way.
     """
-    if workers <= 1 and finish is None:
-        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        if finish is None:
-            return list(pool.map(fn, items))
         if workers > 1:
-            return list(pool.map(lambda item: finish(item, fn(item)), items))
-        return _pipelined(fn, finish, items, pool)
+            return list(pool.map(lambda item: finish(item, build(item)), items))
+        results, pending = [], None
+        for item in items:
+            try:
+                slot = [build(item)]
+            finally:
+                if pending is not None:
+                    results.append(pending.result())
+            pending = pool.submit(lambda item, slot: finish(item, slot.pop()), item, slot)
+        if pending is not None:
+            results.append(pending.result())
+        return results
 
 
-def _pipelined(build, finish, items, helper):
-    """``[finish(item, build(item)) for item in items]``, each ``finish``
-    on the one-thread executor ``helper`` while the calling thread builds
-    the next item.  At most two built values are alive at once, the one
-    being finished and the one being built: ``finish`` takes its value
-    out of a one-item list, so the helper holds none after it returns.
-    An error of an item's ``finish`` is raised before one of the next
-    item's ``build``.
+def topol_predictor(params=None, workers=1):
+    """make_predict for the pipeline detector: one callable for every
+    fold, which runs ``_scores_each`` on ``workers`` threads with the one
+    combination ``params``.
     """
-    results, pending = [], None
-    for item in items:
-        try:
-            slot = [build(item)]
-        finally:
-            if pending is not None:
-                results.append(pending.result())
-        pending = helper.submit(lambda item, slot: finish(item, slot.pop()), item, slot)
-    if pending is not None:
-        results.append(pending.result())
-    return results
+    combos = [Params() if params is None else params]
 
+    def predict(frames):
+        rows = _scores_each(frames, combos, workers, lambda labels, truth: labels)
+        return [row[0] for row in rows]
 
-def topol_predictor(params=None):
-    """make_predict for the pipeline detector: one callable for every fold.
-
-    Its ``stages`` split it at the deviation map: ``texture`` first, then
-    the salient cloud, triangles and labels.
-    """
-    params = Params() if params is None else params
-
-    def build(img, truth):
-        del truth
-        return texture(img, params)
-
-    def finish(saliency, img, truth):
-        del truth
-        return back_end(salient_cloud(saliency, params), np.shape(img)[1], params)[2]
-
-    def predict(img, truth):
-        return finish(build(img, truth), img, truth)
-
-    predict.stages = build, finish
     return _every_fold(predict)
 
 
 def oracle_predictor():
     """make_predict that returns the ground truth (upper bound)."""
-    return _every_fold(lambda img, truth: truth)
+    return _every_fold(lambda frames: [truth for _, truth in frames])
 
 
 def _every_fold(predict):
@@ -389,33 +347,45 @@ def _grid_rows(dataset, grid, base, workers):
 
 
 def _pooled_each(dataset, combos, workers=1):
-    """Pooled confusion over the dataset for each Params in ``combos``.
+    """Pooled confusion over the dataset, frames in id order, for each
+    Params in ``combos``; all zeros for an empty dataset."""
+    pooled = [MetricsReport(0, 0, 0, 0)] * len(combos)
+    frames = [dataset[fid] for fid in sorted(dataset)]
+    for reports in _scores_each(frames, combos, workers, confusion):
+        pooled = [total + report for total, report in zip(pooled, reports)]
+    return pooled
+
+
+def _scores_each(frames, combos, workers, score):
+    """``score(labels, truth)`` for each (image, truth) pair in
+    ``frames`` and each Params in ``combos``: one list per frame, in
+    ``combos`` order, ``labels`` being those of ``detect(image, params)``.
 
     The unit of work is one deviation map: a frame and a group of
     combinations that share their ``TEXTURE_FIELDS`` values, frames in
-    id order and groups in the order of those values.  ``_map_ordered``
+    order and groups in the order of those values.  ``_map_ordered``
     builds each unit's map, then on it a thinned cloud once per distinct
     ``CLOUD_FIELDS`` values, its triangles and scan-line counts once per
     distinct (epsilon, triangle_cap) on that cloud, and only thresholds
-    the counts per combination, in grid order.  A combination whose
-    triangles exceed the cap raises where it would alone: the first one
-    with a new (cloud, epsilon, triangle_cap) builds them.  An empty
-    dataset gives an all-zero report for each.
+    and scores the counts per combination, in grid order.  A combination
+    whose triangles exceed the cap raises where it would alone: the
+    first one with a new (cloud, epsilon, triangle_cap) builds them.
     """
     texture_key, cloud_key = attrgetter(*TEXTURE_FIELDS), attrgetter(*CLOUD_FIELDS)
     groups = {}
     for index, params in enumerate(combos):
         groups.setdefault(texture_key(params), []).append(index)
-    units = [(fid, group) for fid in sorted(dataset) for _, group in sorted(groups.items())]
+    ordered = [group for _, group in sorted(groups.items())]
+    rows = [[None] * len(combos) for _ in frames]
+    units = [(frame, row, group) for frame, row in zip(frames, rows) for group in ordered]
 
     def build(unit):
-        fid, group = unit
-        return texture(dataset[fid][0], combos[group[0]])
+        (img, _), _, group = unit
+        return texture(img, combos[group[0]])
 
     def finish(unit, saliency):
-        fid, group = unit
-        img, truth = dataset[fid]
-        clouds, counts, reports = {}, {}, []
+        (img, truth), row, group = unit
+        clouds, counts = {}, {}
         for index in group:
             params = combos[index]
             key = cloud_key(params)
@@ -424,11 +394,7 @@ def _pooled_each(dataset, combos, workers=1):
             mesh = key, params.epsilon, params.triangle_cap
             if mesh not in counts:
                 counts[mesh] = back_end(clouds[key], np.shape(img)[1], params)[1]
-            reports.append(confusion(classify_scanlines(counts[mesh], params.tau), truth))
-        return reports
+            row[index] = score(classify_scanlines(counts[mesh], params.tau), truth)
 
-    pooled = [MetricsReport(0, 0, 0, 0)] * len(combos)
-    for (_, group), reports in zip(units, _map_ordered(build, units, workers, finish)):
-        for index, report in zip(group, reports):
-            pooled[index] = pooled[index] + report
-    return pooled
+    _map_ordered(build, finish, units, workers)
+    return rows

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, number_text
 
 __all__ = [
     "load_image",
@@ -109,7 +109,7 @@ def crop_top(img, rows):
     img = np.asarray(img)
     if not 0 <= rows < img.shape[0]:
         raise ValueError(
-            f"crop_rows must lie in [0, {img.shape[0]}), the frame height, got {rows:.6g}"
+            f"crop_rows must lie in [0, {img.shape[0]}), the frame height, got {number_text(rows)}"
         )
     return img[rows:]
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _kernels
+from .errors import number_text
 from .topology import DEFAULT_TRIANGLE_CAP
 
 
@@ -43,8 +44,13 @@ class Params:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            # an int is finite, and one past float range would overflow
-            if not (isinstance(value, int) or math.isfinite(value)):
+            # an int on an integer field is finite, and may lie past float
+            # range; any other value must convert to a finite float
+            try:
+                finite = f.type is int and isinstance(value, int) or math.isfinite(value)
+            except OverflowError:
+                finite = False
+            if not finite:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("sigma_u", "sigma_v", "sigma_w"):
             sigma = getattr(self, name)
@@ -192,7 +198,7 @@ def deviation_map(img, params):
     except MemoryError as exc:
         height, width = img.shape
         raise MemoryError(
-            f"stack_size {params.stack_size:.6g} on a {height} x {width} frame: {exc}"
+            f"stack_size {number_text(params.stack_size)} on a {height} x {width} frame: {exc}"
         ) from None
 
 

@@ -1233,3 +1233,16 @@ def test_huge_sigma_names_its_field():
                     classify.detect(img, Params(**{name: 1e300}))
                 with pytest.raises(MemoryError, match=f"^{name} 1e\\+15 needs"):
                     classify.detect(img, Params(**{name: 1e15}))
+
+
+def test_huge_int_fields_name_their_field():
+    # an integer field past float range is rounded without a float
+    # conversion in the error that names it, on either backend
+    img = phantom_frames([23])[0]
+    for impl in (_core, _pure):
+        with on_backend(impl):
+            too_far = r"^crop_rows must lie in \[0, 300\), the frame height, got 1e\+400$"
+            with pytest.raises(ValueError, match=too_far):
+                classify.detect(img, Params(crop_rows=10**400))
+            with pytest.raises(MemoryError, match=r"^stack_size 1e\+400 on a 200 x 600 frame"):
+                classify.detect(img, Params(stack_size=10**400))

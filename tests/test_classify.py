@@ -9,7 +9,6 @@ from toposhadow.classify import (
     back_end,
     classify_scanlines,
     detect,
-    detect_labels,
     salient_cloud,
     scanline_counts,
     texture,
@@ -143,7 +142,6 @@ def test_detect_is_the_three_stages():
     assert np.array_equal(res.triangle_complex.triangles, cx.triangles)
     assert np.array_equal(res.simplex_counts, counts)
     assert np.array_equal(res.labels, labels)
-    assert np.array_equal(detect_labels(img, p), labels)
     assert res.cloud_size == len(cx.vertices)
     assert res.triangle_count == len(cx.triangles)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from toposhadow import classify, cli
+from toposhadow.evaluation import load_folds
 from toposhadow.frame_io import load_image, write_image
 
 
@@ -338,6 +339,21 @@ def test_evaluate_thresh_requires_kappa(tmp_path):
         "thresh",
     )
     assert r.returncode != 0
+
+
+def test_evaluate_fit_kappa_names_a_fold_with_no_seen_frames(tmp_path, capsys):
+    # three frames all fall unseen in fold 1, which leaves --fit-kappa no
+    # frames to fit on there: a data error that names the fold
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--frames", "3"]) == 0
+    assert load_folds(data / "folds.txt").members(1, "seen") == []
+    capsys.readouterr()
+    argv = ["evaluate", "--dataset", str(data), "--folds", str(data / "folds.txt"),
+            "--method", "thresh", "--fit-kappa"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fold 1 has an empty seen split" in captured.err
 
 
 def test_evaluate_kappa_and_fit_kappa_exclude_each_other(tmp_path, capsys):

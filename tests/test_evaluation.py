@@ -204,8 +204,8 @@ def test_evaluate_deterministic():
 
 def test_evaluate_workers_agree():
     dataset, _, folds = small_dataset()
-    r1 = evaluate_folds(dataset, folds, topol_predictor(), workers=1)
-    r2 = evaluate_folds(dataset, folds, topol_predictor(), workers=3)
+    r1 = evaluate_folds(dataset, folds, topol_predictor(workers=1))
+    r2 = evaluate_folds(dataset, folds, topol_predictor(workers=3))
     assert r1 == r2
 
 
@@ -217,6 +217,23 @@ def test_average_is_mean_of_fold_ratios():
         assert report.averages[role]["acc"] == pytest.approx(
             sum(per_fold) / len(per_fold), rel=1e-12
         )
+
+
+def test_evaluate_and_sweep_run_one_engine():
+    # each frame is unseen in one fold; pooled over those rows, the topol
+    # predictor counts what a sweep of the same Params counts
+    dataset, _, folds = small_dataset()
+    params = Params(gamma=3.0, epsilon=50.0, tau=3)
+    report = evaluate_folds(dataset, folds, topol_predictor(params))
+    unseen = [fid for fold in folds.folds() for fid in folds.members(fold, "unseen")]
+    assert sorted(unseen) == sorted(dataset)
+    pooled = MetricsReport(0, 0, 0, 0)
+    for row in report.rows:
+        if row.role == "unseen":
+            pooled = pooled + row.metrics
+    ((_, swept),) = perturb_sweep(dataset, "tau", [params.tau], params)
+    assert pooled == swept
+    assert pooled.total > 0
 
 
 def count_stages(monkeypatch, dataset):
@@ -257,9 +274,9 @@ def test_fold_independent_predictor_runs_once_per_frame(monkeypatch):
     def per_fold(fold, seen):
         del fold, seen
 
-        def predict(img, truth):
-            calls.append(frame_of[id(img)])
-            return classify.detect_labels(img)
+        def predict(frames):
+            calls.extend(frame_of[id(img)] for img, _ in frames)
+            return [detect(img).labels for img, _ in frames]
 
         return predict
 
@@ -267,10 +284,10 @@ def test_fold_independent_predictor_runs_once_per_frame(monkeypatch):
     for workers in (1, 3):
         for seen in (*record.values(), calls):
             seen.clear()
-        reports["shared", workers] = evaluate_folds(dataset, folds, topol_predictor(), workers)
+        reports["shared", workers] = evaluate_folds(dataset, folds, topol_predictor(None, workers))
         assert Counter(record["maps"]) == Counter(folds.frame_ids())
         assert Counter(record["clouds"]) == Counter(folds.frame_ids())
-        reports["per fold", workers] = evaluate_folds(dataset, folds, per_fold, workers)
+        reports["per fold", workers] = evaluate_folds(dataset, folds, per_fold)
         assert Counter(calls) == Counter(fid for fid, _, _, _ in entries)
         assert len(calls) == len(folds.frame_ids()) * len(folds.folds())
     assert all(report == reports["shared", 1] for report in reports.values())
@@ -290,7 +307,7 @@ def test_pipeline_holds_at_most_two_maps(monkeypatch):
     assert max(record["alive"]) <= 1
     for values in record.values():
         values.clear()
-    evaluate_folds(dataset, folds, topol_predictor(), workers=1)
+    evaluate_folds(dataset, folds, topol_predictor(workers=1))
     assert sorted(record["maps"]) == sorted(dataset)
     assert max(record["alive"]) <= 1
     monkeypatch.undo()
@@ -316,7 +333,7 @@ def test_pipeline_raises_the_first_error_in_frame_order(monkeypatch):
         (sorted(dataset), lambda params, workers: grid_search(
             dataset, {"triangle_cap": [params.triangle_cap]}, workers=workers)),
         (folds.members(1, "seen"), lambda params, workers: evaluate_folds(
-            dataset, folds, topol_predictor(params), workers)),
+            dataset, folds, topol_predictor(params, workers))),
     )
     for frames, run in commands:
         late["img"] = dataset[frames[1]][0]

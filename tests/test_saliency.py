@@ -153,7 +153,8 @@ def test_params_validation():
         with pytest.raises(ValueError, match=f"^{message}$"):
             Params(**kwargs)
     for name in sorted(PARAM_FIELDS - INT_FIELDS):
-        for value in (float("nan"), float("inf"), float("-inf")):
+        # an int past float range too, which math.isfinite cannot convert
+        for value in (float("nan"), float("inf"), float("-inf"), 10**400):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 Params(**{name: value})
     # a sigma so small that 2 sigma^2 is not a normal float (1e-300: 0)
