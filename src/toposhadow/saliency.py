@@ -51,7 +51,7 @@ class Params:
             except OverflowError:
                 finite = False
             if not finite:
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+                raise ValueError(f"{f.name} must be finite, got {number_text(value)}")
         for name in ("sigma_u", "sigma_v", "sigma_w"):
             sigma = getattr(self, name)
             if sigma <= 0:

@@ -153,8 +153,9 @@ def test_params_validation():
         with pytest.raises(ValueError, match=f"^{message}$"):
             Params(**kwargs)
     for name in sorted(PARAM_FIELDS - INT_FIELDS):
-        # an int past float range too, which math.isfinite cannot convert
-        for value in (float("nan"), float("inf"), float("-inf"), 10**400):
+        # ints past float range too, which math.isfinite cannot convert,
+        # one of them past the 4300 digits that repr writes
+        for value in (float("nan"), float("inf"), float("-inf"), 10**400, 10**5000):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 Params(**{name: value})
     # a sigma so small that 2 sigma^2 is not a normal float (1e-300: 0)
