@@ -16,10 +16,10 @@
  * tests.
  *
  * Every kernel releases the GIL around its loops.  The deviation map
- * splits a large call into two parts, the second run by one helper thread
- * (see "two parts" below).  The salient thinning computes a candidate's
- * spacing only where bounds on it cannot decide the candidate (see
- * "thin" below).
+ * splits a large call into two parts, the second run by a thread started
+ * for the call and joined before it returns (see "two parts" below).  The
+ * salient thinning computes a candidate's spacing only where bounds on it
+ * cannot decide the candidate (see "thin" below).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -33,6 +33,7 @@
 #include <pthread.h>
 #include <sched.h>
 #include <signal.h>
+#include <stdatomic.h>
 #include <stdlib.h>
 #include <string.h>
 #include <unistd.h>
@@ -152,111 +153,55 @@ static inline double dist_sq(const i64 *pts, Py_ssize_t a, Py_ssize_t b)
 
 /* ------------------------------------------------------------ two parts */
 
-/* A deviation map splits its columns into a left and a right part: the
- * calling thread runs the left one and a helper thread the right one.
- * There is at most one helper per process.  It starts on the first
- * split call, sleeps on `wake` while idle, and touches no Python object.
- * A map splits only while its caller is the process's only Python thread
- * (should_split), so callers meet at the helper only when tests force
- * the split.  A call that finds the helper busy with another thread's
- * call runs both parts itself, and a caller whose right part the helper
- * has not picked up by the time its left part is done takes it back, so
- * a busy second core costs at most the serial time.  Parts write
- * disjoint outputs, so the result does not depend on who ran which
- * part. */
-typedef void (*part_fn)(void *job, int part);
+/* A deviation map splits its columns into a left and a right part.  The
+ * call starts one thread, runs the left part itself and joins the thread
+ * before it returns, so no thread outlives the call and a forked child
+ * has nothing to forget.  Whichever of the two claims the right part first
+ * runs it: a caller whose thread has not started by the time the left
+ * part is done runs the right part too, as it does when the thread cannot
+ * start.  The thread touches no Python object.  Parts write disjoint
+ * outputs, so the result does not depend on who ran which part. */
+typedef struct {
+    DevJob *job;
+    atomic_int claimed; /* 1 once a thread has claimed the right part */
+} Split;
 
-enum { HELPER_IDLE, HELPER_POSTED, HELPER_RUNNING, HELPER_DONE };
-
-static struct {
-    pthread_mutex_t lock;
-    pthread_cond_t wake, done;
-    int started, state;
-    part_fn fn;
-    void *job;
-    long long parts_run; /* right parts the helper ran, for tests */
-} helper = {PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER, PTHREAD_COND_INITIALIZER,
-            0, HELPER_IDLE, NULL, NULL, 0};
-
-/* Calls that split, for tests; read and written with the GIL held. */
-static long long split_calls;
-
-static void *helper_main(void *unused)
+static int claim_right(Split *s)
 {
-    (void)unused;
-    pthread_mutex_lock(&helper.lock);
-    for (;;) {
-        while (helper.state != HELPER_POSTED)
-            pthread_cond_wait(&helper.wake, &helper.lock);
-        helper.state = HELPER_RUNNING;
-        pthread_mutex_unlock(&helper.lock);
-        helper.fn(helper.job, 1);
-        pthread_mutex_lock(&helper.lock);
-        helper.parts_run++;
-        helper.state = HELPER_DONE;
-        pthread_cond_signal(&helper.done);
-    }
+    return atomic_exchange(&s->claimed, 1) == 0;
+}
+
+static void *right_part(void *arg)
+{
+    Split *s = arg;
+    if (claim_right(s))
+        deviation_part(s->job, 1);
     return NULL;
 }
 
-/* Start the helper with every signal blocked, so that signals keep going to
- * the interpreter's threads; call with the lock held.  0 on success. */
-static int start_helper(void)
+/* Calls that split, and right parts a split's own thread ran, for tests;
+ * read and written with the GIL held. */
+static long long split_calls, thread_parts;
+
+/* Run both parts of `job`; call without the GIL.  1 when the call's
+ * thread ran the right part.  The thread starts with every signal
+ * blocked, so that signals keep going to the interpreter's threads. */
+static int run_parts(DevJob *job)
 {
+    Split s = {job, 0};
     sigset_t all, old;
     pthread_t thread;
     sigfillset(&all);
     pthread_sigmask(SIG_SETMASK, &all, &old);
-    int rc = pthread_create(&thread, NULL, helper_main, NULL);
+    const int started = pthread_create(&thread, NULL, right_part, &s) == 0;
     pthread_sigmask(SIG_SETMASK, &old, NULL);
-    if (rc != 0)
-        return -1;
-    pthread_detach(thread);
-    helper.started = 1;
-    return 0;
-}
-
-/* Run parts 0 and 1 of `job`; call without the GIL. */
-static void run_parts(part_fn fn, void *job)
-{
-    int posted = 0;
-    pthread_mutex_lock(&helper.lock);
-    if (helper.state == HELPER_IDLE && (helper.started || start_helper() == 0)) {
-        helper.fn = fn;
-        helper.job = job;
-        helper.state = HELPER_POSTED;
-        posted = 1;
-        pthread_cond_signal(&helper.wake);
-    }
-    pthread_mutex_unlock(&helper.lock);
-    fn(job, 0);
-    if (posted) {
-        pthread_mutex_lock(&helper.lock);
-        if (helper.state == HELPER_POSTED) {
-            posted = 0; /* not started yet: take it back */
-        } else {
-            while (helper.state != HELPER_DONE)
-                pthread_cond_wait(&helper.done, &helper.lock);
-        }
-        helper.state = HELPER_IDLE;
-        pthread_mutex_unlock(&helper.lock);
-    }
-    if (!posted)
-        fn(job, 1);
-}
-
-/* fork() copies only the forking thread: the child forgets the helper and
- * starts its own when it first splits.  The lock is held across the fork,
- * so the child's copy is in a known state. */
-static void helper_prepare(void) { pthread_mutex_lock(&helper.lock); }
-static void helper_parent(void) { pthread_mutex_unlock(&helper.lock); }
-static void helper_child(void)
-{
-    pthread_cond_init(&helper.wake, NULL);
-    pthread_cond_init(&helper.done, NULL);
-    helper.started = 0;
-    helper.state = HELPER_IDLE;
-    pthread_mutex_unlock(&helper.lock);
+    deviation_part(job, 0);
+    const int mine = claim_right(&s);
+    if (mine)
+        deviation_part(job, 1);
+    if (started)
+        pthread_join(thread, NULL);
+    return !mine;
 }
 
 /* The CPUs this process may run on. */
@@ -282,11 +227,11 @@ static int only_thread(void)
 }
 
 /* Whether a call whose parts each do about `part_work` multiply-adds
- * should split; call with the GIL held.  Below SPLIT_MIN_WORK the wake-up
- * of the helper costs more than the part.  A call splits only while its
- * caller is the process's only Python thread: other threads, such as a
- * dataset command's pool or pipeline helper, already use the other
- * cores, and a split would take one from them. */
+ * should split; call with the GIL held.  Below SPLIT_MIN_WORK starting
+ * and joining the call's thread costs more than the part.  A call splits
+ * only while its caller is the process's only Python thread: other
+ * threads, such as a dataset command's pool or pipeline helper, already
+ * use the other cores, and a split would take one from them. */
 #define SPLIT_MIN_WORK 100000.0
 
 __attribute__((noinline)) static int should_split(double part_work)
@@ -305,7 +250,7 @@ static const Simd *picked = &simd_baseline;
 /* What `_force` set, for tests; read and written with the GIL held: the
  * baseline instances in place of module init's pick, and a deviation
  * map's column parts (0 to choose).  A call reads it once into its job,
- * so the helper thread never reads it. */
+ * so the call's thread never reads it. */
 static struct {
     int baseline, parts;
 } forced;
@@ -367,7 +312,8 @@ done:
 
 /* The call sets up a DevJob (see ``_dense.h``): its column parts, their
  * bands with layer 0 cast from the image, and the output; the parts then
- * run in ``_dense.c``'s deviation_part, the second on the helper thread. */
+ * run in ``_dense.c``'s deviation_part, the second on the thread that
+ * run_parts starts for the call. */
 
 /* Columns [b0, b1) of `img`, of any real dtype, cast into the (h, b1 - b0)
  * float64 rows at `dst` as numpy assigns them.  0, or -1 with an error. */
@@ -481,12 +427,14 @@ static PyObject *deviation_map(PyObject *self, PyObject *args, PyObject *kwds)
             goto done;
         }
     }
+    int ran = 0;
     Py_BEGIN_ALLOW_THREADS
     if (parts == 2)
-        run_parts(deviation_part, &job);
+        ran = run_parts(&job);
     else
         deviation_part(&job, 0);
     Py_END_ALLOW_THREADS
+    thread_parts += ran;
 done:
     Py_XDECREF(bands);
     Py_DECREF(img);
@@ -525,13 +473,7 @@ static PyObject *force(PyObject *self, PyObject *args, PyObject *kwds)
 
 static PyObject *split_stats(PyObject *self, PyObject *unused)
 {
-    long long parts_run;
-    Py_BEGIN_ALLOW_THREADS
-    pthread_mutex_lock(&helper.lock);
-    parts_run = helper.parts_run;
-    pthread_mutex_unlock(&helper.lock);
-    Py_END_ALLOW_THREADS
-    return Py_BuildValue("LL", split_calls, parts_run);
+    return Py_BuildValue("LL", split_calls, thread_parts);
 }
 
 /* ----------------------------------------------------------------- thin */
@@ -1207,7 +1149,7 @@ static PyMethodDef methods[] = {
      "instances (simd='baseline') and deviation maps on forced column parts\n"
      "(1 or 2), for tests; returns the previous (simd, parts)."},
     {"_split_stats", split_stats, METH_NOARGS,
-     "(calls that split, right parts the helper thread ran), for tests."},
+     "(calls that split, right parts a split's own thread ran), for tests."},
     {"thin_points", (PyCFunction)(void (*)(void))thin_points, METH_VARARGS | METH_KEYWORDS,
      "Greedy row-major thinning: keep a candidate iff no already-kept\n"
      "point lies within the candidate's own spacing threshold (inclusive)."},
@@ -1240,14 +1182,6 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC PyInit__core(void)
 {
     import_array();
-    static int forks_handled;
-    if (!forks_handled) {
-        if (pthread_atfork(helper_prepare, helper_parent, helper_child) != 0) {
-            PyErr_SetString(PyExc_OSError, "pthread_atfork failed");
-            return NULL;
-        }
-        forks_handled = 1;
-    }
     const char *width = "baseline";
 #ifdef HAVE_AVX512
     __builtin_cpu_init();

@@ -73,7 +73,16 @@ class Params:
             ("triangle_cap", self.triangle_cap <= 2**63 - 1, "must be at most 2**63 - 1"),
         ):
             if not ok:
-                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} {rule}, got {_value_text(getattr(self, name))}")
+
+
+def _value_text(value):
+    """`value` as repr writes it, or past the digits repr may write (4300
+    for an int) as ``errors.number_text`` does."""
+    try:
+        return repr(value)
+    except ValueError:
+        return number_text(value)
 
 
 # the Params field names, and the integer-valued ones; the rest are floats
@@ -119,7 +128,9 @@ def gaussian_kernel_1d(sigma, name="sigma"):
     """
     if sigma <= 0:
         raise ValueError(f"{name} must be positive")
-    radius = math.ceil(3.0 * sigma)
+    reach = 3.0 * sigma
+    # past float range 3 sigma is inf, which has no ceil, and so are its taps
+    radius = math.ceil(reach) if math.isfinite(reach) else math.inf
     taps = 2 * radius + 1
     if taps > sys.maxsize // 8:  # float64 bytes past any address
         raise ValueError(

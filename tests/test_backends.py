@@ -7,6 +7,7 @@ import contextlib
 import inspect
 import os
 import platform
+import re
 import threading
 import time
 import tracemalloc
@@ -1016,43 +1017,75 @@ def same_detection(a, b):
     )
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.usefixtures("compiled_dispatch")
-def test_detect_after_fork():
-    # fork copies only the forking thread; the child forgets the parent's
-    # helper, starts its own, and its detect finishes with the same result
-    img = phantom_frames([21])[0]
-    with forced(parts=1):
-        expected = classify.detect(img)
-    assert same_detection(classify.detect(img), expected)  # splits, helper started
+def exit_code_in_child(check):
+    """Run `check()` in a forked child and return the child's exit code:
+    what `check` returned, or 1 if it raised."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
         pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            ran = _core._split_stats()[1]
-            ok = all(same_detection(classify.detect(img), expected) for _ in range(8))
-            code = 0 if ok and (not TWO_CPUS or _core._split_stats()[1] > ran) else 2
+            code = check()
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60.0
     while True:
         done, status = os.waitpid(pid, os.WNOHANG)
         if done:
-            break
+            return os.waitstatus_to_exitcode(status)
         if time.monotonic() > deadline:
             os.kill(pid, 9)
             os.waitpid(pid, 0)
-            pytest.fail("detect in the forked child did not finish in 60 s")
+            pytest.fail("the forked child did not finish in 60 s")
         time.sleep(0.01)
-    assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.usefixtures("compiled_dispatch")
+def test_detect_after_fork():
+    # fork copies only the forking thread, and no split leaves a thread
+    # behind to lose; the child's detect splits on a thread of its own and
+    # finishes with the same result
+    img = phantom_frames([21])[0]
+    with forced(parts=1):
+        expected = classify.detect(img)
+    assert same_detection(classify.detect(img), expected)  # splits
+
+    def check():
+        ran = _core._split_stats()[1]
+        ok = all(same_detection(classify.detect(img), expected) for _ in range(8))
+        return 0 if ok and (not TWO_CPUS or _core._split_stats()[1] > ran) else 2
+
+    assert exit_code_in_child(check) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.skipif(
+    not (os.path.isdir("/proc/self/task") and TWO_CPUS),
+    reason="needs /proc/self/task and two usable CPUs",
+)
+@pytest.mark.usefixtures("compiled_dispatch")
+def test_split_leaves_no_thread_behind():
+    # a split joins the thread it starts before it returns.  Counted in a
+    # forked child, whose one thread is the one that forked, so that no
+    # thread an earlier call left alive is already in the count
+    img = phantom_frames([21])[0]
+
+    def check():
+        tasks, calls = len(os.listdir("/proc/self/task")), split_calls()
+        classify.detect(img)
+        if split_calls() == calls:
+            return 2  # did not split
+        return 0 if len(os.listdir("/proc/self/task")) == tasks else 3
+
+    assert exit_code_in_child(check) == 0
 
 
 def test_concurrent_callers_match_one_part():
     # two threads split at once, as forced, since neither is the only
-    # thread: one holds the helper, the other finds it busy and runs both
-    # parts itself; both get the one-part result
+    # thread: each call starts and joins its own thread for the right
+    # part; both get the one-part result
     frames = phantom_frames([21, 22])
     with forced(parts=1):
         expected = [classify.detect(img) for img in frames]
@@ -1229,8 +1262,10 @@ def test_huge_sigma_names_its_field():
     for impl in (_core, _pure):
         with on_backend(impl):
             for name in ("sigma_u", "sigma_v", "sigma_w"):
-                with pytest.raises(ValueError, match=f"^{name} 1e\\+300 needs"):
-                    classify.detect(img, Params(**{name: 1e300}))
+                # 1e308: 3 sigma is past float range
+                for sigma in ("1e+300", "1e+308"):
+                    with pytest.raises(ValueError, match=f"^{name} {re.escape(sigma)} needs"):
+                        classify.detect(img, Params(**{name: float(sigma)}))
                 with pytest.raises(MemoryError, match=f"^{name} 1e\\+15 needs"):
                     classify.detect(img, Params(**{name: 1e15}))
 

@@ -270,6 +270,19 @@ def test_out_of_range_values_name_their_field(tmp_path, monkeypatch, capsys):
                 assert "300" in err  # the frame height
 
 
+def test_sigma_past_float_triple_exits_3(tmp_path):
+    # 3 sigma overflows to inf, which has no ceil: still bad data that
+    # names the field, not a traceback
+    frame = tmp_path / "f.pgm"
+    write_constant_frame(frame)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("sigma_u = 1e308\n")
+    r = run_cli("detect", "--input", str(frame), "--config", str(cfg))
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: sigma_u 1e+308 needs") and r.stderr.count("\n") == 1
+
+
 def test_triangle_cap_exit_4(tmp_path):
     out = tmp_path / "data"
     assert run_cli("synth", "--out", str(out), "--frames", "1").returncode == 0

@@ -149,6 +149,9 @@ def test_params_validation():
         ({"tau": 0}, "tau must be at least 1, got 0"),
         ({"crop_rows": -1}, "crop_rows must be non-negative, got -1"),
         ({"triangle_cap": 0}, "triangle_cap must be positive, got 0"),
+        # past the 4300 digits that repr writes, an int is written rounded
+        ({"crop_rows": -10**5000}, r"crop_rows must be non-negative, got -1e\+5000"),
+        ({"triangle_cap": 10**5000}, r"triangle_cap must be at most 2\*\*63 - 1, got 1e\+5000"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Params(**kwargs)
