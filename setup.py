@@ -1,10 +1,11 @@
 """Build script: compiles the C kernel core when a toolchain is available.
 
 The package works without the extension (a pure numpy fallback is selected at
-import time), so a failed compile only costs speed, not functionality.  The
-core is two C units linked into one library: ``_dense.c``, the dense loops,
-and ``_coremodule.c``, the CPython bindings and the other kernels.  They
-compile at the same time, one per usable CPU.
+import time), so a failed build only costs speed, not functionality, and
+prints one warning that names the failure.  The core is two C units linked
+into one library: ``_dense.c``, the dense loops, and ``_coremodule.c``, the
+CPython bindings and the other kernels.  They compile at the same time, one
+per usable CPU, each through the compiler's own ``compile()``.
 """
 
 import os
@@ -27,32 +28,17 @@ COMPILE_ARGS = ["-O3", "-ffp-contract=off", "-fno-math-errno", "-g0"]
 
 
 def compile_concurrently(compiler):
-    """Make `compiler.compile` run CCompiler.compile's per-unit `_compile`
-    calls on up to one thread per usable CPU, where it runs them one after
-    the other.  Every unit runs; the first unit's error is raised, once
+    """Make `compiler.compile` call the compiler's own `compile` once per
+    source, on up to one thread per usable CPU, and return the objects in
+    source order.  Every unit runs; the first unit's error is raised, once
     every unit has ended."""
+    compile_one = compiler.compile
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
-    def compile(sources, output_dir=None, macros=None, include_dirs=None, debug=0,
-                extra_preargs=None, extra_postargs=None, depends=None):
-        macros, objects, extra_postargs, pp_opts, build = compiler._setup_compile(
-            output_dir, macros, include_dirs, sources, depends, extra_postargs
-        )
-        cc_args = compiler._get_cc_args(pp_opts, debug, extra_preargs)
-
-        def one(obj):
-            src, ext = build[obj]
-            compiler._compile(obj, src, ext, cc_args, extra_postargs, pp_opts)
-
-        todo = [obj for obj in objects if obj in build]
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
-        with ThreadPoolExecutor(max(1, min(len(todo), cpus))) as pool:
-            futures = [pool.submit(one, obj) for obj in todo]
-        for future in futures:
-            future.result()
-        return objects
+    def compile(sources, *args, **kwargs):
+        with ThreadPoolExecutor(max(1, min(len(sources), cpus or 1))) as pool:
+            futures = [pool.submit(compile_one, [src], *args, **kwargs) for src in sources]
+        return [obj for future in futures for obj in future.result()]
 
     compiler.compile = compile
 
@@ -63,25 +49,21 @@ class optional_build_ext(build_ext):
     def run(self):
         try:
             super().run()
-        except Exception as exc:  # toolchain missing entirely
-            self._warn(exc)
+        except Exception as exc:  # no toolchain, a failed unit or a failed link
+            print(
+                f"WARNING: building the compiled kernel core failed ({exc}); "
+                "falling back to the pure numpy kernels.",
+                file=sys.stderr,
+            )
 
-    def build_extension(self, ext):
-        try:
-            # a compiler class that overrides compile() keeps its own loop
-            if type(self.compiler).compile is CCompiler.compile:
-                compile_concurrently(self.compiler)
-            super().build_extension(ext)
-        except Exception as exc:
-            self._warn(exc)
-
-    @staticmethod
-    def _warn(exc):
-        print(
-            f"WARNING: building the compiled kernel core failed ({exc}); "
-            "falling back to the pure numpy kernels.",
-            file=sys.stderr,
-        )
+    def build_extensions(self):
+        # only a compiler that runs CCompiler.compile's own loop: MSVC's
+        # compile() initializes itself on its first call, and two threads
+        # must not race that.  Two units may create their shared object
+        # directory at once: distutils' mkpath takes EEXIST in its stride.
+        if type(self.compiler).compile is CCompiler.compile:
+            compile_concurrently(self.compiler)
+        super().build_extensions()
 
 
 def extensions():

@@ -52,12 +52,8 @@ def select_kappa(frames, labels, crop_rows=100, step=100.0):
     n_shadow = int(prefix[-1])
     n_visible = total - n_shadow
     top = int(np.floor(sums.max() / step)) + 2
-    best_kappa = best_acc = None
-    for i in range(top):
-        kappa = i * step
-        below = int(np.searchsorted(sums_sorted, kappa, side="left"))
-        correct = int(prefix[below]) + (n_visible - (below - int(prefix[below])))
-        acc = correct / total
-        if best_acc is None or acc > best_acc:
-            best_kappa, best_acc = kappa, acc
-    return best_kappa, best_acc
+    # candidate i is i * step; argmax takes the first of tied candidates
+    below = np.searchsorted(sums_sorted, np.arange(top) * step, side="left")
+    correct = prefix[below] + n_visible - (below - prefix[below])
+    best = int(np.argmax(correct))
+    return best * step, int(correct[best]) / total

@@ -192,7 +192,8 @@ def evaluate_folds(dataset, folds, make_predict):
     A fold-independent ``make_predict`` returns the same callable for
     every fold; each frame is then predicted once and its labels reused
     in every fold, so that callable must give the same labels for the
-    same frame each time.  A new callable per fold (a predictor fitted
+    same frame each time, and a cell whose frames all have labels makes
+    no call.  A new callable per fold (a predictor fitted
     on the seen frames) predicts each frame once per fold.
     """
     missing = [fid for fid in folds.frame_ids() if fid not in dataset]
@@ -210,7 +211,8 @@ def evaluate_folds(dataset, folds, make_predict):
             if not ids:
                 continue
             todo = [fid for fid in ids if fid not in labels]
-            labels.update(zip(todo, predict([dataset[fid] for fid in todo])))
+            if todo:
+                labels.update(zip(todo, predict([dataset[fid] for fid in todo])))
             reports = (confusion(labels[fid], dataset[fid][1]) for fid in ids)
             rows.append(FoldResult(fold, role, sum(reports, MetricsReport(0, 0, 0, 0))))
     averages = {}

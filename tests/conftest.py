@@ -5,10 +5,10 @@ build_ext`` into a session temporary directory, so the source tree stays
 untouched, and an import hook resolves ``toposhadow._kernels._core`` to
 that build.  Where no C compiler works the session runs on the pure numpy
 backend.  The report header names the backend that ran, where it came
-from and, for the compiled core, the vector width it picked and how many
-column parts its dense kernels split into.  Tests that
-start the CLI in a subprocess use whichever backend a fresh interpreter
-finds.
+from and, for the compiled core, the vector width it picked and when a
+deviation map splits into two column parts: only a large map, and only
+while its caller is the only Python thread.  Tests that start the CLI in
+a subprocess use whichever backend a fresh interpreter finds.
 """
 
 import importlib.abc
@@ -85,7 +85,14 @@ def pytest_report_header(config):
     backend = _kernels.get_backend()
     origin = getattr(backend, "__file__", "?")
     simd = f", simd {backend.SIMD}" if hasattr(backend, "SIMD") else ""
+    split = ""
     if hasattr(backend, "_split_stats"):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        simd += ", 2 column parts" if (cpus or 1) >= 2 else ", 1 column part (1 CPU)"
-    return f"toposhadow kernels: {_kernels.BACKEND}{simd} from {origin} ({_session['note']})"
+        split = (
+            "; a large map splits in 2 column parts while its caller is the only thread"
+            if (cpus or 1) >= 2
+            else "; 1 column part (1 CPU)"
+        )
+    return (
+        f"toposhadow kernels: {_kernels.BACKEND}{simd} from {origin} ({_session['note']}){split}"
+    )

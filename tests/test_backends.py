@@ -1123,7 +1123,7 @@ def dataset_command_outputs(data, out, workers):
 
 
 @pytest.mark.usefixtures("compiled_dispatch")
-def test_dataset_commands_hold_the_kernels_serial(tmp_path, capsys, monkeypatch):
+def test_dataset_commands_split_maps_only_while_alone(tmp_path, capsys, monkeypatch):
     # --workers 1 builds each deviation map on the calling thread and
     # finishes it on one helper thread; a pool of 2 runs both on its own
     # threads.  A map splits only while its caller is the only Python
@@ -1186,7 +1186,7 @@ def test_dataset_commands_hold_the_kernels_serial(tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.usefixtures("compiled_dispatch")
-def test_failed_pool_releases_its_hold(tmp_path, capsys):
+def test_next_detect_splits_after_failed_pool(tmp_path, capsys):
     # a pool that stops on an error splits no map while its threads run,
     # and shuts them down: the next detect splits again
     from toposhadow import cli
@@ -1210,7 +1210,7 @@ def test_failed_pool_releases_its_hold(tmp_path, capsys):
 
 
 @pytest.mark.usefixtures("compiled_dispatch")
-def test_failed_pipeline_releases_its_hold(tmp_path, capsys):
+def test_next_detect_splits_after_failed_pipeline(tmp_path, capsys):
     # --workers 1 that stops on an error shuts its helper thread down:
     # the thread count is back, and the next detect splits
     from toposhadow import cli

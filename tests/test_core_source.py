@@ -3,7 +3,8 @@ flags setup.py builds them with, so a static function left without a
 caller (-Wunused-function) fails here.  The dense-loop unit also compiles
 with no Python or numpy include path, and with its AVX-512 instances left
 out, as on a CPU other than x86.  A compiler that fails leaves setup.py
-on the pure numpy fallback."""
+on the pure numpy fallback with one warning, and the units compile at the
+same time, each through the compiler's own compile()."""
 
 import os
 import re
@@ -13,6 +14,8 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -84,18 +87,75 @@ def test_dense_unit_compiles_without_avx512_instances(tmp_path):
 
 def test_failed_compile_falls_back_to_pure(tmp_path):
     # every unit fails, each on its own thread; the error must still
-    # reach optional_build_ext, which warns and exits 0
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(tmp_path / "lib"), "--build-temp", str(tmp_path / "tmp")],
-        cwd=ROOT,
-        env=dict(os.environ, CC="false", PYTHONDONTWRITEBYTECODE="1"),
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.count("falling back to the pure numpy kernels") == 1, proc.stderr
-    # the compile error stopped the build before the link
-    assert "-c src/toposhadow/_kernels/_dense.c" in proc.stdout
-    assert " -shared " not in proc.stdout, proc.stdout
-    assert not list(tmp_path.glob("lib/toposhadow/_kernels/_core.*"))
+    # reach optional_build_ext, which warns once, naming the compiler's
+    # failure, and exits 0, out of tree and in place alike.  Each build
+    # runs on a copy of the tree, so nothing is written into the source
+    for case, where in (("lib", ["--build-lib", "lib", "--build-temp", "tmp"]),
+                        ("inplace", ["--inplace"])):
+        tree = tmp_path / case
+        shutil.copytree(ROOT / "src", tree / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd"))
+        for name in ("setup.py", "pyproject.toml"):
+            shutil.copy(ROOT / name, tree)
+        proc = subprocess.run(
+            [sys.executable, "setup.py", "build_ext", *where],
+            cwd=tree,
+            env=dict(os.environ, CC="false", PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, (case, proc.stderr)
+        warned = [ln for ln in proc.stderr.splitlines() if "falling back to the pure numpy" in ln]
+        assert len(warned) == 1, (case, proc.stderr)
+        assert "failed with exit code 1" in warned[0], (case, warned)
+        # the compile error stopped the build before the link
+        assert "-c src/toposhadow/_kernels/_dense.c" in proc.stdout, case
+        assert " -shared " not in proc.stdout, (case, proc.stdout)
+        assert not list(tree.rglob("_core.*")), case
+
+
+class NappingCompiler(SETUP["CCompiler"]):
+    """A compiler on CCompiler.compile's own loop whose units sleep, then
+    record their thread and their (start, end) time; a unit in `fail`
+    then raises."""
+
+    executables = {}
+    src_extensions = [".c"]
+    obj_extension = ".o"
+
+    def __init__(self, naps, fail=()):
+        super().__init__()
+        self.naps, self.fail, self.runs = naps, fail, {}
+
+    def _compile(self, obj, src, ext, cc_args, extra_postargs, pp_opts):
+        start = time.monotonic()
+        time.sleep(self.naps[src])
+        self.runs[src] = (threading.get_ident(), start, time.monotonic())
+        if src in self.fail:
+            raise RuntimeError(f"{src} failed")
+
+
+def test_units_compile_concurrently(tmp_path, monkeypatch):
+    # with two usable CPUs the two units overlap on two threads; the
+    # objects come back in source order although the first unit ends
+    # last, and the first unit's error is raised only once the second
+    # unit has ended
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    sources = ["a.c", "b.c"]
+    cc = NappingCompiler({"a.c": 0.3, "b.c": 0.1})
+    SETUP["compile_concurrently"](cc)
+    assert cc.compile(sources, output_dir=str(tmp_path)) == [
+        str(tmp_path / "a.o"), str(tmp_path / "b.o")
+    ]
+    (a_thread, a_start, a_end), (b_thread, b_start, b_end) = cc.runs["a.c"], cc.runs["b.c"]
+    assert a_thread != b_thread
+    assert a_start < b_end and b_start < a_end, cc.runs
+
+    cc = NappingCompiler({"a.c": 0.05, "b.c": 0.3}, fail={"a.c"})
+    SETUP["compile_concurrently"](cc)
+    with pytest.raises(RuntimeError, match="a.c failed"):
+        try:
+            cc.compile(sources, output_dir=str(tmp_path))
+        finally:
+            ended = sorted(cc.runs)  # the units that had ended as the error came
+    assert ended == sources

@@ -265,10 +265,19 @@ def count_stages(monkeypatch, dataset):
 def test_fold_independent_predictor_runs_once_per_frame(monkeypatch):
     # the topol predictor builds one deviation map and makes one
     # prediction per frame, whatever the folds and the worker count; a
-    # new predictor per fold predicts each frame once per fold
+    # new predictor per fold predicts each frame once per fold.  A cell
+    # whose frames all have labels makes no call, so no batch is empty
     dataset, entries, folds = small_dataset()
     record = count_stages(monkeypatch, dataset)
     calls = []
+    batches = []
+    real_scores_each = evaluation._scores_each
+
+    def scores_each(frames, *rest):
+        batches.append(len(frames))
+        return real_scores_each(frames, *rest)
+
+    monkeypatch.setattr(evaluation, "_scores_each", scores_each)
     frame_of = {id(img): fid for fid, (img, _) in dataset.items()}
 
     def per_fold(fold, seen):
@@ -282,11 +291,12 @@ def test_fold_independent_predictor_runs_once_per_frame(monkeypatch):
 
     reports = {}
     for workers in (1, 3):
-        for seen in (*record.values(), calls):
+        for seen in (*record.values(), calls, batches):
             seen.clear()
         reports["shared", workers] = evaluate_folds(dataset, folds, topol_predictor(None, workers))
         assert Counter(record["maps"]) == Counter(folds.frame_ids())
         assert Counter(record["clouds"]) == Counter(folds.frame_ids())
+        assert batches and 0 not in batches, batches
         reports["per fold", workers] = evaluate_folds(dataset, folds, per_fold)
         assert Counter(calls) == Counter(fid for fid, _, _, _ in entries)
         assert len(calls) == len(folds.frame_ids()) * len(folds.folds())
