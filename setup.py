@@ -30,14 +30,20 @@ COMPILE_ARGS = ["-O3", "-ffp-contract=off", "-fno-math-errno", "-g0"]
 def compile_concurrently(compiler):
     """Make `compiler.compile` call the compiler's own `compile` once per
     source, on up to one thread per usable CPU, and return the objects in
-    source order.  Every unit runs; the first unit's error is raised, once
-    every unit has ended."""
+    source order.  The object directories are made first, on this thread,
+    so that two units do not both make (and log) a directory they share.
+    Every unit runs; the first unit's error is raised, once every unit has
+    ended."""
     compile_one = compiler.compile
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
-    def compile(sources, *args, **kwargs):
+    def compile(sources, output_dir=None, *args, **kwargs):
+        for obj in compiler.object_filenames(sources, output_dir=output_dir or compiler.output_dir):
+            compiler.mkpath(os.path.dirname(obj))
         with ThreadPoolExecutor(max(1, min(len(sources), cpus or 1))) as pool:
-            futures = [pool.submit(compile_one, [src], *args, **kwargs) for src in sources]
+            futures = [
+                pool.submit(compile_one, [src], output_dir, *args, **kwargs) for src in sources
+            ]
         return [obj for future in futures for obj in future.result()]
 
     compiler.compile = compile
@@ -59,8 +65,7 @@ class optional_build_ext(build_ext):
     def build_extensions(self):
         # only a compiler that runs CCompiler.compile's own loop: MSVC's
         # compile() initializes itself on its first call, and two threads
-        # must not race that.  Two units may create their shared object
-        # directory at once: distutils' mkpath takes EEXIST in its stride.
+        # must not race that.
         if type(self.compiler).compile is CCompiler.compile:
             compile_concurrently(self.compiler)
         super().build_extensions()

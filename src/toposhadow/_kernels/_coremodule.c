@@ -260,6 +260,18 @@ static const Simd *pick(void)
     return forced.baseline ? &simd_baseline : picked;
 }
 
+/* The offsets r * ld of rows [0, h), for the axis-0 pass; free with
+ * PyMem_RawFree.  NULL with MemoryError set. */
+static ptrdiff_t *row_offsets(Py_ssize_t h, Py_ssize_t ld)
+{
+    ptrdiff_t *row = PyMem_RawMalloc((size_t)h * sizeof(ptrdiff_t));
+    if (row == NULL)
+        PyErr_NoMemory();
+    for (Py_ssize_t r = 0; row != NULL && r < h; r++)
+        row[r] = r * ld;
+    return row;
+}
+
 static PyObject *correlate1d_replicate(PyObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"img", "weights", "axis", NULL};
@@ -294,12 +306,19 @@ static PyObject *correlate1d_replicate(PyObject *self, PyObject *args, PyObject 
     const Simd *simd = pick();
     if (radius == 0 || h == 0 || w == 0) {
         memcpy(o, x, (size_t)(h * w) * sizeof(double));
+    } else if (axis == 0) {
+        ptrdiff_t *row = row_offsets(h, w);
+        if (row == NULL) {
+            Py_CLEAR(out);
+            goto done;
+        }
+        Py_BEGIN_ALLOW_THREADS
+        simd->axis0(x, row, o, w, h, w, 0, h, wt, radius);
+        Py_END_ALLOW_THREADS
+        PyMem_RawFree(row);
     } else {
         Py_BEGIN_ALLOW_THREADS
-        if (axis == 0)
-            simd->axis0(x, w, o, w, h, w, 0, h, wt, radius);
-        else
-            simd->axis1(x, o, h, w, wt, radius);
+        simd->axis1(x, o, h, w, wt, radius);
         Py_END_ALLOW_THREADS
     }
 done:
@@ -311,9 +330,12 @@ done:
 /* -------------------------------------------------------- deviation map */
 
 /* The call sets up a DevJob (see ``_dense.h``): its column parts, their
- * bands with layer 0 cast from the image, and the output; the parts then
- * run in ``_dense.c``'s deviation_part, the second on the thread that
- * run_parts starts for the call. */
+ * bands with layer 0 cast from the image and their row tables, and the
+ * output; the parts then run in ``_dense.c``'s deviation_part, the second
+ * on the thread that run_parts starts for the call.  A band holds layer 0
+ * and a window of rows of each later layer, not whole planes: at the
+ * default Params, 40 rows of each, and about 2.1 frames for a 200 x 600
+ * map in all. */
 
 /* Columns [b0, b1) of `img`, of any real dtype, cast into the (h, b1 - b0)
  * float64 rows at `dst` as numpy assigns them.  0, or -1 with an error. */
@@ -359,6 +381,7 @@ static PyObject *deviation_map(PyObject *self, PyObject *args, PyObject *kwds)
     PyArrayObject *ku = AS_ARRAY(ku_obj, NPY_DOUBLE);
     PyArrayObject *kv = ku == NULL ? NULL : AS_ARRAY(kv_obj, NPY_DOUBLE);
     PyArrayObject *out = NULL, *bands = NULL;
+    ptrdiff_t *rows = NULL;
     if (kv == NULL)
         goto done;
     if (PyArray_NDIM(img) != 2 || PyArray_NDIM(ku) != 1 || PyArray_DIM(ku, 0) == 0
@@ -368,7 +391,8 @@ static PyObject *deviation_map(PyObject *self, PyObject *args, PyObject *kwds)
     }
     DevJob job = {pick(), PyArray_DATA(ku), PyArray_DATA(kv), NULL,
                   PyArray_DIM(img, 0), PyArray_DIM(img, 1), (PyArray_DIM(ku, 0) - 1) / 2,
-                  (PyArray_DIM(kv, 0) - 1) / 2, layers, 0, {0, 0, 0}, {NULL, NULL}};
+                  (PyArray_DIM(kv, 0) - 1) / 2, layers, 0, 0, {0, 0, 0}, {NULL, NULL},
+                  {NULL, NULL}};
     const Py_ssize_t h = job.h, w = job.w;
     /* both parts' band widths, and the size arithmetic checked for overflow */
     Py_ssize_t mid = w / 2;
@@ -388,15 +412,16 @@ static PyObject *deviation_map(PyObject *self, PyObject *args, PyObject *kwds)
     }
     job.cut[1] = parts == 2 ? mid : w;
     job.cut[2] = w;
-    size_t band[2] = {0, 0}, total = 0;
-    int overflow = 0;
+    job.window = window_rows(h, job.ru, layers);
+    /* a band's rows: layer 0's h, a window of each later layer's, and one
+     * block of scratch */
+    size_t band_rows, band[2] = {0, 0}, total = 0;
+    int overflow = __builtin_mul_overflow((size_t)(layers - 1), (size_t)job.window, &band_rows);
+    overflow |= __builtin_add_overflow(band_rows, (size_t)h + ROW_BLOCK, &band_rows);
     for (int p = 0; p < parts; p++) {
         ptrdiff_t b0, b1;
         band_range(&job, p, &b0, &b1);
-        size_t cells;
-        /* (layers + 1) planes of h x bw */
-        overflow |= __builtin_mul_overflow((size_t)h, (size_t)(b1 - b0), &cells);
-        overflow |= __builtin_mul_overflow(cells, (size_t)layers + 1, &band[p]);
+        overflow |= __builtin_mul_overflow(band_rows, (size_t)(b1 - b0), &band[p]);
         overflow |= __builtin_add_overflow(total, band[p], &total);
     }
     if (overflow || total > PY_SSIZE_T_MAX / sizeof(double)) {
@@ -417,8 +442,16 @@ static PyObject *deviation_map(PyObject *self, PyObject *args, PyObject *kwds)
         Py_CLEAR(out);
         goto done;
     }
+    rows = PyMem_RawMalloc((size_t)(2 * parts * h) * sizeof(ptrdiff_t));
+    if (rows == NULL) {
+        PyErr_NoMemory();
+        Py_CLEAR(out);
+        goto done;
+    }
     job.band[0] = PyArray_DATA(bands);
     job.band[1] = job.band[0] + band[0];
+    job.rows[0] = rows;
+    job.rows[1] = rows + 2 * h;
     for (int p = 0; p < parts; p++) {
         ptrdiff_t b0, b1;
         band_range(&job, p, &b0, &b1);
@@ -436,6 +469,7 @@ static PyObject *deviation_map(PyObject *self, PyObject *args, PyObject *kwds)
     Py_END_ALLOW_THREADS
     thread_parts += ran;
 done:
+    PyMem_RawFree(rows);
     Py_XDECREF(bands);
     Py_DECREF(img);
     Py_XDECREF(ku);
@@ -710,6 +744,7 @@ typedef struct {
     Py_ssize_t h, W, c0, w, radius, bands, a_row;
     double phi1, phi2;
     double *x, *a;
+    const ptrdiff_t *x_row; /* the offsets of x's rows in a band */
     unsigned char *x_done, *a_done;
     axis0_fn axis0;
     long long exact, cells;
@@ -739,7 +774,7 @@ __attribute__((noinline)) static double salient_spacing(void *ctx, Py_ssize_t i)
             t->x_done[b] = 1;
         }
         /* row r of the pass, written at `a` itself (a row step of 0) */
-        t->axis0(x, AXIS0_BAND, t->a + cb, 0, h, n, r, r + 1, t->wt, t->radius);
+        t->axis0(x, t->x_row, t->a + cb, 0, h, n, r, r + 1, t->wt, t->radius);
         t->a_done[b] = 1;
         t->cells += n;
     }
@@ -789,6 +824,7 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
     PyArrayObject *pts = wts == NULL ? NULL : as_points(p_obj, &n);
     PyObject *out = NULL;
     double *buf = NULL, *bound = NULL;
+    ptrdiff_t *x_row = NULL;
     unsigned char *flags = NULL;
     if (pts == NULL)
         goto done;
@@ -811,19 +847,23 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
     const Py_ssize_t w = c1 - c0, bands = (w + AXIS0_BAND - 1) / AXIS0_BAND;
     const Simd *simd = pick();
     Salient t = {PyArray_DATA(sal), PyArray_DATA(wts), p, h, W, c0, w, radius, bands, -1,
-                 phi1, phi2, NULL, NULL, NULL, NULL, simd->axis0, 0, 0};
+                 phi1, phi2, NULL, NULL, NULL, NULL, NULL, simd->axis0, 0, 0};
     /* x and a; the raw tile grids fit in x, which fills only after them */
     const Py_ssize_t plane = bands * AXIS0_BAND * h;
     const Py_ssize_t th = (h + TILE - 1) / TILE, tw = (w + TILE - 1) / TILE;
     /* the tiles' spacing bounds, or else every point's exact spacing */
     const Py_ssize_t n_bound = n > 2 * th * tw ? n : 2 * th * tw;
-    buf = malloc((size_t)(plane + bands * AXIS0_BAND) * sizeof(double));
-    bound = malloc((size_t)n_bound * sizeof(double));
-    flags = calloc(2 * (size_t)bands, 1);
+    /* the raw allocator, so that tracemalloc sees these frame-sized buffers */
+    buf = PyMem_RawMalloc((size_t)(plane + bands * AXIS0_BAND) * sizeof(double));
+    bound = PyMem_RawMalloc((size_t)n_bound * sizeof(double));
+    flags = PyMem_RawCalloc(2 * (size_t)bands, 1);
     if (buf == NULL || bound == NULL || flags == NULL) {
         PyErr_NoMemory();
         goto done;
     }
+    if ((x_row = row_offsets(h, AXIS0_BAND)) == NULL)
+        goto done;
+    t.x_row = x_row;
     t.x = buf;
     t.a = buf + plane;
     t.x_done = flags + bands;
@@ -870,9 +910,10 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
     thin_exact += t.exact;
     thin_cells += t.cells;
 done:
-    free(buf);
-    free(bound);
-    free(flags);
+    PyMem_RawFree(buf);
+    PyMem_RawFree(bound);
+    PyMem_RawFree(flags);
+    PyMem_RawFree(x_row);
     Py_DECREF(sal);
     Py_XDECREF(wts);
     Py_XDECREF(pts);
@@ -1100,7 +1141,8 @@ static PyObject *occurrence_counts(PyObject *self, PyObject *args, PyObject *kwd
     out = (PyArrayObject *)PyArray_SimpleNew(2, dims, NPY_INT32);
     if (out == NULL)
         goto done;
-    diff = calloc((size_t)(h * (w + 1)) + 1, sizeof(i32));
+    /* the raw allocator, so that tracemalloc sees it */
+    diff = PyMem_RawCalloc((size_t)(h * (w + 1)) + 1, sizeof(i32));
     if (diff == NULL) {
         Py_CLEAR(out);
         PyErr_NoMemory();
@@ -1125,7 +1167,7 @@ static PyObject *occurrence_counts(PyObject *self, PyObject *args, PyObject *kwd
     }
     Py_END_ALLOW_THREADS
 done:
-    free(diff);
+    PyMem_RawFree(diff);
     Py_DECREF(pts);
     Py_XDECREF(tri);
     return (PyObject *)out;

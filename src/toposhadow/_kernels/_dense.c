@@ -16,7 +16,8 @@
  * multiplies, divides, roots and compares, nothing is contracted, and
  * every element sees the same operations in the same order at either
  * width.  A deviation map's part builds its layers 8 rows at a time as a
- * wavefront, so that the rows a layer reads are still in cache (see
+ * wavefront, so that the rows a layer reads are still in cache, and keeps
+ * of each layer past the first only the rows still to be read (see
  * "deviation map" below).
  */
 
@@ -31,21 +32,20 @@
 /* out[p] = x[p] + sum_{k=1..radius} w[k] * ((x[p-k]-x[p]) + (x[p+k]-x[p])),
  * accumulated from k = 1 outward in a per-row accumulator so that the
  * loop over the n columns of row r vectorizes without changing any
- * element's operation order.  `x` and `out` point at the first column;
- * their rows are ldx and ldo values apart.  Not inlined: it runs only
- * the narrow last band of a pass, and its callers share one copy. */
+ * element's operation order.  `x` points at the first column, whose row
+ * r starts at x + row[r]; `acc` is the output row.  Not inlined: it runs
+ * only the narrow last band of a pass, and its callers share one copy. */
 __attribute__((noinline)) static void
-axis0_row_cols(const double *restrict x, ptrdiff_t ldx, double *restrict out, ptrdiff_t ldo,
+axis0_row_cols(const double *restrict x, const ptrdiff_t *restrict row, double *restrict acc,
                ptrdiff_t h, ptrdiff_t r, ptrdiff_t n, const double *restrict wt,
                ptrdiff_t radius)
 {
-    const double *restrict xc = x + r * ldx;
-    double *restrict acc = out + r * ldo;
+    const double *restrict xc = x + row[r];
     for (ptrdiff_t c = 0; c < n; c++)
         acc[c] = 0.0;
     for (ptrdiff_t k = 1; k <= radius; k++) {
-        const double *restrict xl = x + (r - k < 0 ? 0 : r - k) * ldx;
-        const double *restrict xh = x + (r + k > h - 1 ? h - 1 : r + k) * ldx;
+        const double *restrict xl = x + row[r - k < 0 ? 0 : r - k];
+        const double *restrict xh = x + row[r + k > h - 1 ? h - 1 : r + k];
         const double wk = wt[radius + k];
         for (ptrdiff_t c = 0; c < n; c++)
             acc[c] += wk * ((xl[c] - xc[c]) + (xh[c] - xc[c]));
@@ -66,17 +66,17 @@ axis0_row_cols(const double *restrict x, ptrdiff_t ldx, double *restrict out, pt
  * AVX-512 target ran 3x slower than its SSE2 build. */
 #define AXIS0_BANDS(name, V, attr)                                                        \
     attr static inline __attribute__((always_inline)) void name##_band(                   \
-        const double *restrict x, ptrdiff_t ldx, double *restrict out, ptrdiff_t ldo,     \
+        const double *restrict x, const ptrdiff_t *restrict row, double *restrict out,    \
         ptrdiff_t h, ptrdiff_t r, const double *restrict wt, ptrdiff_t radius)            \
     {                                                                                     \
         enum { N = sizeof(V) / sizeof(double), NV = AXIS0_BAND / N };                     \
         V xc[NV], acc[NV], lo, hi;                                                        \
-        memcpy(xc, x + r * ldx, sizeof(xc));                                              \
+        memcpy(xc, x + row[r], sizeof(xc));                                               \
         for (int v = 0; v < NV; v++)                                                      \
             acc[v] = (V){0};                                                              \
         for (ptrdiff_t k = 1; k <= radius; k++) {                                         \
-            const double *xl = x + (r - k < 0 ? 0 : r - k) * ldx;                         \
-            const double *xh = x + (r + k > h - 1 ? h - 1 : r + k) * ldx;                 \
+            const double *xl = x + row[r - k < 0 ? 0 : r - k];                            \
+            const double *xh = x + row[r + k > h - 1 ? h - 1 : r + k];                    \
             const double wk = wt[radius + k];                                             \
             for (int v = 0; v < NV; v++) {                                                \
                 memcpy(&lo, xl + v * N, sizeof(V));                                       \
@@ -86,20 +86,22 @@ axis0_row_cols(const double *restrict x, ptrdiff_t ldx, double *restrict out, pt
         }                                                                                 \
         for (int v = 0; v < NV; v++)                                                      \
             acc[v] = xc[v] + acc[v];                                                      \
-        memcpy(out + r * ldo, acc, sizeof(acc));                                          \
+        memcpy(out, acc, sizeof(acc));                                                    \
     }                                                                                     \
                                                                                           \
-    attr static void name(const double *restrict x, ptrdiff_t ldx, double *restrict out,  \
-                          ptrdiff_t ldo, ptrdiff_t h, ptrdiff_t w, ptrdiff_t r0,          \
-                          ptrdiff_t r1, const double *restrict wt, ptrdiff_t radius)      \
+    attr static void name(const double *restrict x, const ptrdiff_t *restrict row,        \
+                          double *restrict out, ptrdiff_t ldo, ptrdiff_t h, ptrdiff_t w,  \
+                          ptrdiff_t r0, ptrdiff_t r1, const double *restrict wt,          \
+                          ptrdiff_t radius)                                               \
     {                                                                                     \
         ptrdiff_t c0 = 0;                                                                 \
         for (; c0 + AXIS0_BAND <= w; c0 += AXIS0_BAND)                                    \
             for (ptrdiff_t r = r0; r < r1; r++)                                           \
-                name##_band(x + c0, ldx, out + c0, ldo, h, r, wt, radius);                \
+                name##_band(x + c0, row, out + (r - r0) * ldo + c0, h, r, wt, radius);    \
         if (c0 < w)                                                                       \
             for (ptrdiff_t r = r0; r < r1; r++)                                           \
-                axis0_row_cols(x + c0, ldx, out + c0, ldo, h, r, w - c0, wt, radius);     \
+                axis0_row_cols(x + c0, row, out + (r - r0) * ldo + c0, h, r, w - c0, wt,  \
+                               radius);                                                   \
     }
 
 /* The baseline width: 16-byte vectors, native on every 64-bit CPU.  A
@@ -177,9 +179,9 @@ AXIS1_PASS(correlate_axis1_v2, v2df, )
 
 /* ------------------------------------------------------------ stack std */
 
-/* Population standard deviation across the L layers of an (L, h*w) stack,
- * layer by layer as numpy reduces a contiguous stack of more than one pixel
- * per layer: the mean sums the layers from layer 0 and divides by L, the
+/* Population standard deviation across the L layers of a stack, layer by
+ * layer as numpy reduces a contiguous stack of more than one pixel per
+ * layer: the mean sums the layers from layer 0 and divides by L, the
  * variance sums the squared deviations in the same order and divides by L.
  * STD_BLOCK pixels at a time, so that each step runs across the block as
  * vectors and no stack-sized temporary exists.  The square root vectorises
@@ -187,48 +189,50 @@ AXIS1_PASS(correlate_axis1_v2, v2df, )
 #define STD_BLOCK 16
 
 /* One pixel, for runs shorter than a block. */
-static void std_pixel(const double *restrict s, double *restrict out, ptrdiff_t L,
-                      ptrdiff_t plane)
+static void std_pixel(const double *restrict s0, const double *restrict s, ptrdiff_t plane,
+                      double *restrict out, ptrdiff_t L)
 {
-    double m = s[0];
+    double m = s0[0];
     for (ptrdiff_t l = 1; l < L; l++)
-        m += s[l * plane];
+        m += s[(l - 1) * plane];
     m /= (double)L;
-    double q = (s[0] - m) * (s[0] - m);
+    double q = (s0[0] - m) * (s0[0] - m);
     for (ptrdiff_t l = 1; l < L; l++) {
-        const double d = s[l * plane] - m;
+        const double d = s[(l - 1) * plane] - m;
         q += d * d;
     }
     *out = sqrt(q / (double)L);
 }
 
 /* STD_RUN(name, V, attr) defines the deviation of `n` contiguous pixels
- * of a plane, a block of STD_BLOCK / lanes vectors of type V at a time.
+ * (layer 0 at s0, the rest `plane` apart from s), a block of STD_BLOCK /
+ * lanes vectors of type V at a time.
  * When n >= STD_BLOCK the last block overlaps the one before it: a
  * pixel's value does not depend on its block, so the overlap rewrites the
  * same bytes.  Kept out of line: the vector loops compile apart from the
  * band loop that calls them. */
 #define STD_RUN(name, V, attr)                                                            \
     attr static inline __attribute__((always_inline)) void name##_block(                  \
-        const double *restrict s, double *restrict out, ptrdiff_t L, ptrdiff_t plane)     \
+        const double *restrict s0, const double *restrict s, ptrdiff_t plane,             \
+        double *restrict out, ptrdiff_t L)                                                \
     {                                                                                     \
         enum { N = sizeof(V) / sizeof(double), NV = STD_BLOCK / N };                      \
         V m[NV], q[NV], d;                                                                \
         double var[STD_BLOCK];                                                            \
-        memcpy(m, s, sizeof(m));                                                          \
+        memcpy(m, s0, sizeof(m));                                                         \
         for (ptrdiff_t l = 1; l < L; l++)                                                 \
             for (int v = 0; v < NV; v++) {                                                \
-                memcpy(&d, s + l * plane + v * N, sizeof(V));                             \
+                memcpy(&d, s + (l - 1) * plane + v * N, sizeof(V));                       \
                 m[v] += d;                                                                \
             }                                                                             \
         for (int v = 0; v < NV; v++) {                                                    \
             m[v] /= (double)L;                                                            \
-            memcpy(&d, s + v * N, sizeof(V));                                             \
+            memcpy(&d, s0 + v * N, sizeof(V));                                            \
             q[v] = (d - m[v]) * (d - m[v]);                                               \
         }                                                                                 \
         for (ptrdiff_t l = 1; l < L; l++)                                                 \
             for (int v = 0; v < NV; v++) {                                                \
-                memcpy(&d, s + l * plane + v * N, sizeof(V));                             \
+                memcpy(&d, s + (l - 1) * plane + v * N, sizeof(V));                       \
                 d -= m[v];                                                                \
                 q[v] += d * d;                                                            \
             }                                                                             \
@@ -239,18 +243,18 @@ static void std_pixel(const double *restrict s, double *restrict out, ptrdiff_t 
             out[j] = sqrt(var[j]);                                                        \
     }                                                                                     \
                                                                                           \
-    attr __attribute__((noinline)) static void name(const double *restrict s,             \
-                                                    double *restrict out, ptrdiff_t L,    \
-                                                    ptrdiff_t plane, ptrdiff_t n)         \
+    attr __attribute__((noinline)) static void name(                                      \
+        const double *restrict s0, const double *restrict s, ptrdiff_t plane,             \
+        double *restrict out, ptrdiff_t L, ptrdiff_t n)                                   \
     {                                                                                     \
         if (n < STD_BLOCK) {                                                              \
             for (ptrdiff_t p = 0; p < n; p++)                                             \
-                std_pixel(s + p, out + p, L, plane);                                      \
+                std_pixel(s0 + p, s + p, plane, out + p, L);                              \
             return;                                                                       \
         }                                                                                 \
         for (ptrdiff_t p = 0; p < n; p += STD_BLOCK) {                                    \
             const ptrdiff_t q = p + STD_BLOCK <= n ? p : n - STD_BLOCK;                   \
-            name##_block(s + q, out + q, L, plane);                                       \
+            name##_block(s0 + q, s + q, plane, out + q, L);                               \
         }                                                                                 \
     }
 
@@ -368,27 +372,32 @@ double correlate_point(const double *restrict row, ptrdiff_t w, const double *re
 /* -------------------------------------------------------- deviation map */
 
 /* A part builds its layers ROW_BLOCK rows at a time, as a wavefront down
- * the planes: at step s, layer f builds block s - (f - 1) * lag, where lag
- * is the number of blocks the axis-0 taps reach below a block, but no more
- * than the frame has, and layer f - 1 has just built the last block that
- * they read.  Block b's deviation follows as soon as the top layer has
- * built it.  So a block's rows are still in cache when the next layer
- * reads them, where whole planes of a frame are not.  On 200 x 600
- * frames, 8 rows ran as fast as 16 and faster than 4, 32 or whole planes. */
-#define ROW_BLOCK 8
-
+ * the layers: at step s, layer f builds block s - (f - 1) * lag, where lag
+ * is the number of blocks the axis-0 taps reach past a block (wave_lag),
+ * and layer f - 1 has just built the last block that they read.  Block b's
+ * deviation follows as soon as the top layer has built it.  So a block's
+ * rows are still in cache when the next layer reads them, where whole
+ * planes of a frame are not, and each layer past layer 0 keeps only the
+ * rows still to be read, in a window of window_rows rows: row r at row
+ * r % window, through a table of row offsets that the axis-0 pass reads.
+ * A block never wraps, as the window is whole blocks or the whole plane.
+ * On 200 x 600 frames, 8-row blocks ran as fast as 16 and faster than 4,
+ * 32 or whole planes. */
 void deviation_part(void *job, int part)
 {
     DevJob *j = job;
     ptrdiff_t b0, b1;
     band_range(j, part, &b0, &b1);
-    const ptrdiff_t h = j->h, bw = b1 - b0, plane = h * bw, L = j->layers;
+    const ptrdiff_t h = j->h, bw = b1 - b0, L = j->layers, plane = j->window * bw;
     const ptrdiff_t c0 = j->cut[part], c1 = j->cut[part + 1];
-    double *stack = j->band[part], *scratch = stack + L * plane;
-    const ptrdiff_t blocks = (h + ROW_BLOCK - 1) / ROW_BLOCK;
-    ptrdiff_t lag = j->ru / ROW_BLOCK + (j->ru % ROW_BLOCK != 0);
-    if (lag > blocks)
-        lag = blocks;
+    double *first = j->band[part], *rest = first + h * bw, *scratch = rest + (L - 1) * plane;
+    /* the row offsets of layer 0 and of the windows */
+    ptrdiff_t *at0 = j->rows[part], *at = at0 + h;
+    for (ptrdiff_t r = 0; r < h; r++) {
+        at0[r] = r * bw;
+        at[r] = r % j->window * bw;
+    }
+    const ptrdiff_t blocks = (h + ROW_BLOCK - 1) / ROW_BLOCK, lag = wave_lag(h, j->ru);
     const ptrdiff_t top = L > 2 ? (L - 2) * lag : 0; /* the top layer's lag */
     for (ptrdiff_t s = 0; s < blocks + top; s++) {
         /* the layers with a block to build at step s, from the lowest */
@@ -397,23 +406,24 @@ void deviation_part(void *job, int part)
         for (ptrdiff_t f = f0; f <= f1; f++) {
             const ptrdiff_t r0 = (s - (f - 1) * lag) * ROW_BLOCK;
             const ptrdiff_t rows = h - r0 < ROW_BLOCK ? h - r0 : ROW_BLOCK;
-            const double *prev = stack + (f - 1) * plane;
-            double *next = stack + f * plane;
+            const double *prev = f == 1 ? first : rest + (f - 2) * plane;
+            const ptrdiff_t *prev_at = f == 1 ? at0 : at;
+            double *next = rest + (f - 1) * plane + at[r0];
             if (j->ru == 0)
-                memcpy(scratch + r0 * bw, prev + r0 * bw, (size_t)(rows * bw) * sizeof(double));
+                memcpy(scratch, prev + prev_at[r0], (size_t)(rows * bw) * sizeof(double));
             else
-                j->simd->axis0(prev, bw, scratch, bw, h, bw, r0, r0 + rows, j->ku, j->ru);
+                j->simd->axis0(prev, prev_at, scratch, bw, h, bw, r0, r0 + rows, j->ku, j->ru);
             if (j->rv == 0)
-                memcpy(next + r0 * bw, scratch + r0 * bw, (size_t)(rows * bw) * sizeof(double));
+                memcpy(next, scratch, (size_t)(rows * bw) * sizeof(double));
             else
-                j->simd->axis1(scratch + r0 * bw, next + r0 * bw, rows, bw, j->kv, j->rv);
+                j->simd->axis1(scratch, next, rows, bw, j->kv, j->rv);
         }
         if (s >= top) {
             const ptrdiff_t r0 = (s - top) * ROW_BLOCK;
             const ptrdiff_t r1 = h - r0 < ROW_BLOCK ? h : r0 + ROW_BLOCK;
             for (ptrdiff_t r = r0; r < r1; r++)
-                j->simd->std(stack + r * bw + (c0 - b0), j->out + r * j->w + c0, L, plane,
-                             c1 - c0);
+                j->simd->std(first + at0[r] + (c0 - b0), rest + at[r] + (c0 - b0), plane,
+                             j->out + r * j->w + c0, L, c1 - c0);
         }
     }
 }

@@ -877,7 +877,7 @@ ROW_BLOCK = 8
 
 @settings(max_examples=160, deadline=None, database=None)
 @given(
-    st.integers(0, 7),
+    st.one_of(st.integers(0, 7), st.integers(20, 30)),
     st.integers(-2, 2),
     st.integers(-3, 3),
     st.sampled_from([0.2, 1.8, 5.0]),
@@ -889,9 +889,12 @@ ROW_BLOCK = 8
 def test_deviation_map_identical_property(
     blocks, h_offset, offset, sigma_v, sigma_u, layers, signed_zeros, seed
 ):
-    # heights around multiples of the row block; sigma_u radii of 1, 6, 8,
-    # 9, 15, 33 and 75 rows: below, at and past one block, and past the
-    # frame, where a layer must wait for the whole layer below; widths
+    # heights around multiples of the row block, up to 7 blocks and from
+    # 20 to 30, where the row window of each layer past the first (at most
+    # 8 blocks at sigma_u 1.8 and 9 layers) wraps more than once; sigma_u
+    # radii of 1, 6, 8, 9, 15, 33 and 75 rows: below, at and past one
+    # block, and past the frame, where a layer must wait for the whole
+    # layer below and the window is the whole plane; widths
     # around the split threshold of 2 parts of 4 halos each, and around 2
     # halos, where a part's halo reaches past the other part; and -0.0
     # pixels among 0.0 ones in some frames
@@ -1001,6 +1004,30 @@ def test_deviation_map_stack_too_large_is_memory_error():
                 fn(img, ku, ku, layers)
         with pytest.raises(MemoryError, match="stack_size"):
             deviation_map(img, Params(stack_size=layers))
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_compiled_detect_peak_memory(parts):
+    # a deviation map keeps layer 0 and a window of rows of each later
+    # layer, not whole planes: compiled detect on a 300 x 600 frame peaks
+    # below 4.5 cropped float64 frames.  At sigma_u 40 the window is the
+    # whole plane: the map holds its stack_size planes and the output, and
+    # stays exact
+    from toposhadow.synth import PhantomSpec, synth_phantom
+
+    img, _ = synth_phantom(PhantomSpec(seed=7))
+    for params, frames in ((Params(), 4.5), (Params(sigma_u=40.0), Params().stack_size + 1.5)):
+        crop = np.ascontiguousarray(img[params.crop_rows:], dtype=np.float64)
+        with on_backend(_core), forced(parts=parts):
+            classify.detect(img, params)
+            tracemalloc.start()
+            try:
+                classify.detect(img, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < frames * crop.nbytes, (params.sigma_u, parts, peak / crop.nbytes)
+    assert_deviation_identical(crop, params)
 
 
 def phantom_frames(seeds):

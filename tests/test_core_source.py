@@ -4,7 +4,8 @@ caller (-Wunused-function) fails here.  The dense-loop unit also compiles
 with no Python or numpy include path, and with its AVX-512 instances left
 out, as on a CPU other than x86.  A compiler that fails leaves setup.py
 on the pure numpy fallback with one warning, and the units compile at the
-same time, each through the compiler's own compile()."""
+same time, each through the compiler's own compile(), after their object
+directories are made once."""
 
 import os
 import re
@@ -112,6 +113,23 @@ def test_failed_compile_falls_back_to_pure(tmp_path):
         assert "-c src/toposhadow/_kernels/_dense.c" in proc.stdout, case
         assert " -shared " not in proc.stdout, (case, proc.stdout)
         assert not list(tree.rglob("_core.*")), case
+
+
+def test_out_of_tree_build_makes_each_directory_once(tmp_path):
+    # the units compile at the same time, but the object directories they
+    # share are made, and logged, once, before either unit starts; the
+    # compiler fails at once, after that, so nothing is built
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(tmp_path / "lib"), "--build-temp", str(tmp_path / "tmp")],
+        cwd=ROOT,
+        env=dict(os.environ, CC="false", PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+    )
+    created = [ln for ln in (proc.stdout + proc.stderr).splitlines() if ln.startswith("creating ")]
+    assert f"creating {tmp_path / 'tmp/src/toposhadow/_kernels'}" in created, proc.stdout
+    assert len(created) == len(set(created)), created
 
 
 class NappingCompiler(SETUP["CCompiler"]):
