@@ -15,7 +15,8 @@ per triangle row, and no loop runs per pixel.  A dense pass works on
 blocks of about _ROW_BLOCK doubles, which stay in cache across its taps
 or layers, and reads the image in its own row-major layout along either
 axis: no pass transposes.  ``thin_salient`` stays on the dense reference:
-the axis-0 pass over the columns the points read, the point pass, then
+the axis-0 pass over the columns the points read (the map over 255
+written straight into its edge-padded buffer), the point pass, then
 ``thin_points``, where the compiled twin computes a point's spacing only
 where bounds on it cannot decide the point.  Both backends rasterize
 with one integer rule: each edge that meets row r crosses it at the
@@ -80,18 +81,36 @@ def _correlate_into(img, weights, axis, out):
     if radius == 0 or img.size == 0:
         np.copyto(out, img)
         return out
-    height, width = img.shape
     if axis == 0:
-        padded = np.empty((height + 2 * radius, width))
-        padded[radius : radius + height] = img
-        padded[:radius] = img[0]
-        padded[radius + height :] = img[-1]
+        padded = np.empty((img.shape[0] + 2 * radius, img.shape[1]))
+        padded[radius : radius + img.shape[0]] = img
+        return _axis0_padded(padded, weights, out)
+    return _taps_into(_pad_rows(img, radius), weights, 1, out)
+
+
+def _axis0_padded(padded, weights, out):
+    """The axis-0 pass of the image held in rows [radius, -radius) of
+    `padded`, written into `out`, for a radius of at least 1: the edge
+    rows are replicated here, in place, and the taps run as
+    ``_correlate_into`` runs them."""
+    radius = (len(weights) - 1) // 2
+    padded[:radius] = padded[radius]
+    padded[-radius:] = padded[-radius - 1]
+    return _taps_into(padded, weights, 0, out)
+
+
+def _taps_into(padded, weights, axis, out):
+    """The tap loop of ``_correlate_into`` over an edge-padded image:
+    `padded` holds 2 radius more rows (axis 0) or columns (axis 1) than
+    `out`."""
+    radius = (len(weights) - 1) // 2
+    height, width = out.shape
+    if axis == 0:
 
         def tap(k, r0, r1):  # rows r0 + k .. r1 + k of the image, clamped
             return padded[radius + r0 + k : radius + r1 + k]
 
     else:
-        padded = _pad_rows(img, radius)
 
         def tap(k, r0, r1):  # columns shifted by k, clamped
             return padded[r0:r1, radius + k : radius + k + width]
@@ -252,12 +271,21 @@ def _spacing_at(saliency, weights, points, phi1, phi2):
     pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
     if len(pts) == 0:
         return np.zeros(0, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
     radius = (len(weights) - 1) // 2
     c0 = max(0, int(pts[:, 1].min()) - radius)
     c1 = min(s.shape[1], int(pts[:, 1].max()) + radius + 1)
-    blurred = _correlate_points(
-        correlate1d_replicate(s[:, c0:c1] / 255.0, weights, 0), weights, pts, c0
-    )
+    # the map over 255 straight into the axis-0 pass's padded buffer: no
+    # scaled copy of the slice is made
+    height = s.shape[0]
+    padded = np.empty((height + 2 * radius, c1 - c0))
+    np.divide(s[:, c0:c1], 255.0, out=padded[radius : radius + height])
+    if radius == 0:
+        scaled = padded
+    else:
+        scaled = _axis0_padded(padded, weights, np.empty((height, c1 - c0)))
+        del padded
+    blurred = _correlate_points(scaled, weights, pts, c0)
     np.clip(blurred, 0.0, 1.0, out=blurred)
     return phi1 + phi2 * (1.0 - blurred)
 

@@ -80,12 +80,15 @@ def texture(img, params):
     (the std map of the filter stack).
 
     Reads only the ``TEXTURE_FIELDS`` of ``params``.  Returns the
-    deviation map, float64 over the cropped frame.  The frame is cropped
-    in its own dtype; only the kept rows are cast.
+    deviation map, float64 over the cropped frame.  A frame with no
+    columns, or no rows left after the crop, raises ValueError.  The
+    frame is cropped in its own dtype; only the kept rows are cast.
     """
     img = as_real(img)
     if img.ndim != 2:
         raise ValueError("expected a 2D image")
+    if img.shape[1] == 0:
+        raise ValueError("expected a frame at least 1 column wide, got 0 columns")
     return deviation_map(crop_top(img, params.crop_rows), params)
 
 

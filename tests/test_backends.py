@@ -1308,3 +1308,17 @@ def test_huge_int_fields_name_their_field():
                 classify.detect(img, Params(crop_rows=10**400))
             with pytest.raises(MemoryError, match=r"^stack_size 1e\+400 on a 200 x 600 frame"):
                 classify.detect(img, Params(stack_size=10**400))
+
+
+def test_frames_with_no_columns_are_rejected():
+    # a frame with no columns, like one with no rows left after the crop,
+    # raises a ValueError that says so, with no numpy warning, on either
+    # backend
+    for impl in (_core, _pure):
+        with on_backend(impl), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for frame in (np.zeros((130, 0), np.uint8), np.zeros((1, 0)), np.zeros((0, 0))):
+                with pytest.raises(ValueError, match="^expected a frame at least 1 column wide"):
+                    classify.detect(frame, Params())
+            with pytest.raises(ValueError, match=r"^crop_rows must lie in \[0, 100\)"):
+                classify.detect(np.zeros((100, 5), np.uint8), Params())

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toposhadow import classify, cli
 from toposhadow.evaluation import load_folds
@@ -489,3 +491,92 @@ def test_evaluate_deterministic_and_workers(tmp_path):
     r3 = run_cli(*args, "--workers", "2")
     assert r1.returncode == 0, r1.stderr
     assert r1.stdout == r2.stdout == r3.stdout
+
+
+# the README's exit-code table
+EXIT_CODES = {0, 1, 2, 3, 4}
+
+_header = st.builds(
+    lambda magic, w, h, maxval, sep: f"{magic}{sep}{w} {h}{sep}{maxval}\n".encode(),
+    st.sampled_from(["P5", "P2", "P6", "P5 ", "p5", ""]),
+    st.sampled_from(["0", "1", "7", "12", "-3", "x", "99999999999"]),
+    st.sampled_from(["0", "1", "9", "12", "-1", ""]),
+    st.sampled_from(["255", "0", "65535", "70000", "abc"]),
+    st.sampled_from(["\n", " ", "\t", "\n# note\n"]),
+)
+_pgm = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda head, body: head + body, _header, st.binary(max_size=200)),
+)
+_config = st.lists(
+    st.builds(
+        "{} {} {}".format,
+        st.sampled_from(["gamma", "crop_rows", "sigma_w", "tau", "epsilon", "phi1", "bogus", ""]),
+        st.sampled_from(["=", ":", ""]),
+        st.sampled_from(["0", "1", "2.5", "-1", "nan", "1e400", "x", "", "10" * 30]),
+    ),
+    max_size=4,
+).map(lambda lines: "\n".join(lines) + "\n")
+_labels = st.text(alphabet="01 2x\n", max_size=16)
+_folds = st.lists(
+    st.builds(
+        "{} {} {} {}".format,
+        st.sampled_from(["f", "g", "missing"]),
+        st.sampled_from(["g0", "g1", ""]),
+        st.sampled_from(["1", "2", "0", "x"]),
+        st.sampled_from(["seen", "unseen", "other"]),
+    ),
+    max_size=4,
+).map("\n".join)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.sampled_from(["detect", "evaluate"]),
+    _pgm,
+    _config,
+    _labels,
+    _folds,
+    st.booleans(),
+)
+def test_malformed_inputs_fail_by_contract(command, pgm, config, labels, folds, use_config):
+    # whatever the files hold, a run exits with a code from the README's
+    # table, prints exactly one `error:` line when it fails and none when
+    # it succeeds, and leaves no partial output behind
+    import contextlib
+    import io
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = os.path.join(tmp, "data")
+        os.mkdir(root)
+        with open(os.path.join(root, "f.pgm"), "wb") as fh:
+            fh.write(pgm)
+        with open(os.path.join(root, "f.labels"), "w") as fh:
+            fh.write(labels)
+        folds_path = os.path.join(tmp, "folds.txt")
+        with open(folds_path, "w") as fh:
+            fh.write(folds)
+        config_path = os.path.join(tmp, "run.cfg")
+        with open(config_path, "w") as fh:
+            fh.write(config)
+        outputs = [os.path.join(tmp, "out", name) for name in ("a.labels", "a.pgm", "a.csv")]
+        if command == "detect":
+            argv = ["detect", "--input", os.path.join(root, "f.pgm"),
+                    "--out-labels", outputs[0], "--out-confidence", outputs[1]]
+        else:
+            argv = ["evaluate", "--dataset", root, "--folds", folds_path, "--out", outputs[2]]
+        if use_config:
+            argv += ["--config", config_path]
+        os.mkdir(os.path.join(tmp, "out"))
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in EXIT_CODES, (code, err.getvalue())
+        errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("error:")]
+        assert len(errors) == (0 if code == 0 else 1), err.getvalue()
+        if code != 0:
+            assert os.listdir(os.path.join(tmp, "out")) == [], (code, err.getvalue())

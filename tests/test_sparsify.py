@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from toposhadow import _kernels
+from toposhadow._kernels import _pure
 from toposhadow.classify import texture
 from toposhadow.saliency import Params, gaussian_kernel_1d, threshold_points
 from toposhadow.sparsify import density_field, thin
@@ -159,3 +160,24 @@ def test_density_field_allocates_two_frames():
     finally:
         tracemalloc.stop()
     assert peak < 4.01 * sal.nbytes, peak / sal.nbytes
+
+
+def test_pure_thin_salient_scales_the_map_into_the_padded_pass():
+    # the map over 255 is written straight into the axis-0 pass's padded
+    # buffer, with no scaled copy of the map beside it: on the seed-123
+    # phantom pure thin_salient peaks at 3.5 frames, where the copy made
+    # it 4.0 (the point pass's row-padded copy of the pass output and
+    # its per-point buffers now set the peak)
+    img, _ = synth_phantom(PhantomSpec(seed=123))
+    p = Params()
+    sal = texture(img, p)
+    pts = threshold_points(sal, p.gamma)
+    weights = gaussian_kernel_1d(p.sigma_w)
+    _pure.thin_salient(sal, weights, pts, p.phi1, p.phi2)
+    tracemalloc.start()
+    try:
+        _pure.thin_salient(sal, weights, pts, p.phi1, p.phi2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.6 * sal.nbytes, peak / sal.nbytes
