@@ -526,19 +526,20 @@ static inline double spacing_of(double blurred, double phi1, double phi2)
     return phi1 + phi2 * (1.0 - blurred);
 }
 
-/* The spacing of candidate i, for when its bounds cannot decide it. */
-typedef double (*spacing_fn)(void *ctx, Py_ssize_t i);
+/* Whether a kept point at squared distance `nearest` rules candidate i
+ * out, for when its bounds cannot decide it. */
+typedef int (*decide_fn)(void *ctx, Py_ssize_t i, double nearest);
 
 /* Candidate i's spacing lies in [lo[k], hi[k]]: k = i, or with tw > 0 the
- * index of i's tile in a grid of tiles tw wide whose first column is c0. */
+ * index of i's tile in the frame's grid of tiles, tw wide. */
 typedef struct {
     const double *lo, *hi;
-    Py_ssize_t tw, c0;
+    Py_ssize_t tw;
 } Bounds;
 
 static inline Py_ssize_t bound_at(const Bounds *b, const i64 *pts, Py_ssize_t i)
 {
-    return b->tw > 0 ? pts[2 * i] / TILE * b->tw + (pts[2 * i + 1] - b->c0) / TILE : i;
+    return b->tw > 0 ? pts[2 * i] / TILE * b->tw + pts[2 * i + 1] / TILE : i;
 }
 
 /* Greedy row-major thinning: keep a candidate iff no already-kept point
@@ -546,12 +547,12 @@ static inline Py_ssize_t bound_at(const Bounds *b, const i64 *pts, Py_ssize_t i)
  * both >= 0, or equal (thin_points, whose spacings may be negative and are
  * compared by their squares): a kept point within the lower one rules it
  * out, and none within the upper one keeps it; only in between is
- * `spacing` asked for the exact value.  The kept point that ruled out the
- * previous candidate is tried before the grid, as row-major neighbours
- * mostly fall to the same point.  The grid's cell must be at least the
- * largest upper bound. */
+ * `decide` asked about the nearest kept point.  The kept point that ruled
+ * out the previous candidate, or was the previous candidate, is tried
+ * before the grid, as row-major neighbours mostly fall to the same point.  The grid's cell must be at
+ * least the largest upper bound. */
 static Py_ssize_t thin_greedy(Grid *g, const i64 *pts, Py_ssize_t n, const Bounds *b,
-                              spacing_fn spacing, void *ctx, i64 *kept)
+                              decide_fn decide, void *ctx, i64 *kept)
 {
     Py_ssize_t n_kept = 0, blocker = -1;
     for (Py_ssize_t i = 0; i < n; i++) {
@@ -583,13 +584,11 @@ static Py_ssize_t thin_greedy(Grid *g, const i64 *pts, Py_ssize_t n, const Bound
         }
         /* with no kept neighbour nothing rules i out, even at an infinite
          * spacing (inf <= inf would) */
-        if (nearest_j >= 0 && nearest <= b->hi[k] * b->hi[k]) {
-            const double exact = spacing(ctx, i);
-            if (nearest <= exact * exact)
-                goto ruled_out;
-        }
+        if (nearest_j >= 0 && nearest <= b->hi[k] * b->hi[k] && decide(ctx, i, nearest))
+            goto ruled_out;
         kept[n_kept++] = i;
         grid_insert(g, pts, i);
+        blocker = i;
         continue;
     ruled_out:
         blocker = nearest_j;
@@ -598,9 +597,10 @@ static Py_ssize_t thin_greedy(Grid *g, const i64 *pts, Py_ssize_t n, const Bound
 }
 
 /* `thin_points` knows every spacing, so its bounds are exact. */
-static double known_spacing(void *ctx, Py_ssize_t i)
+static int known_spacing(void *ctx, Py_ssize_t i, double nearest)
 {
-    return ((const double *)ctx)[i];
+    const double spacing = ((const double *)ctx)[i];
+    return nearest <= spacing * spacing;
 }
 
 /* `n` kept indices as an int64 vector. */
@@ -613,41 +613,44 @@ static PyObject *kept_array(const i64 *kept, Py_ssize_t n)
     return (PyObject *)out;
 }
 
-/* The kept indices of thin_greedy, after the checks that thin_points makes
- * on the spacings, here on the upper bounds: NaN raises, and a largest
- * spacing <= 0 keeps every point.  NULL with an error set. */
-__attribute__((noinline)) static PyObject *thin_with(const i64 *p, Py_ssize_t n, const Bounds *b,
-                                                     spacing_fn spacing, void *ctx)
+/* The kept indices of thin_greedy into a new buffer *kept (free with
+ * free()), after the checks that thin_points makes on the spacings, here
+ * on the upper bounds: NaN raises, and a largest spacing <= 0 keeps every
+ * point.  Returns their number, or -1 with an error set. */
+__attribute__((noinline)) static Py_ssize_t thin_with(const i64 *p, Py_ssize_t n, const Bounds *b,
+                                                      decide_fn decide, void *ctx, i64 **kept)
 {
     double cell = 0.0;
+    *kept = NULL;
     for (Py_ssize_t i = 0; i < n; i++) {
         const double top = b->hi[bound_at(b, p, i)];
         if (top > cell || isnan(top))
             cell = top;
     }
-    if (isnan(cell))
-        return PyErr_Format(PyExc_ValueError, "spacing must not contain NaN");
-    i64 *kept = malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
-    if (kept == NULL)
-        return PyErr_NoMemory();
+    if (isnan(cell)) {
+        PyErr_SetString(PyExc_ValueError, "spacing must not contain NaN");
+        return -1;
+    }
+    if ((*kept = malloc((size_t)(n > 0 ? n : 1) * sizeof(i64))) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
     Py_ssize_t n_kept = 0;
     if (cell <= 0.0) {
         for (n_kept = 0; n_kept < n; n_kept++)
-            kept[n_kept] = n_kept;
+            (*kept)[n_kept] = n_kept;
     } else {
         Grid g;
         if (grid_init(&g, p, n, cell) < 0) {
-            free(kept);
-            return PyErr_NoMemory();
+            PyErr_NoMemory();
+            return -1;
         }
         Py_BEGIN_ALLOW_THREADS
-        n_kept = thin_greedy(&g, p, n, b, spacing, ctx, kept);
+        n_kept = thin_greedy(&g, p, n, b, decide, ctx, *kept);
         Py_END_ALLOW_THREADS
         grid_free(&g);
     }
-    PyObject *out = kept_array(kept, n_kept);
-    free(kept);
-    return out;
+    return n_kept;
 }
 
 static PyObject *thin_points(PyObject *self, PyObject *args, PyObject *kwds)
@@ -662,15 +665,20 @@ static PyObject *thin_points(PyObject *self, PyObject *args, PyObject *kwds)
         return NULL;
     PyArrayObject *lam = AS_ARRAY(s_obj, NPY_DOUBLE);
     PyObject *out = NULL;
+    i64 *kept = NULL;
     if (lam == NULL)
         goto done;
     if (PyArray_SIZE(lam) != n) {
         PyErr_SetString(PyExc_ValueError, "spacing must hold one value per point");
         goto done;
     }
-    const double *s = PyArray_DATA(lam);
-    out = thin_with(PyArray_DATA(pts), n, &(Bounds){s, s, 0, 0}, known_spacing, (void *)s);
+    double *s = PyArray_DATA(lam);
+    const Py_ssize_t n_kept = thin_with(PyArray_DATA(pts), n, &(Bounds){s, s, 0},
+                                        known_spacing, s, &kept);
+    if (n_kept >= 0)
+        out = kept_array(kept, n_kept);
 done:
+    free(kept);
     Py_DECREF(pts);
     Py_XDECREF(lam);
     return out;
@@ -678,23 +686,34 @@ done:
 
 /* ------------------------------------------------------ salient thinning */
 
-/* thin_points(points, the spacing field at the points) without most of the
- * field.  A point's blurred value is a weighted mean, with weights >= 0
+/* The points of a map at or above a threshold, thinned as thin_points
+ * thins them against the spacing field at the points, without most of the
+ * field.  One scan of the map finds the points, row-major as
+ * threshold_points gives them, and the extremes of each TILE x TILE tile
+ * of the frame.  Two tiers of bounds then decide most candidates:
+ *
+ * Tier 1.  A point's blurred value is a weighted mean, with weights >= 0
  * that sum to 1, of the values its replicate-edge taps read, all of which
  * lie in its window of (2 radius + 1)^2 pixels clamped to the frame.  So
- * it lies within the extremes of any region holding that window, widened
- * by a margin that covers the rounding of both passes; mapped through
- * spacing_of, those extremes bound the spacing, and thin_greedy asks for
- * the exact value only when the bounds cannot decide the point.  That
- * value is the dense passes' sum at the point: the axis-0 cells its row
- * reads are computed on demand by the same band body, each (row, band)
- * once per run of points on that row, so once per call for points in row
- * order, as threshold_points gives them.
+ * it lies within the extremes m and M of any region holding that window,
+ * widened by pass_margin, which covers the rounding of both passes.  The
+ * region is a square of whole tiles: the point's tile and `reach` tiles on
+ * every side, with reach = ceil(radius / TILE), clamped to the frame.  It
+ * holds the window of every point of the tile, so one pair of spacing
+ * bounds serves the tile.
  *
- * The region is a square of whole TILE x TILE tiles of the column slice
- * the points read: the point's tile and `reach` tiles on every side, with
- * reach = ceil(radius / TILE), clamped to the slice.  It holds the window
- * of every point of the tile. */
+ * Tier 2, for a candidate that tier 1 cannot decide.  The weight the
+ * point's taps put on a tile U is the product A(U) B(U) of the axis-0
+ * taps' mass on U's rows and the axis-1 taps' mass on its columns (a tap
+ * past the edge reads the edge pixel, and its mass falls on the edge
+ * tile).  So the blurred value lies within sum_U A B min_U and
+ * sum_U A B max_U, widened as tier2_margin says.
+ *
+ * Only when neither tier decides does thin_greedy ask for the exact value:
+ * the dense passes' sum at the point.  The axis-0 cells its row reads are
+ * computed on demand by the same band body, each (row, band) once per run
+ * of points on that row, so once per call, as the points come in row
+ * order. */
 
 /* Along each of `count` lines (`gap` apart) of n cells (`step` apart) of
  * the grids lo and hi, each cell's min (of lo) or max (of hi) over the
@@ -719,11 +738,13 @@ __attribute__((noinline)) static void reach_lines(const double *lo, const double
         }
 }
 
-/* Whether the weights w[radius + k], k >= 1, make every blurred value a
- * mean of the taps it reads: each >= 0 and twice their sum <= 1, so that
- * the implicit centre weight 1 - 2 sum is >= 0 up to the rounding of the
- * sum, which the margin covers. */
-static int mean_weights(const double *wt, Py_ssize_t radius)
+/* The effective weights of the taps, in the form both passes evaluate:
+ * w[radius + k] for k != 0 and the implicit centre weight 1 - 2 sum_k>=1.
+ * Whether they make every blurred value a mean of the taps it reads: each
+ * w >= 0 and twice their sum <= 1, so that the centre weight is >= 0 up
+ * to the rounding of the sum, which the margins cover.  If so, their
+ * prefix sums, P[j] the mass of taps -radius .. j - radius - 1, into P. */
+static int mean_weights(const double *wt, Py_ssize_t radius, double *P)
 {
     double sum = 0.0;
     for (Py_ssize_t k = 1; k <= radius; k++) {
@@ -731,13 +752,79 @@ static int mean_weights(const double *wt, Py_ssize_t radius)
             return 0;
         sum += wt[radius + k];
     }
-    return 2.0 * sum <= 1.0;
+    if (!(2.0 * sum <= 1.0))
+        return 0;
+    P[0] = 0.0;
+    for (Py_ssize_t j = 0; j <= 2 * radius; j++)
+        P[j + 1] = P[j] + (j == radius ? 1.0 - 2.0 * sum : wt[j]);
+    return 1;
 }
 
-/* Salient thinning state: the (h, W) map `s`, the column slice [c0, c0 + w)
- * that the points' taps read, and, filled on demand over that slice, s / 255
- * by band (`x`, each band's h rows of AXIS0_BAND values in turn) and the
- * axis-0 pass of row `a_row` by band (`a`, w values). */
+/* How far rounding can move a blurred value computed by the two passes
+ * from the exact weighted mean of the values it reads, within [mn, mx]:
+ * (radius + 8) relative roundings of their spread, and one of the larger
+ * magnitude, eight times over. */
+static inline double pass_margin(double mn, double mx, Py_ssize_t radius)
+{
+    return 8.0 * DBL_EPSILON * (((double)radius + 8.0) * (mx - mn) + EXT_MAX(fabs(mn), fabs(mx)))
+           + DBL_MIN;
+}
+
+/* How far the computed tier-2 sums can lie from the exact ones, for a
+ * point whose taps reach nr tile rows and nc tile columns of a region
+ * with extremes m <= M (both rounded by DBL_EPSILON = 2u):
+ * - P[j] sums 2 radius + 1 weights >= 0 of total about 1, one of them the
+ *   centre weight, itself within (radius + 1) 2u of its exact value:
+ *   P[j] is within (2 radius + 2) 2u, and a mass P[j1] - P[j0] within
+ *   (4 radius + 5) 2u.  Over the nr masses A that is nr (4 radius + 5) 2u,
+ *   and a mass error moves the sum by at most (M - m) times it.  The same
+ *   holds for the nc masses B.
+ * - A centre weight below 0 by its rounding, at most radius 2u, puts a
+ *   weight below 0 on the taps of the centre row and column: at most
+ *   2 radius 2u (M - m).
+ * - The sums add terms >= 0 (masses are differences of non-decreasing
+ *   prefix sums, deviations differences from the region's extreme), nc
+ *   then nr of them, each a product of three rounded factors: relative
+ *   error (nr + nc + 4) u, of a sum of at most M - m.
+ * - The last addition to m or M: u max(|m|, |M|).
+ * The first-order sum is below DBL_EPSILON ((M - m) ((nr + nc)
+ * (4 radius + 6) + 2 radius + 2) + max(|m|, |M|)); twice it covers the
+ * higher-order terms. */
+static inline double tier2_margin(double m, double M, Py_ssize_t radius, Py_ssize_t nr,
+                                  Py_ssize_t nc)
+{
+    const double r = (double)radius, tiles = (double)(nr + nc);
+    return 2.0 * DBL_EPSILON * ((M - m) * (tiles * (4.0 * r + 6.0) + 2.0 * r + 2.0)
+                                + EXT_MAX(fabs(m), fabs(M)))
+           + DBL_MIN;
+}
+
+/* The mass of the taps of pixel `at` on each tile of TILE pixels that
+ * they read along an axis of n pixels, from the prefix sums P: into
+ * mass[0 ..] for the tiles *first and on; returns the tiles' number. */
+static Py_ssize_t tap_mass(const double *P, Py_ssize_t radius, Py_ssize_t at, Py_ssize_t n,
+                           double *mass, Py_ssize_t *first)
+{
+    const Py_ssize_t t0 = (at - radius < 0 ? 0 : at - radius) / TILE;
+    const Py_ssize_t t1 = (n - 1 - at < radius ? n - 1 : at + radius) / TILE;
+    for (Py_ssize_t u = t0; u <= t1; u++) {
+        /* taps i0 .. i1 read pixels of tile u, the edge tiles also the
+         * taps clamped to the edge */
+        const Py_ssize_t i0 = u == t0 ? -radius : u * TILE - at;
+        const Py_ssize_t i1 = u == t1 ? radius : u * TILE + TILE - 1 - at;
+        mass[u - t0] = P[i1 + radius + 1] - P[i0 + radius];
+    }
+    *first = t0;
+    return t1 - t0 + 1;
+}
+
+/* Salient thinning state: the (h, W) map `s` and its points; the column
+ * slice [c0, c0 + w) that the points' taps read, and, filled on demand
+ * over that slice, s / 255 by band (`x`, each band's h rows of AXIS0_BAND
+ * values in turn) and the axis-0 pass of row `a_row` by band (`a`, w
+ * values); and for tier 2 the frame's tile grid, tw tiles wide, of the
+ * map over 255 (each tile's extremes, and its region's), the taps' prefix
+ * sums P and room for a point's masses on its tile rows and columns. */
 typedef struct {
     const double *s, *wt;
     const i64 *pts;
@@ -747,13 +834,15 @@ typedef struct {
     const ptrdiff_t *x_row; /* the offsets of x's rows in a band */
     unsigned char *x_done, *a_done;
     axis0_fn axis0;
-    long long exact, cells;
+    const double *tile_lo, *tile_hi, *reg_lo, *reg_hi, *P;
+    double *mass_r, *mass_c;
+    Py_ssize_t tw;
+    long long tier2, exact, cells;
 } Salient;
 
 /* The spacing of point i exactly as the dense passes give it. */
-__attribute__((noinline)) static double salient_spacing(void *ctx, Py_ssize_t i)
+__attribute__((noinline)) static double salient_spacing(Salient *t, Py_ssize_t i)
 {
-    Salient *t = ctx;
     const Py_ssize_t r = t->pts[2 * i], c = t->pts[2 * i + 1] - t->c0, w = t->w, h = t->h;
     const Py_ssize_t b0 = (c - t->radius < 0 ? 0 : c - t->radius) / AXIS0_BAND;
     const Py_ssize_t b1 = (c + t->radius > w - 1 ? w - 1 : c + t->radius) / AXIS0_BAND;
@@ -782,34 +871,67 @@ __attribute__((noinline)) static double salient_spacing(void *ctx, Py_ssize_t i)
     return spacing_of(correlate_point(t->a, w, t->wt, t->radius, c), t->phi1, t->phi2);
 }
 
-/* Counters over every call, for tests; read and written with the GIL. */
-static long long thin_candidates, thin_exact, thin_cells;
-
-/* 0 when every point lies in the (h, w) image, with the least and greatest
- * point column in cols[0] and cols[1]; else -1 with IndexError set. */
-static int check_points(const i64 *p, Py_ssize_t n, Py_ssize_t h, Py_ssize_t w, i64 cols[2])
+/* Whether the kept point at squared distance `nearest` rules out point i,
+ * which tier 1 left undecided: by tier 2 where it decides, else by the
+ * exact spacing. */
+__attribute__((noinline)) static int salient_decide(void *ctx, Py_ssize_t i, double nearest)
 {
-    cols[0] = cols[1] = 0;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        const i64 c = p[2 * i + 1];
-        if (p[2 * i] < 0 || p[2 * i] >= h || c < 0 || c >= w) {
-            PyErr_SetString(PyExc_IndexError, "point outside the image");
-            return -1;
+    Salient *t = ctx;
+    const Py_ssize_t r = t->pts[2 * i], c = t->pts[2 * i + 1], tw = t->tw;
+    Py_ssize_t r0, c0;
+    const Py_ssize_t nr = tap_mass(t->P, t->radius, r, t->h, t->mass_r, &r0);
+    const Py_ssize_t nc = tap_mass(t->P, t->radius, c, t->W, t->mass_c, &c0);
+    const double m = t->reg_lo[r / TILE * tw + c / TILE], M = t->reg_hi[r / TILE * tw + c / TILE];
+    double above_m = 0.0, below_M = 0.0;
+    for (Py_ssize_t u = 0; u < nr; u++) {
+        const double *lo = t->tile_lo + (r0 + u) * tw + c0, *hi = t->tile_hi + (r0 + u) * tw + c0;
+        double up = 0.0, down = 0.0;
+        for (Py_ssize_t v = 0; v < nc; v++) {
+            up += t->mass_c[v] * (lo[v] - m);
+            down += t->mass_c[v] * (M - hi[v]);
         }
-        if (i == 0 || c < cols[0])
-            cols[0] = c;
-        if (i == 0 || c > cols[1])
-            cols[1] = c;
+        above_m += t->mass_r[u] * up;
+        below_M += t->mass_r[u] * down;
     }
-    return 0;
+    const double margin = pass_margin(m, M, t->radius) + tier2_margin(m, M, t->radius, nr, nc);
+    const double lo = spacing_of((M - below_M) + margin, t->phi1, t->phi2);
+    if (nearest <= lo * lo) {
+        t->tier2++;
+        return 1;
+    }
+    const double hi = spacing_of((m + above_m) - margin, t->phi1, t->phi2);
+    if (nearest > hi * hi) {
+        t->tier2++;
+        return 0;
+    }
+    const double exact = salient_spacing(t, i);
+    return nearest <= exact * exact;
+}
+
+/* Counters over every call, for tests; read and written with the GIL. */
+static long long thin_candidates, thin_exact, thin_cells, thin_tier2;
+
+/* The kept points pts[kept[j]] as an (n, 2) int64 array. */
+static PyObject *kept_points(const i64 *pts, const i64 *kept, Py_ssize_t n)
+{
+    npy_intp dims[2] = {n, 2};
+    PyArrayObject *out = (PyArrayObject *)PyArray_SimpleNew(2, dims, NPY_INT64);
+    if (out != NULL) {
+        i64 *o = PyArray_DATA(out);
+        for (Py_ssize_t j = 0; j < n; j++) {
+            o[2 * j] = pts[2 * kept[j]];
+            o[2 * j + 1] = pts[2 * kept[j] + 1];
+        }
+    }
+    return (PyObject *)out;
 }
 
 static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"saliency", "weights", "points", "phi1", "phi2", NULL};
-    PyObject *s_obj, *w_obj, *p_obj;
-    double phi1, phi2;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOdd", kwlist, &s_obj, &w_obj, &p_obj, &phi1,
+    static char *kwlist[] = {"saliency", "weights", "threshold", "phi1", "phi2", NULL};
+    PyObject *s_obj, *w_obj;
+    double thr, phi1, phi2;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOddd", kwlist, &s_obj, &w_obj, &thr, &phi1,
                                      &phi2))
         return NULL;
     if (!(isfinite(phi1) && isfinite(phi2) && phi1 >= 0.0 && phi2 >= 0.0)) {
@@ -820,109 +942,143 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
     if (sal == NULL)
         return NULL;
     PyArrayObject *wts = AS_ARRAY(w_obj, NPY_DOUBLE);
-    Py_ssize_t n = 0;
-    PyArrayObject *pts = wts == NULL ? NULL : as_points(p_obj, &n);
     PyObject *out = NULL;
-    double *buf = NULL, *bound = NULL;
+    double *grid = NULL, *buf = NULL, *exact = NULL;
+    i64 *pts = NULL, *kept = NULL;
     ptrdiff_t *x_row = NULL;
     unsigned char *flags = NULL;
-    if (pts == NULL)
+    if (wts == NULL)
         goto done;
     if (PyArray_NDIM(sal) != 2 || PyArray_NDIM(wts) != 1 || PyArray_DIM(wts, 0) == 0) {
         PyErr_SetString(PyExc_ValueError, "expected a 2D image and a non-empty 1D kernel");
         goto done;
     }
     const Py_ssize_t h = PyArray_DIM(sal, 0), W = PyArray_DIM(sal, 1);
-    const i64 *p = PyArray_DATA(pts);
-    if (n == 0) {
-        out = kept_array(NULL, 0);
+    const Py_ssize_t radius = (PyArray_DIM(wts, 0) - 1) / 2;
+    const Py_ssize_t th = (h + TILE - 1) / TILE, tw = (W + TILE - 1) / TILE, tiles = th * tw;
+    /* room for a quarter of the pixels, and a strip more; doubled as needed */
+    Py_ssize_t n = 0, cap = h * W / 4 + TILE * W < h * W ? h * W / 4 + TILE * W : h * W;
+    /* the raw allocator, so that tracemalloc sees these frame-sized buffers;
+     * the grid holds the tiles' extremes, their regions' and their spacing
+     * bounds, and the taps' prefix sums and a point's masses */
+    const Py_ssize_t masses = 2 * radius / TILE + 2;
+    grid = PyMem_RawMalloc((size_t)(6 * tiles + 2 * radius + 2 + 2 * masses) * sizeof(double));
+    pts = PyMem_RawMalloc((size_t)(cap > 0 ? 2 * cap : 1) * sizeof(i64));
+    if (grid == NULL || pts == NULL) {
+        PyErr_NoMemory();
         goto done;
     }
-    i64 cols[2];
-    if (check_points(p, n, h, W, cols) < 0)
+    double *tile_lo = grid, *tile_hi = grid + tiles, *reg_lo = grid + 2 * tiles;
+    double *reg_hi = grid + 3 * tiles, *lo = grid + 4 * tiles, *hi = grid + 5 * tiles;
+    double *P = grid + 6 * tiles;
+    const double *s = PyArray_DATA(sal), *wt = PyArray_DATA(wts);
+    const Simd *simd = pick();
+    i64 cols[2] = {W, -1};
+    double nan = 0.0;
+    int grown = 1;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t r0 = 0; r0 < h && grown; r0 += TILE) {
+        const Py_ssize_t rows = h - r0 < TILE ? h - r0 : TILE;
+        if (cap - n < rows * W) {
+            cap = 2 * cap < h * W ? 2 * cap : h * W;
+            i64 *more = PyMem_RawRealloc(pts, (size_t)(2 * cap) * sizeof(i64));
+            if (!(grown = more != NULL))
+                break;
+            pts = more;
+        }
+        n += simd->scan(s, W, r0, rows, W, thr, tile_lo + r0 / TILE * tw, tile_hi + r0 / TILE * tw,
+                        pts + 2 * n, cols, &nan);
+    }
+    Py_END_ALLOW_THREADS
+    if (!grown) {
+        PyErr_NoMemory();
         goto done;
-    const Py_ssize_t radius = (PyArray_DIM(wts, 0) - 1) / 2;
+    }
+    if (n == 0) {
+        out = kept_points(NULL, NULL, 0);
+        goto done;
+    }
     const Py_ssize_t c0 = cols[0] - radius < 0 ? 0 : cols[0] - radius;
     const Py_ssize_t c1 = W - 1 - cols[1] < radius ? W : cols[1] + radius + 1;
     const Py_ssize_t w = c1 - c0, bands = (w + AXIS0_BAND - 1) / AXIS0_BAND;
-    const Simd *simd = pick();
-    Salient t = {PyArray_DATA(sal), PyArray_DATA(wts), p, h, W, c0, w, radius, bands, -1,
-                 phi1, phi2, NULL, NULL, NULL, NULL, NULL, simd->axis0, 0, 0};
-    /* x and a; the raw tile grids fit in x, which fills only after them */
+    /* x and a */
     const Py_ssize_t plane = bands * AXIS0_BAND * h;
-    const Py_ssize_t th = (h + TILE - 1) / TILE, tw = (w + TILE - 1) / TILE;
-    /* the tiles' spacing bounds, or else every point's exact spacing */
-    const Py_ssize_t n_bound = n > 2 * th * tw ? n : 2 * th * tw;
-    /* the raw allocator, so that tracemalloc sees these frame-sized buffers */
     buf = PyMem_RawMalloc((size_t)(plane + bands * AXIS0_BAND) * sizeof(double));
-    bound = PyMem_RawMalloc((size_t)n_bound * sizeof(double));
     flags = PyMem_RawCalloc(2 * (size_t)bands, 1);
-    if (buf == NULL || bound == NULL || flags == NULL) {
+    if (buf == NULL || flags == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     if ((x_row = row_offsets(h, AXIS0_BAND)) == NULL)
         goto done;
-    t.x_row = x_row;
-    t.x = buf;
-    t.a = buf + plane;
-    t.x_done = flags + bands;
-    t.a_done = flags;
-    const Bounds tiles = {bound, bound + th * tw, tw, c0};
+    Salient t = {.s = s, .wt = wt, .pts = pts, .h = h, .W = W, .c0 = c0, .w = w,
+                 .radius = radius, .bands = bands, .a_row = -1, .phi1 = phi1, .phi2 = phi2,
+                 .x = buf, .a = buf + plane, .x_row = x_row, .x_done = flags + bands,
+                 .a_done = flags, .axis0 = simd->axis0, .tile_lo = tile_lo, .tile_hi = tile_hi,
+                 .reg_lo = reg_lo, .reg_hi = reg_hi, .P = P, .mass_r = P + 2 * radius + 2,
+                 .mass_c = P + 2 * radius + 2 + masses, .tw = tw};
+    const Bounds bounds = {lo, hi, tw};
     int bounded;
     Py_BEGIN_ALLOW_THREADS
-    double *tlo = t.x, *thi = tlo + th * tw, *tmp = thi + th * tw;
-    double *lo = bound, *hi = bound + th * tw;
-    bounded = mean_weights(t.wt, radius) && simd->tiles(t.s + c0, W, h, w, tlo, thi);
+    bounded = nan == 0.0 && mean_weights(wt, radius, P);
     if (bounded) {
+        /* the map over 255, as the passes read it: rounding keeps the
+         * order, so a tile's extremes over 255 are its extremes of it */
+        for (Py_ssize_t cell = 0; cell < 2 * tiles; cell++)
+            tile_lo[cell] /= 255.0;
         const Py_ssize_t reach = radius / TILE + (radius % TILE != 0);
-        reach_lines(tlo, thi, tmp, tmp + th * tw, tw, 1, th, tw, reach);
-        reach_lines(tmp, tmp + th * tw, lo, hi, th, tw, tw, 1, reach);
-        /* a tile's extremes, widened and mapped, bound the spacing of each
-         * of its points */
-        for (Py_ssize_t cell = 0; cell < th * tw; cell++) {
-            const double mn = lo[cell] / 255.0, mx = hi[cell] / 255.0;
-            const double margin = 8.0 * DBL_EPSILON
-                                  * (((double)radius + 8.0) * (mx - mn)
-                                     + (fabs(mn) > fabs(mx) ? fabs(mn) : fabs(mx)))
-                                  + DBL_MIN;
+        reach_lines(tile_lo, tile_hi, lo, hi, tw, 1, th, tw, reach);
+        reach_lines(lo, hi, reg_lo, reg_hi, th, tw, tw, 1, reach);
+        /* a region's extremes, widened and mapped, bound the spacing of
+         * each point of its tile */
+        for (Py_ssize_t cell = 0; cell < tiles; cell++) {
+            const double mn = reg_lo[cell], mx = reg_hi[cell], margin = pass_margin(mn, mx, radius);
             lo[cell] = spacing_of(mx + margin, phi1, phi2);
             hi[cell] = spacing_of(mn - margin, phi1, phi2);
         }
         double top = 0.0;
         for (Py_ssize_t i = 0; i < n; i++)
-            top = EXT_MAX(top, lo[bound_at(&tiles, p, i)]);
+            top = EXT_MAX(top, lo[bound_at(&bounds, pts, i)]);
         /* with every lower bound 0, whether the largest spacing is 0, which
          * keeps every point, takes the exact values */
         bounded = top > 0.0;
     }
     Py_END_ALLOW_THREADS
+    Py_ssize_t n_kept;
     if (bounded) {
-        out = thin_with(p, n, &tiles, salient_spacing, &t);
+        n_kept = thin_with(pts, n, &bounds, salient_decide, &t, &kept);
+    } else if ((exact = PyMem_RawMalloc((size_t)n * sizeof(double))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
     } else {
         Py_BEGIN_ALLOW_THREADS
         for (Py_ssize_t i = 0; i < n; i++)
-            bound[i] = salient_spacing(&t, i);
+            exact[i] = salient_spacing(&t, i);
         Py_END_ALLOW_THREADS
-        out = thin_with(p, n, &(Bounds){bound, bound, 0, 0}, known_spacing, bound);
+        n_kept = thin_with(pts, n, &(Bounds){exact, exact, 0}, known_spacing, exact, &kept);
     }
+    if (n_kept >= 0)
+        out = kept_points(pts, kept, n_kept);
     thin_candidates += n;
+    thin_tier2 += t.tier2;
     thin_exact += t.exact;
     thin_cells += t.cells;
 done:
+    free(kept);
+    PyMem_RawFree(grid);
+    PyMem_RawFree(pts);
     PyMem_RawFree(buf);
-    PyMem_RawFree(bound);
+    PyMem_RawFree(exact);
     PyMem_RawFree(flags);
     PyMem_RawFree(x_row);
     Py_DECREF(sal);
     Py_XDECREF(wts);
-    Py_XDECREF(pts);
     return out;
 }
 
 static PyObject *thin_stats(PyObject *self, PyObject *unused)
 {
-    return Py_BuildValue("LLL", thin_candidates, thin_exact, thin_cells);
+    return Py_BuildValue("LLLL", thin_candidates, thin_exact, thin_cells, thin_tier2);
 }
 
 /* ----------------------------------------------------------------- rips */
@@ -1196,13 +1352,14 @@ static PyMethodDef methods[] = {
      "Greedy row-major thinning: keep a candidate iff no already-kept\n"
      "point lies within the candidate's own spacing threshold (inclusive)."},
     {"thin_salient", (PyCFunction)(void (*)(void))thin_salient, METH_VARARGS | METH_KEYWORDS,
-     "thin_points(points, spacing) with the spacing of each point taken\n"
-     "from the saliency map blurred by `weights` along both axes, clamped\n"
-     "to [0, 1] and mapped to [phi1, phi1 + phi2]; computes a point's\n"
-     "spacing only when bounds on it cannot decide the point."},
+     "The points of the saliency map at or above `threshold`, row-major,\n"
+     "thinned as thin_points thins them against the spacing of each: the map\n"
+     "blurred by `weights` along both axes, clamped to [0, 1] and mapped to\n"
+     "[phi1, phi1 + phi2].  Returns the kept points, (N, 2) int64; computes\n"
+     "a point's spacing only when bounds on it cannot decide the point."},
     {"_thin_stats", thin_stats, METH_NOARGS,
-     "(candidates seen, exact spacings computed, axis-0 cells computed) of\n"
-     "every thin_salient call, for tests."},
+     "(candidates seen, exact spacings computed, axis-0 cells computed,\n"
+     "candidates decided by tier 2) of every thin_salient call, for tests."},
     {"rips_triangles", (PyCFunction)(void (*)(void))rips_triangles, METH_VARARGS | METH_KEYWORDS,
      "All index triples with pairwise distance <= epsilon, i < j < k,\n"
      "in lexicographic order; TriangleCapError past `cap` triples."},

@@ -8,14 +8,13 @@
  * a fused multiply-add rounds once where the twin rounds twice.
  *
  * The dense loops are each built twice from one body: the banded axis-0
- * pass, the one-pass axis-1 pass, the stack std and the salient
- * thinning's tile extremes, at 8 doubles per vector for AVX-512 hosts and
- * at 2 for every other CPU (see "instances" below), into the `Simd`
- * tables.  Both widths stay bit-identical, to each other and to
- * ``_pure``: vector operations are lane-wise IEEE adds, subtracts,
- * multiplies, divides, roots and compares, nothing is contracted, and
- * every element sees the same operations in the same order at either
- * width.  A deviation map's part builds its layers 8 rows at a time as a
+ * pass, the one-pass axis-1 pass, the stack std and the salient scan, at
+ * 8 doubles per vector for AVX-512 hosts and at 2 for every other CPU (see
+ * "instances" below), into the `Simd` tables.  Both widths stay
+ * bit-identical, to each other and to ``_pure``: vector operations are
+ * lane-wise IEEE adds, subtracts, multiplies, divides, roots and compares,
+ * nothing is contracted, and every element sees the same operations in the
+ * same order at either width.  A deviation map's part builds its layers 8 rows at a time as a
  * wavefront, so that the rows a layer reads are still in cache, and keeps
  * of each layer past the first only the rows still to be read (see
  * "deviation map" below).
@@ -260,77 +259,104 @@ static void std_pixel(const double *restrict s0, const double *restrict s, ptrdi
 
 STD_RUN(std_run_v2, v2df, )
 
-/* -------------------------------------------------------- tile extremes */
+/* --------------------------------------------------------- salient scan */
 
-/* The extremes of each TILE x TILE tile of the (h, w) slice `s` (row
- * stride ld), clamped to the slice, into the (th, tw) grids lo and hi.
- * Returns whether every value of the slice is finite.  TILE_EXTREMES(name,
- * V, attr) builds it with explicit vectors of type V: a tile's rows are
+/* One strip of TILE rows or fewer: the points at or above `thr` and the
+ * tile extremes (see scan_fn in ``_dense.h``).  SALIENT_SCAN(name, V,
+ * attr) builds it with explicit vectors of type V: a tile's rows are
  * reduced lane by lane, TILE / lanes vectors to a row, and its lanes then
  * one by one.  The tiles of a last, narrower tile column take the scalar
- * loop, which reads no column past the slice.  Lanes pick as EXT_MIN and
+ * loop, which reads no column past the map.  Lanes pick as EXT_MIN and
  * EXT_MAX do: the new value only when it compares below (above) the
  * current one.  With every value finite, the order of the picks can only
  * choose between 0.0 and -0.0, which the bounds map to the same spacing;
- * a NaN or an infinity marks the slice unbounded whatever the order. */
-#define TILE_EXTREMES(name, V, attr)                                                      \
-    attr __attribute__((noinline)) static int name(const double *s, ptrdiff_t ld,         \
-                                                   ptrdiff_t h, ptrdiff_t w, double *lo,  \
-                                                   double *hi)                            \
+ * a NaN or an infinity marks the map unbounded whatever the order.  The
+ * points follow, a row at a time while the strip's rows are still in
+ * cache: each column's point is written and kept only when it compares
+ * at or above `thr`, as numpy's `s >= thr` keeps it. */
+#define SALIENT_SCAN(name, V, attr)                                                       \
+    attr __attribute__((noinline)) static ptrdiff_t name(                                 \
+        const double *s, ptrdiff_t ld, ptrdiff_t r0, ptrdiff_t rows, ptrdiff_t w,         \
+        double thr, double *lo, double *hi, int64_t *pts, int64_t cols[2], double *nan)   \
     {                                                                                     \
         enum { N = sizeof(V) / sizeof(double), NV = TILE / N };                           \
         typedef __typeof__((V){0} < (V){0}) M;                                            \
-        const ptrdiff_t tw = (w + TILE - 1) / TILE, whole = w / TILE * TILE;              \
+        const ptrdiff_t whole = w / TILE * TILE;                                          \
+        const double *strip = s + r0 * ld;                                                \
         V nanv = {0}; /* NaN from a NaN or an infinity */                                 \
-        double nan = 0.0;                                                                 \
-        for (ptrdiff_t r0 = 0; r0 < h; r0 += TILE) {                                      \
-            const ptrdiff_t rows = h - r0 < TILE ? h - r0 : TILE;                         \
-            double *tlo = lo + r0 / TILE * tw, *thi = hi + r0 / TILE * tw;                \
-            for (ptrdiff_t c0 = 0; c0 < whole; c0 += TILE) {                              \
-                const double *v = s + r0 * ld + c0;                                       \
-                V mn[NV], mx[NV], x;                                                      \
-                memcpy(mn, v, sizeof(mn));                                                \
-                memcpy(mx, v, sizeof(mx));                                                \
-                for (ptrdiff_t r = 0; r < rows; r++)                                      \
-                    for (int k = 0; k < NV; k++) {                                        \
-                        memcpy(&x, v + r * ld + k * N, sizeof(V));                        \
-                        const M below = x < mn[k], above = x > mx[k];                     \
-                        mn[k] = (V)(((M)x & below) | ((M)mn[k] & ~below));                \
-                        mx[k] = (V)(((M)x & above) | ((M)mx[k] & ~above));                \
-                        nanv += x - x;                                                    \
-                    }                                                                     \
-                double a[TILE], b[TILE];                                                  \
-                memcpy(a, mn, sizeof(a));                                                 \
-                memcpy(b, mx, sizeof(b));                                                 \
-                for (int k = 1; k < TILE; k++) {                                          \
-                    a[0] = EXT_MIN(a[0], a[k]);                                           \
-                    b[0] = EXT_MAX(b[0], b[k]);                                           \
+        for (ptrdiff_t c0 = 0; c0 < whole; c0 += TILE) {                                  \
+            const double *v = strip + c0;                                                 \
+            V mn[NV], mx[NV], x;                                                          \
+            memcpy(mn, v, sizeof(mn));                                                    \
+            memcpy(mx, v, sizeof(mx));                                                    \
+            for (ptrdiff_t r = 0; r < rows; r++)                                          \
+                for (int k = 0; k < NV; k++) {                                            \
+                    memcpy(&x, v + r * ld + k * N, sizeof(V));                            \
+                    const M below = x < mn[k], above = x > mx[k];                         \
+                    mn[k] = (V)(((M)x & below) | ((M)mn[k] & ~below));                    \
+                    mx[k] = (V)(((M)x & above) | ((M)mx[k] & ~above));                    \
+                    nanv += x - x;                                                        \
                 }                                                                         \
-                tlo[c0 / TILE] = a[0];                                                    \
-                thi[c0 / TILE] = b[0];                                                    \
+            double a[TILE], b[TILE];                                                      \
+            memcpy(a, mn, sizeof(a));                                                     \
+            memcpy(b, mx, sizeof(b));                                                     \
+            for (int k = 1; k < TILE; k++) {                                              \
+                a[0] = EXT_MIN(a[0], a[k]);                                               \
+                b[0] = EXT_MAX(b[0], b[k]);                                               \
             }                                                                             \
-            if (whole < w) {                                                              \
-                const double *v = s + r0 * ld + whole;                                    \
-                double mn = v[0], mx = v[0];                                              \
-                for (ptrdiff_t r = 0; r < rows; r++)                                      \
-                    for (ptrdiff_t k = 0; k < w - whole; k++) {                           \
-                        const double x = v[r * ld + k];                                   \
-                        mn = EXT_MIN(mn, x);                                              \
-                        mx = EXT_MAX(mx, x);                                              \
-                        nan += x - x;                                                     \
-                    }                                                                     \
-                tlo[tw - 1] = mn;                                                         \
-                thi[tw - 1] = mx;                                                         \
-            }                                                                             \
+            lo[c0 / TILE] = a[0];                                                         \
+            hi[c0 / TILE] = b[0];                                                         \
+        }                                                                                 \
+        if (whole < w) {                                                                  \
+            const double *v = strip + whole;                                              \
+            double mn = v[0], mx = v[0];                                                  \
+            for (ptrdiff_t r = 0; r < rows; r++)                                          \
+                for (ptrdiff_t k = 0; k < w - whole; k++) {                               \
+                    const double x = v[r * ld + k];                                       \
+                    mn = EXT_MIN(mn, x);                                                  \
+                    mx = EXT_MAX(mx, x);                                                  \
+                    *nan += x - x;                                                        \
+                }                                                                         \
+            lo[whole / TILE] = mn;                                                        \
+            hi[whole / TILE] = mx;                                                        \
         }                                                                                 \
         double lanes[N];                                                                  \
         memcpy(lanes, &nanv, sizeof(lanes));                                              \
         for (int k = 0; k < N; k++)                                                       \
-            nan += lanes[k];                                                              \
-        return nan == 0.0;                                                                \
+            *nan += lanes[k];                                                             \
+        return salient_points(strip, ld, r0, rows, w, thr, pts, cols);                    \
     }
 
-TILE_EXTREMES(tile_extremes_v2, v2df, )
+/* The points of a strip at or above `thr`, for SALIENT_SCAN.  A run of
+ * TILE columns with no such value is passed over after one test of all
+ * of them, which the compiler does as vector compares. */
+static ptrdiff_t salient_points(const double *strip, ptrdiff_t ld, ptrdiff_t r0, ptrdiff_t rows,
+                                ptrdiff_t w, double thr, int64_t *pts, int64_t cols[2])
+{
+    ptrdiff_t n = 0;
+    for (ptrdiff_t r = 0; r < rows; r++) {
+        const double *restrict row = strip + r * ld;
+        const ptrdiff_t first = n;
+        for (ptrdiff_t c0 = 0; c0 < w; c0 += TILE) {
+            const ptrdiff_t c1 = w - c0 < TILE ? w : c0 + TILE;
+            int any = 0;
+            for (ptrdiff_t c = c0; c < c1; c++)
+                any |= row[c] >= thr;
+            for (ptrdiff_t c = c0; any && c < c1; c++) {
+                pts[2 * n] = r0 + r;
+                pts[2 * n + 1] = c;
+                n += row[c] >= thr;
+            }
+        }
+        if (n > first) {
+            cols[0] = EXT_MIN(cols[0], pts[2 * first + 1]);
+            cols[1] = EXT_MAX(cols[1], pts[2 * n - 1]);
+        }
+    }
+    return n;
+}
+
+SALIENT_SCAN(salient_scan_v2, v2df, )
 
 /* ------------------------------------------------------------ instances */
 
@@ -340,14 +366,14 @@ typedef double v8df __attribute__((vector_size(64)));
 AXIS0_BANDS(correlate_axis0_v8, v8df, __attribute__((target("avx512f"))))
 AXIS1_PASS(correlate_axis1_v8, v8df, __attribute__((target("avx512f"))))
 STD_RUN(std_run_v8, v8df, __attribute__((target("avx512f"))))
-TILE_EXTREMES(tile_extremes_v8, v8df, __attribute__((target("avx512f"))))
+SALIENT_SCAN(salient_scan_v8, v8df, __attribute__((target("avx512f"))))
 #endif
 
 const Simd simd_baseline = {correlate_axis0_v2, correlate_axis1_v2, std_run_v2,
-                            tile_extremes_v2};
+                            salient_scan_v2};
 #ifdef HAVE_AVX512
 const Simd simd_avx512 = {correlate_axis0_v8, correlate_axis1_v8, std_run_v8,
-                          tile_extremes_v8};
+                          salient_scan_v8};
 #endif
 
 /* axis1_clamped, without the clamps where no tap reaches a row end.  Out

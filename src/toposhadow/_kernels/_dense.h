@@ -1,8 +1,8 @@
 /* The dense loops of the compiled core, shared by its two units.
  *
  * ``_dense.c`` holds the numeric loops: the axis-0 and axis-1 passes, the
- * stack std, the salient thinning's tile extremes, each at two vector
- * widths, and a deviation map's column part.  It includes no Python or
+ * stack std, the salient scan (the salient points and the tile extremes),
+ * each at two vector widths, and a deviation map's column part.  It includes no Python or
  * numpy header, so it compiles apart from, and at the same time as,
  * ``_coremodule.c``, which holds the bindings and calls the loops through
  * the `Simd` tables declared here.  Sizes are ptrdiff_t, which
@@ -13,6 +13,7 @@
 #define TOPOSHADOW_DENSE_H
 
 #include <stddef.h>
+#include <stdint.h>
 
 /* Private to the extension library: nothing here is exported. */
 #pragma GCC visibility push(hidden)
@@ -54,18 +55,23 @@ typedef void (*axis1_fn)(const double *restrict x, double *restrict out, ptrdiff
 typedef void (*std_fn)(const double *restrict s0, const double *restrict s, ptrdiff_t plane,
                        double *restrict out, ptrdiff_t L, ptrdiff_t n);
 
-/* The extremes of each TILE x TILE tile of the (h, w) slice `s` (row
- * stride ld), clamped to the slice, into the tile grids lo and hi.
- * Returns whether every value of the slice is finite. */
-typedef int (*tiles_fn)(const double *s, ptrdiff_t ld, ptrdiff_t h, ptrdiff_t w, double *lo,
-                        double *hi);
+/* One strip of the (h, w) map `s` (row stride ld), rows [r0, r0 + rows)
+ * with rows <= TILE and r0 a multiple of TILE: the extremes of each of its
+ * TILE x TILE tiles, clamped to the map, into the ceil(w / TILE) values at
+ * lo and hi; the (row, col) of each value >= thr, row-major, appended at
+ * `pts` (room for rows * w points), whose number it returns; cols[0] and
+ * cols[1] widened to the least and greatest column appended; and x - x of
+ * every value x added to *nan, which stays 0 while every value is finite. */
+typedef ptrdiff_t (*scan_fn)(const double *s, ptrdiff_t ld, ptrdiff_t r0, ptrdiff_t rows,
+                             ptrdiff_t w, double thr, double *lo, double *hi, int64_t *pts,
+                             int64_t cols[2], double *nan);
 
 /* The vector instances of the dense loops at one width. */
 typedef struct {
     axis0_fn axis0;
     axis1_fn axis1;
     std_fn std;
-    tiles_fn tiles;
+    scan_fn scan;
 } Simd;
 
 /* 2 doubles per vector, for every CPU, and 8 for AVX-512 hosts. */

@@ -254,6 +254,17 @@ def deviation_map(img, ku, kv, layers):
     return _stack_std(stack)
 
 
+def _salient_points(saliency, threshold):
+    """Every (row, col) of the 2D float64 map `saliency` whose value is at
+    or above `threshold` (inclusive; NaN never is), row-major, as a
+    C-contiguous (N, 2) int64 array: ``np.argwhere(saliency >=
+    threshold)``, without its transposed memory layout."""
+    flat = np.flatnonzero(saliency >= threshold)
+    pts = np.empty((len(flat), 2), dtype=np.int64)
+    np.divmod(flat, saliency.shape[1], out=(pts[:, 0], pts[:, 1]))
+    return pts
+
+
 @_quiet
 def _spacing_at(saliency, weights, points, phi1, phi2):
     """The spacing threshold in [phi1, phi1 + phi2] at each (row, col) point.
@@ -271,13 +282,16 @@ def _spacing_at(saliency, weights, points, phi1, phi2):
     pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
     if len(pts) == 0:
         return np.zeros(0, dtype=np.float64)
+    height, width = s.shape
+    rows, cols = pts[:, 0], pts[:, 1]
+    if rows.min() < 0 or rows.max() >= height or cols.min() < 0 or cols.max() >= width:
+        raise IndexError("point outside the image")
     weights = np.asarray(weights, dtype=np.float64)
     radius = (len(weights) - 1) // 2
-    c0 = max(0, int(pts[:, 1].min()) - radius)
-    c1 = min(s.shape[1], int(pts[:, 1].max()) + radius + 1)
+    c0 = max(0, int(cols.min()) - radius)
+    c1 = min(width, int(cols.max()) + radius + 1)
     # the map over 255 straight into the axis-0 pass's padded buffer: no
     # scaled copy of the slice is made
-    height = s.shape[0]
     padded = np.empty((height + 2 * radius, c1 - c0))
     np.divide(s[:, c0:c1], 255.0, out=padded[radius : radius + height])
     if radius == 0:
@@ -291,12 +305,14 @@ def _spacing_at(saliency, weights, points, phi1, phi2):
 
 
 @_quiet
-def thin_salient(saliency, weights, points, phi1, phi2):
-    """``thin_points(points, _spacing_at(saliency, weights, points, phi1,
-    phi2))``: the greedy thinning of `points` against the spacing the
-    blurred saliency map gives each one.  The compiled twin computes a
-    point's spacing only where bounds on it cannot decide the point; here
-    the dense passes run in full.  Returns the kept indices in order.
+def thin_salient(saliency, weights, threshold, phi1, phi2):
+    """The salient points of a map, thinned against the spacing the
+    blurred map gives each one: ``pts[thin_points(pts, _spacing_at(
+    saliency, weights, pts, phi1, phi2))]`` with ``pts =
+    _salient_points(saliency, threshold)``.  The compiled twin finds the
+    points in one scan and computes a point's spacing only where bounds on
+    it cannot decide the point; here the dense passes run in full.
+    Returns the kept points, (N, 2) int64, row-major.
     """
     if not (math.isfinite(phi1) and math.isfinite(phi2) and phi1 >= 0 and phi2 >= 0):
         raise ValueError("phi1 and phi2 must be finite and non-negative")
@@ -304,8 +320,10 @@ def thin_salient(saliency, weights, points, phi1, phi2):
     weights = np.asarray(weights, dtype=np.float64)
     if s.ndim != 2 or weights.ndim != 1 or len(weights) == 0:
         raise ValueError("expected a 2D image and a non-empty 1D kernel")
-    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-    return thin_points(pts, _spacing_at(s, weights, pts, float(phi1), float(phi2)))
+    pts = _salient_points(s, float(threshold))
+    if len(pts) == 0:
+        return pts
+    return pts[thin_points(pts, _spacing_at(s, weights, pts, float(phi1), float(phi2)))]
 
 
 @_quiet

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import _kernels
 from .frame_io import crop_top
-from .saliency import Params, as_real, deviation_map, gaussian_kernel_1d, threshold_points
+from .saliency import Params, as_real, deviation_map, gaussian_kernel_1d, salient_threshold
 from .topology import (
     Complex,
     confidence_map,
@@ -97,14 +97,15 @@ def salient_cloud(saliency, params):
 
     Reads only the ``CLOUD_FIELDS`` of ``params``.  Returns the thinned
     cloud, (N, 2) int64 in cropped coordinates: the points of
-    ``thin(cloud, density_field(saliency, cloud, params))``, from the
-    ``thin_salient`` kernel.
+    ``sparsify.thin(cloud, sparsify.density_field(saliency, cloud,
+    params))`` with ``cloud = threshold_points(saliency, params.gamma)``,
+    from one ``thin_salient`` kernel call, which finds the cloud itself.
+    The sigma_w taps are built first, so a sigma_w too large for them
+    raises its named error on any frame, one with no salient pixel too.
     """
-    cloud = threshold_points(saliency, params.gamma)
-    if len(cloud) == 0:
-        return cloud
     kw = gaussian_kernel_1d(params.sigma_w, "sigma_w")
-    return cloud[_kernels.thin_salient(saliency, kw, cloud, params.phi1, params.phi2)]
+    thr = salient_threshold(params.gamma)
+    return _kernels.thin_salient(saliency, kw, thr, params.phi1, params.phi2)
 
 
 def back_end(sparse, width, params):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _kernels
+from ._kernels import _pure
 from .errors import number_text
 from .topology import DEFAULT_TRIANGLE_CAP
 
@@ -213,21 +214,25 @@ def deviation_map(img, params):
         ) from None
 
 
+def salient_threshold(gamma):
+    """The value a deviation-map pixel must reach to be salient: gamma
+    percent of 255.  Raises ValueError unless gamma lies in (0, 100]."""
+    if not 0.0 < gamma <= 100.0:
+        raise ValueError("gamma must lie in (0, 100]")
+    return gamma * 255.0 / 100.0
+
+
 def threshold_points(saliency, gamma):
     """All (row, col) with saliency >= gamma percent of 255, row-major.
 
     The comparison is inclusive; a pixel sitting exactly on the threshold
     is salient.  Returns a C-contiguous (N, 2) int64 array, equal to
     ``np.argwhere(saliency >= thr)`` (whose result is transposed in
-    memory), so the kernels read it without a copy.
+    memory), so the kernels read it without a copy.  The reference for
+    the points the ``thin_salient`` kernel finds itself.
     """
-    if not 0.0 < gamma <= 100.0:
-        raise ValueError("gamma must lie in (0, 100]")
+    thr = salient_threshold(gamma)
     s = np.asarray(saliency, dtype=np.float64)
     if s.ndim != 2:
         raise ValueError("expected a 2D saliency map")
-    thr = gamma * 255.0 / 100.0
-    flat = np.flatnonzero(s >= thr)
-    pts = np.empty((len(flat), 2), dtype=np.int64)
-    np.divmod(flat, s.shape[1], out=(pts[:, 0], pts[:, 1]))
-    return pts
+    return _pure._salient_points(s, thr)

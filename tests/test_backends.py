@@ -22,7 +22,15 @@ from hypothesis import strategies as st
 from toposhadow import _kernels, classify
 from toposhadow._kernels import _pure
 from toposhadow.errors import TriangleCapError
-from toposhadow.saliency import Params, deviation_map, filter_stack, gaussian_kernel_1d, std_map
+from toposhadow.saliency import (
+    Params,
+    deviation_map,
+    filter_stack,
+    gaussian_kernel_1d,
+    salient_threshold,
+    std_map,
+    threshold_points,
+)
 
 _core = pytest.importorskip("toposhadow._kernels._core")
 
@@ -332,27 +340,31 @@ def test_thin_identical():
 
 
 def thin_outcome(fn):
-    """fn()'s kept indices, or the class and message of what it raised."""
+    """fn()'s kept points as a list, or the class and message of what it
+    raised."""
     try:
         kept = fn()
     except (ValueError, IndexError) as exc:
         return type(exc), str(exc)
-    assert kept.dtype == np.int64 and kept.ndim == 1
+    assert kept.dtype == np.int64 and kept.ndim == 2 and kept.shape[1] == 2
     return kept.tolist()
 
 
-def reference_thin(impl, saliency, weights, pts, phi1, phi2):
-    """thin(cloud, density_field(...)) with backend `impl`'s thin_points:
-    the pure dense passes, then thin_points, as sparsify runs them."""
-    pts = np.asarray(pts, dtype=np.int64).reshape(-1, 2)
-    return impl.thin_points(pts, _pure._spacing_at(saliency, weights, pts, phi1, phi2))
+def reference_thin(impl, saliency, weights, threshold, phi1, phi2):
+    """thin(cloud, density_field(...)) over the cloud of pixels at or above
+    `threshold`, with backend `impl`'s thin_points: the points as
+    threshold_points finds them, then the pure dense passes and
+    thin_points, as sparsify runs them.  Returns the kept points."""
+    s = np.asarray(saliency, dtype=np.float64)
+    pts = np.argwhere(s >= threshold)
+    return pts[impl.thin_points(pts, _pure._spacing_at(s, weights, pts, phi1, phi2))]
 
 
-def assert_thin_salient_identical(saliency, weights, pts, phi1, phi2):
-    """Both kernels give the reference's kept indices on either backend,
+def assert_thin_salient_identical(saliency, weights, threshold, phi1, phi2):
+    """Both kernels give the reference's kept points on either backend,
     the compiled one on both of its instances, or raise the reference's
     exception class with its message."""
-    args = (saliency, weights, pts, phi1, phi2)
+    args = (saliency, weights, threshold, phi1, phi2)
     expected = thin_outcome(lambda: reference_thin(_pure, *args))
     assert thin_outcome(lambda: reference_thin(_core, *args)) == expected
     assert thin_outcome(lambda: _pure.thin_salient(*args)) == expected
@@ -381,10 +393,10 @@ THIN_PHIS = [
     st.sampled_from([1.0, 255.0, 1e6]),
     st.sampled_from([0.2, 1.0, 2.5, 7.0, 20.0]),
     st.sampled_from(THIN_PHIS),
-    st.sampled_from(["all", "salient", "sample", "shuffled", "repeated"]),
+    st.sampled_from(["all", "median", "pixel", "top", "none"]),
     st.integers(0, 2**32 - 1),
 )
-def test_thin_salient_identical_property(h, w, kind, scale, sigma, phi, points, seed):
+def test_thin_salient_identical_property(h, w, kind, scale, sigma, phi, threshold, seed):
     # sigma 7 and 20 (radius 21 and 60) reach past most of these maps;
     # constant and tie maps give blurred values that are exact, so the
     # integer spacings of (3, 4) land on integer squared distances
@@ -403,18 +415,16 @@ def test_thin_salient_identical_property(h, w, kind, scale, sigma, phi, points, 
         sal.flat[spikes] = rng.choice([-scale, scale], size=3) * 1e3
     else:
         sal = np.repeat(rng.uniform(0.0, scale, size=(1, w)), h, axis=0)
-    pixels = np.argwhere(np.ones((h, w), dtype=bool))
-    if points == "all":
-        pts = pixels
-    elif points == "salient":
-        pts = pixels[sal.ravel() >= np.median(sal)]
-    elif points == "sample":
-        pts = pixels[np.sort(rng.choice(len(pixels), size=min(len(pixels), 25), replace=False))]
-    elif points == "shuffled":
-        pts = rng.permutation(pixels)
-    else:
-        pts = np.repeat(pixels[rng.integers(0, len(pixels), size=10)], 2, axis=0)
-    assert_thin_salient_identical(sal, gaussian_kernel_1d(sigma), pts, *phi)
+    # every pixel, about half, those on or above one pixel's value (which
+    # sits exactly on the threshold), the largest tenth, or none
+    thr = {
+        "all": -np.inf,
+        "median": float(np.median(sal)),
+        "pixel": float(sal.flat[rng.integers(0, h * w)]),
+        "top": float(np.quantile(sal, 0.9)),
+        "none": np.inf,
+    }[threshold]
+    assert_thin_salient_identical(sal, gaussian_kernel_1d(sigma), thr, *phi)
 
 
 def test_thin_salient_identical_on_phantoms():
@@ -425,11 +435,11 @@ def test_thin_salient_identical_on_phantoms():
     for img in frames:
         sal = classify.texture(img, Params())
         for p in (Params(), Params(sigma_w=3.0, phi1=5.0), Params(gamma=2.0, phi1=0.0)):
-            pts = classify.threshold_points(sal, p.gamma)
             kept = assert_thin_salient_identical(
-                sal, gaussian_kernel_1d(p.sigma_w), pts, p.phi1, p.phi2
+                sal, gaussian_kernel_1d(p.sigma_w), salient_threshold(p.gamma), p.phi1, p.phi2
             )
             assert len(kept) > 0
+            assert kept == classify.salient_cloud(sal, p).tolist()
 
 
 def test_thin_salient_window_reaches_its_edge():
@@ -442,9 +452,8 @@ def test_thin_salient_window_reaches_its_edge():
         for value in (1e6, -1e6):
             sal = np.full((2 * radius + 12, 2 * radius + 12), 100.0)
             sal[radius + 5, radius + 6] = value
-            pts = np.argwhere(np.ones(sal.shape, dtype=bool))
             for phi in ((2.0, 6.0), (1.0, 2.0)):
-                assert_thin_salient_identical(sal, weights, pts, *phi)
+                assert_thin_salient_identical(sal, weights, -np.inf, *phi)
 
 
 def test_thin_salient_tiles_reach_the_map_edge():
@@ -454,27 +463,26 @@ def test_thin_salient_tiles_reach_the_map_edge():
     # column miss it and keep or drop the wrong points
     weights = gaussian_kernel_1d(1.0)
     for h, w in ((9, 16), (13, 24), (15, 17), (8, 21), (23, 31)):
-        pts = np.argwhere(np.ones((h, w), dtype=bool))
         for r, c in ((h - 1, 3), (h - 1, 8), (h - 1, w - 1), (2, w - 1)):
             for value in (1e6, -1e6):
                 sal = np.full((h, w), 100.0)
                 sal[r, c] = value
-                assert_thin_salient_identical(sal, weights, pts, 2.0, 6.0)
+                assert_thin_salient_identical(sal, weights, -np.inf, 2.0, 6.0)
 
 
 def test_thin_salient_margin_covers_rounding():
     # with the centre weight 0 this window blurs to exactly 1.0 while its
-    # largest value is 1 - 2^-53: the candidate's spacing is phi1 = 1, so
-    # the kept point at squared distance 2 leaves it alone, while a bound
-    # from the extremes alone says 1.5
+    # largest value is 1 - 2^-53: the spacing of (1, 1) is phi1 = 1, so
+    # the kept point (0, 0) at squared distance 2 leaves it alone, while a
+    # bound from the extremes alone says 1.5.  Every pixel is a candidate
     top, low = 254.99999999999997, 104.66620848781591
     sal = np.full((3, 3), top)
     sal[1, 1:] = low
     weights = np.array([0.5, 0.0, 0.5])
-    pts = np.array([[0, 0], [1, 1]])
-    assert assert_thin_salient_identical(sal, weights, pts, 1.0, 2.0**52) == [0, 1]
+    kept = assert_thin_salient_identical(sal, weights, low, 1.0, 2.0**52)
+    assert kept[:2] == [[0, 0], [1, 1]]
     blurred = _pure._correlate_points(
-        _pure.correlate1d_replicate(sal / 255.0, weights, 0), weights, pts[1:], 0
+        _pure.correlate1d_replicate(sal / 255.0, weights, 0), weights, np.array([[1, 1]]), 0
     )
     assert blurred[0] == 1.0 > (sal / 255.0).max()
 
@@ -484,12 +492,12 @@ def test_thin_salient_weights_that_are_not_a_mean():
     # every spacing is computed, on each compiled instance
     rng = np.random.default_rng(241)
     sal = rng.uniform(0.0, 255.0, size=(20, 30))
-    pts = np.argwhere(sal > 100.0)
+    n = int((sal >= 100.0).sum())
     for weights in (np.array([-0.1, 1.2, -0.1]), np.array([0.6, 0.0, 0.6]), np.ones(5), np.ones(1)):
         before = _core._thin_stats()
-        assert_thin_salient_identical(sal, weights, pts, 3.0, 4.0)
+        assert_thin_salient_identical(sal, weights, 100.0, 3.0, 4.0)
         if len(weights) > 1:
-            assert _core._thin_stats()[1] - before[1] == len(SIMDS) * len(pts)
+            assert _core._thin_stats()[1] - before[1] == len(SIMDS) * n
 
 
 def test_thin_salient_non_finite_maps():
@@ -506,17 +514,20 @@ def non_finite_cases(rng, weights):
         for where in ((5, 5), (0, 0), (19, 39), (5, 20)):
             sal = rng.uniform(0.0, 255.0, size=(20, 40))
             sal[where] = bad
-            every = np.argwhere(np.ones(sal.shape, dtype=bool))
-            for pts in (every, np.array([[15, 35], [16, 38]])):
-                assert_thin_salient_identical(sal, weights, pts, 15.0, 20.0)
+            # every pixel (a NaN one is never salient), and two far ones
+            assert_thin_salient_identical(sal, weights, -np.inf, 15.0, 20.0)
+            sal[15, 35] = sal[16, 38] = 300.0
+            assert_thin_salient_identical(sal, weights, 300.0, 15.0, 20.0)
     sal = np.full((20, 40), 50.0)
     sal[5, 5] = np.nan
-    outcome = assert_thin_salient_identical(sal, weights, [[5, 7]], 15.0, 20.0)
+    sal[5, 7] = 60.0
+    outcome = assert_thin_salient_identical(sal, weights, 60.0, 15.0, 20.0)
     assert outcome == (ValueError, "spacing must not contain NaN")
-    # radius 0: an infinite pixel clamps to phi1, a NaN one stays NaN
+    # radius 0: an infinite pixel clamps to phi1, and a NaN one is no point
     sal[5, 6] = np.inf
-    assert assert_thin_salient_identical(sal, np.ones(1), [[5, 6], [19, 39]], 15.0, 20.0) == [0, 1]
-    assert assert_thin_salient_identical(sal, np.ones(1), [[5, 5]], 15.0, 20.0)[0] is ValueError
+    sal[19, 39] = 60.0
+    kept = assert_thin_salient_identical(sal, np.ones(1), 60.0, 15.0, 20.0)
+    assert kept == [[5, 6], [19, 39]]
 
 
 def test_thin_salient_small_and_empty_inputs():
@@ -524,51 +535,68 @@ def test_thin_salient_small_and_empty_inputs():
     weights = gaussian_kernel_1d(20.0)
     for shape in ((1, 1), (1, 60), (60, 1), (2, 3)):
         sal = rng.uniform(0.0, 255.0, size=shape)
-        pts = np.argwhere(np.ones(shape, dtype=bool))
-        assert_thin_salient_identical(sal, weights, pts, 15.0, 20.0)
-        assert_thin_salient_identical(sal, weights, pts[::-1], 0.5, 0.0)
-    for shape in ((0, 5), (5, 0), (4, 4)):
-        empty = np.zeros((0, 2), dtype=np.int64)
-        assert assert_thin_salient_identical(np.zeros(shape), weights, empty, 15.0, 20.0) == []
+        assert_thin_salient_identical(sal, weights, -np.inf, 15.0, 20.0)
+        assert_thin_salient_identical(sal, weights, float(np.median(sal)), 0.5, 0.0)
+    # maps with no pixel, and one with no pixel at or above the threshold
+    for shape, thr in (((0, 5), -np.inf), ((5, 0), -np.inf), ((4, 4), 1.0)):
+        assert assert_thin_salient_identical(np.zeros(shape), weights, thr, 15.0, 20.0) == []
+        assert _core.thin_salient(np.zeros(shape), weights, thr, 15.0, 20.0).shape == (0, 2)
 
 
 def test_thin_salient_rejects_bad_input():
     sal = np.zeros((4, 5))
     weights = gaussian_kernel_1d(1.0)
-    for pts in ([[4, 0]], [[0, 5]], [[-1, 0]], [[0, -1]], [[1, 1], [9, 9]]):
-        for mod in (_core, _pure):
-            with pytest.raises(IndexError, match="point outside the image"):
-                mod.thin_salient(sal, weights, np.array(pts), 15.0, 20.0)
-        with pytest.raises(IndexError, match="point outside the image"):
-            reference_thin(_core, sal, weights, pts, 15.0, 20.0)
     for phi in ((-1.0, 20.0), (15.0, -0.5), (np.nan, 20.0), (15.0, np.inf)):
         for mod in (_core, _pure):
-            with pytest.raises(ValueError, match="phi1 and phi2 must be finite and non-negative"):
-                mod.thin_salient(sal, weights, [[1, 1]], *phi)
+            # on a map with no salient pixel too
+            for thr in (0.0, np.inf):
+                with pytest.raises(ValueError, match="phi1 and phi2 must be finite and non-negative"):
+                    mod.thin_salient(sal, weights, thr, *phi)
     for bad in ((np.zeros(5), weights), (sal, np.ones((1, 1))), (sal, np.ones(0))):
         for mod in (_core, _pure):
             with pytest.raises(ValueError, match="expected a 2D image"):
-                mod.thin_salient(*bad, [[0, 0]], 15.0, 20.0)
+                mod.thin_salient(*bad, 0.0, 15.0, 20.0)
+
+
+def test_spacing_rejects_point_outside_the_map():
+    # the density field's points come from its caller: one outside the map
+    # raises the point pass's IndexError, on a map with no columns too, and
+    # with every point far past either side, before any buffer is sized
+    weights = gaussian_kernel_1d(1.0)
+    cases = [(np.zeros((4, 5)), pts) for pts in (
+        [[4, 0]], [[0, 5]], [[-1, 0]], [[0, -1]], [[1, 1], [9, 9]], [[0, 100]], [[0, -100]],
+        [[0, -5]], [[0, 9]],
+    )]
+    cases.append((np.zeros((5, 0)), [[0, 0]]))
+    for sal, pts in cases:
+        with pytest.raises(IndexError, match="point outside the image"):
+            _pure._spacing_at(sal, weights, np.array(pts), 15.0, 20.0)
+        for impl in (_core, _pure):
+            with pytest.raises(IndexError, match="point outside the image"):
+                impl.thin_points(np.array(pts), _pure._spacing_at(sal, weights, pts, 15.0, 20.0))
 
 
 def test_thin_salient_is_lazy_on_the_phantom():
     # the seed-123 phantom: few candidates need their exact spacing, and
     # those read few of the map's axis-0 cells; a kernel that fell back to
-    # the whole field would compute every spacing and every cell
+    # the whole field would compute every spacing and every cell.  Tier 2
+    # decides more than half of what tier 1 leaves (the parent of tier 2
+    # computed 411 spacings and 23,216 cells here)
     from toposhadow.synth import PhantomSpec, synth_phantom
 
     img, _ = synth_phantom(PhantomSpec(seed=123))
     p = Params()
     sal = classify.texture(img, p)
-    pts = classify.threshold_points(sal, p.gamma)
     weights = gaussian_kernel_1d(p.sigma_w)
+    thr = salient_threshold(p.gamma)
     before = _core._thin_stats()
-    kept = _core.thin_salient(sal, weights, pts, p.phi1, p.phi2)
-    seen, exact, cells = (b - a for a, b in zip(before, _core._thin_stats()))
-    assert np.array_equal(kept, reference_thin(_core, sal, weights, pts, p.phi1, p.phi2))
-    assert seen == len(pts) == 22293
+    kept = _core.thin_salient(sal, weights, thr, p.phi1, p.phi2)
+    seen, exact, cells, tier2 = (b - a for a, b in zip(before, _core._thin_stats()))
+    assert np.array_equal(kept, reference_thin(_core, sal, weights, thr, p.phi1, p.phi2))
+    assert seen == len(threshold_points(sal, p.gamma)) == 22293
     assert 0 < exact < 0.05 * seen, exact
-    assert 0 < cells < 0.30 * sal.size, cells
+    assert tier2 > exact, (tier2, exact)
+    assert 0 < cells < 0.20 * sal.size, cells
 
 
 def test_rips_identical():

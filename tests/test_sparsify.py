@@ -6,7 +6,7 @@ import pytest
 from toposhadow import _kernels
 from toposhadow._kernels import _pure
 from toposhadow.classify import texture
-from toposhadow.saliency import Params, gaussian_kernel_1d, threshold_points
+from toposhadow.saliency import Params, gaussian_kernel_1d, salient_threshold, threshold_points
 from toposhadow.sparsify import density_field, thin
 from toposhadow.synth import PhantomSpec, synth_phantom, synth_tilt_sequence
 
@@ -165,19 +165,20 @@ def test_density_field_allocates_two_frames():
 def test_pure_thin_salient_scales_the_map_into_the_padded_pass():
     # the map over 255 is written straight into the axis-0 pass's padded
     # buffer, with no scaled copy of the map beside it: on the seed-123
-    # phantom pure thin_salient peaks at 3.5 frames, where the copy made
-    # it 4.0 (the point pass's row-padded copy of the pass output and
-    # its per-point buffers now set the peak)
+    # phantom pure thin_salient peaks below 3.6 frames besides the cloud
+    # it finds, where the copy made it 4.0 (the point pass's row-padded
+    # copy of the pass output and its per-point buffers now set the peak)
     img, _ = synth_phantom(PhantomSpec(seed=123))
     p = Params()
     sal = texture(img, p)
-    pts = threshold_points(sal, p.gamma)
     weights = gaussian_kernel_1d(p.sigma_w)
-    _pure.thin_salient(sal, weights, pts, p.phi1, p.phi2)
+    thr = salient_threshold(p.gamma)
+    cloud = threshold_points(sal, p.gamma)
+    _pure.thin_salient(sal, weights, thr, p.phi1, p.phi2)
     tracemalloc.start()
     try:
-        _pure.thin_salient(sal, weights, pts, p.phi1, p.phi2)
+        _pure.thin_salient(sal, weights, thr, p.phi1, p.phi2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.6 * sal.nbytes, peak / sal.nbytes
+    assert peak < 3.6 * sal.nbytes + cloud.nbytes, (peak - cloud.nbytes) / sal.nbytes
