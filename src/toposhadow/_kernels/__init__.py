@@ -12,11 +12,14 @@ public references (``saliency.filter_stack``, ``sparsify.thin``) call
 the process's only Python thread; while the dataset commands run their
 own threads (a pool of N at ``--workers N >= 2``, and at ``--workers 1``
 the calling thread and one helper) their maps stay on one core.
-``thin_salient`` thins a cloud against the spacing field of a saliency
-map: the compiled kernel computes a point's spacing only where bounds
-on it cannot decide the point, and its pure twin runs the dense passes
-and then ``thin_points``, as ``sparsify.thin(cloud,
-sparsify.density_field(...))`` does.  ``NAME`` names the kernels that
+``thin_salient`` finds the points of a saliency map at or above a
+threshold and thins them against the map's spacing field, returning the
+kept points: the compiled kernel finds them and the map's tile extremes
+in one scan, and computes a point's spacing only where two tiers of
+bounds on it cannot decide the point; its pure twin thresholds, runs
+the dense passes and then ``thin_points``, as
+``sparsify.thin(cloud, sparsify.density_field(...))`` does on the cloud
+of ``saliency.threshold_points``.  ``NAME`` names the kernels that
 run, such as ``compiled/avx512f`` or ``pure``.  Override with
 TOPOSHADOW_KERNELS=pure or =compiled (the latter raises if the
 extension is missing).

@@ -7,8 +7,8 @@
  * ``_pure`` too.  Build with -ffp-contract=off: a fused multiply-add
  * rounds once where the twin rounds twice.
  *
- * The dense loops (the axis-0 and axis-1 passes, the stack std, the tile
- * extremes and a deviation map's part) live in ``_dense.c``, which
+ * The dense loops (the axis-0 and axis-1 passes, the stack std, the
+ * salient scan and a deviation map's part) live in ``_dense.c``, which
  * includes no Python header, so that setup.py compiles both units at
  * the same time; they are built at two vector widths into the `Simd`
  * tables of ``_dense.h``.  Module init picks one width and names it in

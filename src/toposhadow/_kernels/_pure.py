@@ -15,10 +15,11 @@ per triangle row, and no loop runs per pixel.  A dense pass works on
 blocks of about _ROW_BLOCK doubles, which stay in cache across its taps
 or layers, and reads the image in its own row-major layout along either
 axis: no pass transposes.  ``thin_salient`` stays on the dense reference:
-the axis-0 pass over the columns the points read (the map over 255
-written straight into its edge-padded buffer), the point pass, then
-``thin_points``, where the compiled twin computes a point's spacing only
-where bounds on it cannot decide the point.  Both backends rasterize
+the threshold, the axis-0 pass over the columns the points read (the map
+over 255 written straight into its edge-padded buffer), the point pass,
+then ``thin_points``, where the compiled twin finds the points in one
+scan and computes a point's spacing only where bounds on it cannot
+decide the point.  Both backends rasterize
 with one integer rule: each edge that meets row r crosses it at the
 exact column num/den, a flat edge at its first end (den = 1; its other
 end starts the next edge), and the row's span is [min ceil, max floor]

@@ -151,18 +151,41 @@ def _bresenham(r0, c0, r1, c1):
     return points
 
 
+@contextlib.contextmanager
+def _all_or_none():
+    """Yield `output(path)`, which notes an output file before it is
+    written and returns its path.  If the block fails, every noted file
+    that did not exist before it is removed, so that a failed command
+    leaves no partial output."""
+    created = []
+
+    def output(path):
+        if not os.path.lexists(path):
+            created.append(path)
+        return path
+
+    try:
+        yield output
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def cmd_detect(args):
     params, _ = _load_params(args)
     img = frame_io.load_image(args.input)
     t0 = time.perf_counter()
     result = detect(img, params)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    if args.out_labels:
-        frame_io.write_labels(result.labels, args.out_labels)
-    if args.out_confidence:
-        frame_io.write_map(result.confidence, args.out_confidence, args.confidence_format)
-    if args.overlay:
-        _write_overlay(img, result, params.crop_rows, args.overlay)
+    with _all_or_none() as output:
+        if args.out_labels:
+            frame_io.write_labels(result.labels, output(args.out_labels))
+        if args.out_confidence:
+            frame_io.write_map(result.confidence, output(args.out_confidence), args.confidence_format)
+        if args.overlay:
+            _write_overlay(img, result, params.crop_rows, output(args.overlay))
     print(f"mean_confidence={_float_repr(result.mean_confidence)}")
     print(
         f"detect: {elapsed_ms:.2f} ms, cloud {result.cloud_size}, "

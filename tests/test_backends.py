@@ -1323,6 +1323,11 @@ def test_huge_sigma_names_its_field():
                         classify.detect(img, Params(**{name: float(sigma)}))
                 with pytest.raises(MemoryError, match=f"^{name} 1e\\+15 needs"):
                     classify.detect(img, Params(**{name: 1e15}))
+            # the sigma_w taps are built before the cloud is found, so a
+            # constant frame, whose map has no salient pixel, names it too
+            assert len(classify.detect(np.zeros((150, 40), np.uint8)).triangle_complex.vertices) == 0
+            with pytest.raises(ValueError, match="^sigma_w 1e\\+300 needs"):
+                classify.detect(np.zeros((150, 40), np.uint8), Params(sigma_w=1e300))
 
 
 def test_huge_int_fields_name_their_field():

@@ -530,6 +530,13 @@ _folds = st.lists(
 ).map("\n".join)
 
 
+# a frame whose header and body match, for runs that get past the input
+# checks: with crop_rows 0 in the config it is detected, and with its
+# labels and one fold it is evaluated
+_FRAME = b"P5\n12 12\n255\n" + bytes(i * 17 % 256 for i in range(144))
+_CROP_0 = "crop_rows = 0\n"
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(
     st.sampled_from(["detect", "evaluate"]),
@@ -538,11 +545,30 @@ _folds = st.lists(
     _labels,
     _folds,
     st.booleans(),
+    st.booleans(),
 )
-def test_malformed_inputs_fail_by_contract(command, pgm, config, labels, folds, use_config):
+def test_malformed_inputs_fail_by_contract(
+    command, pgm, config, labels, folds, use_config, blocked
+):
     # whatever the files hold, a run exits with a code from the README's
     # table, prints exactly one `error:` line when it fails and none when
     # it succeeds, and leaves no partial output behind
+    run_by_contract(command, pgm, config, labels, folds, use_config, blocked)
+
+
+def test_valid_inputs_succeed_or_fail_late_by_contract():
+    # runs that get past the input checks: they succeed, or fail when the
+    # last output cannot be written, detect after it has written its labels
+    for command, labels, folds in (("detect", "", ""), ("evaluate", "010101010101\n", "f g0 1 seen")):
+        for blocked, expected in ((False, 0), (True, 2)):
+            code = run_by_contract(command, _FRAME, _CROP_0, labels, folds, True, blocked)
+            assert code == expected, (command, blocked)
+
+
+def run_by_contract(command, pgm, config, labels, folds, use_config, blocked):
+    """Run `command` through cli.main on these input files and check the
+    failure contract; return the exit code.  With `blocked`, the
+    command's last output path is a directory, which it cannot write."""
     import contextlib
     import io
     import tempfile
@@ -569,6 +595,9 @@ def test_malformed_inputs_fail_by_contract(command, pgm, config, labels, folds, 
         if use_config:
             argv += ["--config", config_path]
         os.mkdir(os.path.join(tmp, "out"))
+        last = outputs[1] if command == "detect" else outputs[2]
+        if blocked:
+            os.mkdir(last)
         err, out = io.StringIO(), io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
             try:
@@ -578,5 +607,9 @@ def test_malformed_inputs_fail_by_contract(command, pgm, config, labels, folds, 
         assert code in EXIT_CODES, (code, err.getvalue())
         errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("error:")]
         assert len(errors) == (0 if code == 0 else 1), err.getvalue()
+        left = sorted(os.listdir(os.path.join(tmp, "out")))
         if code != 0:
-            assert os.listdir(os.path.join(tmp, "out")) == [], (code, err.getvalue())
+            assert left == ([os.path.basename(last)] if blocked else []), (code, err.getvalue())
+        else:
+            assert not blocked and left, err.getvalue()
+        return code
