@@ -14,10 +14,10 @@
  * bit-identical, to each other and to ``_pure``: vector operations are
  * lane-wise IEEE adds, subtracts, multiplies, divides, roots and compares,
  * nothing is contracted, and every element sees the same operations in the
- * same order at either width.  A deviation map's part builds its layers 8 rows at a time as a
- * wavefront, so that the rows a layer reads are still in cache, and keeps
- * of each layer past the first only the rows still to be read (see
- * "deviation map" below).
+ * same order at either width.  A deviation map's part builds its layers 8
+ * rows at a time as a wavefront, so that the rows a layer reads are still
+ * in cache, and keeps of each layer past the first only the rows still to
+ * be read (see "deviation map" below).
  */
 
 #include <math.h>
@@ -324,25 +324,26 @@ STD_RUN(std_run_v2, v2df, )
         memcpy(lanes, &nanv, sizeof(lanes));                                              \
         for (int k = 0; k < N; k++)                                                       \
             *nan += lanes[k];                                                             \
-        return salient_points(strip, ld, r0, rows, w, thr, pts, cols);                    \
+        return salient_points(strip, ld, r0, rows, w, thr, hi, pts, cols);                \
     }
 
-/* The points of a strip at or above `thr`, for SALIENT_SCAN.  A run of
- * TILE columns with no such value is passed over after one test of all
- * of them, which the compiler does as vector compares. */
+/* The points of a strip at or above `thr`, for SALIENT_SCAN, which has
+ * put each tile's maximum in hi.  A tile whose maximum is below `thr`
+ * holds no point and is passed over; one that holds a NaN first may have
+ * a NaN maximum, and is scanned. */
 static ptrdiff_t salient_points(const double *strip, ptrdiff_t ld, ptrdiff_t r0, ptrdiff_t rows,
-                                ptrdiff_t w, double thr, int64_t *pts, int64_t cols[2])
+                                ptrdiff_t w, double thr, const double *hi, int64_t *pts,
+                                int64_t cols[2])
 {
     ptrdiff_t n = 0;
     for (ptrdiff_t r = 0; r < rows; r++) {
         const double *restrict row = strip + r * ld;
         const ptrdiff_t first = n;
         for (ptrdiff_t c0 = 0; c0 < w; c0 += TILE) {
+            if (hi[c0 / TILE] < thr)
+                continue;
             const ptrdiff_t c1 = w - c0 < TILE ? w : c0 + TILE;
-            int any = 0;
-            for (ptrdiff_t c = c0; c < c1; c++)
-                any |= row[c] >= thr;
-            for (ptrdiff_t c = c0; any && c < c1; c++) {
+            for (ptrdiff_t c = c0; c < c1; c++) {
                 pts[2 * n] = r0 + r;
                 pts[2 * n + 1] = c;
                 n += row[c] >= thr;

@@ -518,6 +518,11 @@ def non_finite_cases(rng, weights):
             assert_thin_salient_identical(sal, weights, -np.inf, 15.0, 20.0)
             sal[15, 35] = sal[16, 38] = 300.0
             assert_thin_salient_identical(sal, weights, 300.0, 15.0, 20.0)
+    # a NaN first in its 8 x 8 tile can make the tile's maximum NaN: the
+    # salient pixel beside it must still be found
+    sal = rng.uniform(0.0, 255.0, size=(20, 40))
+    sal[8, 8], sal[9, 9] = np.nan, 300.0
+    assert assert_thin_salient_identical(sal, np.ones(1), 300.0, 15.0, 20.0) == [[9, 9]]
     sal = np.full((20, 40), 50.0)
     sal[5, 5] = np.nan
     sal[5, 7] = 60.0
