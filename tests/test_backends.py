@@ -585,8 +585,8 @@ def test_thin_salient_is_lazy_on_the_phantom():
     # the seed-123 phantom: few candidates need their exact spacing, and
     # those read few of the map's axis-0 cells; a kernel that fell back to
     # the whole field would compute every spacing and every cell.  Tier 2
-    # decides more than half of what tier 1 leaves (the parent of tier 2
-    # computed 411 spacings and 23,216 cells here)
+    # decides more than half of what tier 1 leaves (with tier 1 alone the
+    # kernel computed 411 spacings and 23,216 cells here)
     from toposhadow.synth import PhantomSpec, synth_phantom
 
     img, _ = synth_phantom(PhantomSpec(seed=123))
