@@ -715,29 +715,6 @@ done:
  * of points on that row, so once per call, as the points come in row
  * order. */
 
-/* Along each of `count` lines (`gap` apart) of n cells (`step` apart) of
- * the grids lo and hi, each cell's min (of lo) or max (of hi) over the
- * cells within `reach` of it on the line, clamped to it, into olo and
- * ohi.  Down the columns of a tile grid and then along its rows, it gives
- * each tile the extremes of the tiles within `reach` on both axes. */
-__attribute__((noinline)) static void reach_lines(const double *lo, const double *hi, double *olo,
-                                                  double *ohi, Py_ssize_t count, Py_ssize_t gap,
-                                                  Py_ssize_t n, Py_ssize_t step, Py_ssize_t reach)
-{
-    for (Py_ssize_t l = 0; l < count; l++)
-        for (Py_ssize_t i = 0; i < n; i++) {
-            const Py_ssize_t a = i - reach < 0 ? 0 : i - reach;
-            const Py_ssize_t b = n - 1 - i < reach ? n - 1 : i + reach;
-            double mn = lo[l * gap + a * step], mx = hi[l * gap + a * step];
-            for (Py_ssize_t k = a + 1; k <= b; k++) {
-                mn = EXT_MIN(mn, lo[l * gap + k * step]);
-                mx = EXT_MAX(mx, hi[l * gap + k * step]);
-            }
-            olo[l * gap + i * step] = mn;
-            ohi[l * gap + i * step] = mx;
-        }
-}
-
 /* The effective weights of the taps, in the form both passes evaluate:
  * w[radius + k] for k != 0 and the implicit centre weight 1 - 2 sum_k>=1.
  * Whether they make every blurred value a mean of the taps it reads: each
@@ -797,25 +774,6 @@ static inline double tier2_margin(double m, double M, Py_ssize_t radius, Py_ssiz
     return 2.0 * DBL_EPSILON * ((M - m) * (tiles * (4.0 * r + 6.0) + 2.0 * r + 2.0)
                                 + EXT_MAX(fabs(m), fabs(M)))
            + DBL_MIN;
-}
-
-/* The mass of the taps of pixel `at` on each tile of TILE pixels that
- * they read along an axis of n pixels, from the prefix sums P: into
- * mass[0 ..] for the tiles *first and on; returns the tiles' number. */
-static Py_ssize_t tap_mass(const double *P, Py_ssize_t radius, Py_ssize_t at, Py_ssize_t n,
-                           double *mass, Py_ssize_t *first)
-{
-    const Py_ssize_t t0 = (at - radius < 0 ? 0 : at - radius) / TILE;
-    const Py_ssize_t t1 = (n - 1 - at < radius ? n - 1 : at + radius) / TILE;
-    for (Py_ssize_t u = t0; u <= t1; u++) {
-        /* taps i0 .. i1 read pixels of tile u, the edge tiles also the
-         * taps clamped to the edge */
-        const Py_ssize_t i0 = u == t0 ? -radius : u * TILE - at;
-        const Py_ssize_t i1 = u == t1 ? radius : u * TILE + TILE - 1 - at;
-        mass[u - t0] = P[i1 + radius + 1] - P[i0 + radius];
-    }
-    *first = t0;
-    return t1 - t0 + 1;
 }
 
 /* Salient thinning state: the (h, W) map `s` and its points; the column
@@ -882,17 +840,9 @@ __attribute__((noinline)) static int salient_decide(void *ctx, Py_ssize_t i, dou
     const Py_ssize_t nr = tap_mass(t->P, t->radius, r, t->h, t->mass_r, &r0);
     const Py_ssize_t nc = tap_mass(t->P, t->radius, c, t->W, t->mass_c, &c0);
     const double m = t->reg_lo[r / TILE * tw + c / TILE], M = t->reg_hi[r / TILE * tw + c / TILE];
-    double above_m = 0.0, below_M = 0.0;
-    for (Py_ssize_t u = 0; u < nr; u++) {
-        const double *lo = t->tile_lo + (r0 + u) * tw + c0, *hi = t->tile_hi + (r0 + u) * tw + c0;
-        double up = 0.0, down = 0.0;
-        for (Py_ssize_t v = 0; v < nc; v++) {
-            up += t->mass_c[v] * (lo[v] - m);
-            down += t->mass_c[v] * (M - hi[v]);
-        }
-        above_m += t->mass_r[u] * up;
-        below_M += t->mass_r[u] * down;
-    }
+    double above_m, below_M;
+    tile_sums(t->tile_lo + r0 * tw + c0, t->tile_hi + r0 * tw + c0, tw, t->mass_r, nr, t->mass_c,
+              nc, m, M, &above_m, &below_M);
     const double margin = pass_margin(m, M, t->radius) + tier2_margin(m, M, t->radius, nr, nc);
     const double lo = spacing_of((M - below_M) + margin, t->phi1, t->phi2);
     if (nearest <= lo * lo) {

@@ -396,6 +396,65 @@ double correlate_point(const double *restrict row, ptrdiff_t w, const double *re
     return xc + acc;
 }
 
+/* ------------------------------------------------------- salient bounds */
+
+/* reach_lines: see ``_dense.h``.  Down the columns of a tile grid and
+ * then along its rows, it gives each tile the extremes of the tiles within
+ * `reach` on both axes. */
+void reach_lines(const double *lo, const double *hi, double *olo, double *ohi, ptrdiff_t count,
+                 ptrdiff_t gap, ptrdiff_t n, ptrdiff_t step, ptrdiff_t reach)
+{
+    for (ptrdiff_t l = 0; l < count; l++)
+        for (ptrdiff_t i = 0; i < n; i++) {
+            const ptrdiff_t a = i - reach < 0 ? 0 : i - reach;
+            const ptrdiff_t b = n - 1 - i < reach ? n - 1 : i + reach;
+            double mn = lo[l * gap + a * step], mx = hi[l * gap + a * step];
+            for (ptrdiff_t k = a + 1; k <= b; k++) {
+                mn = EXT_MIN(mn, lo[l * gap + k * step]);
+                mx = EXT_MAX(mx, hi[l * gap + k * step]);
+            }
+            olo[l * gap + i * step] = mn;
+            ohi[l * gap + i * step] = mx;
+        }
+}
+
+/* tap_mass: see ``_dense.h``. */
+ptrdiff_t tap_mass(const double *P, ptrdiff_t radius, ptrdiff_t at, ptrdiff_t n, double *mass,
+                   ptrdiff_t *first)
+{
+    const ptrdiff_t t0 = (at - radius < 0 ? 0 : at - radius) / TILE;
+    const ptrdiff_t t1 = (n - 1 - at < radius ? n - 1 : at + radius) / TILE;
+    for (ptrdiff_t u = t0; u <= t1; u++) {
+        /* taps i0 .. i1 read pixels of tile u, the edge tiles also the
+         * taps clamped to the edge */
+        const ptrdiff_t i0 = u == t0 ? -radius : u * TILE - at;
+        const ptrdiff_t i1 = u == t1 ? radius : u * TILE + TILE - 1 - at;
+        mass[u - t0] = P[i1 + radius + 1] - P[i0 + radius];
+    }
+    *first = t0;
+    return t1 - t0 + 1;
+}
+
+/* tile_sums: see ``_dense.h``.  Sums of terms >= 0, a tile row at a
+ * time, as tier2_margin in ``_coremodule.c`` assumes. */
+void tile_sums(const double *lo, const double *hi, ptrdiff_t tw, const double *mass_r, ptrdiff_t nr,
+               const double *mass_c, ptrdiff_t nc, double m, double M, double *above_m,
+               double *below_M)
+{
+    double above = 0.0, below = 0.0;
+    for (ptrdiff_t u = 0; u < nr; u++) {
+        double up = 0.0, down = 0.0;
+        for (ptrdiff_t v = 0; v < nc; v++) {
+            up += mass_c[v] * (lo[u * tw + v] - m);
+            down += mass_c[v] * (M - hi[u * tw + v]);
+        }
+        above += mass_r[u] * up;
+        below += mass_r[u] * down;
+    }
+    *above_m = above;
+    *below_M = below;
+}
+
 /* -------------------------------------------------------- deviation map */
 
 /* A part builds its layers ROW_BLOCK rows at a time, as a wavefront down

@@ -80,6 +80,31 @@ extern const Simd simd_baseline;
 extern const Simd simd_avx512;
 #endif
 
+/* The salient thinning's bounds (see "salient thinning" in
+ * ``_coremodule.c``), pure loops kept in this unit so that the two units
+ * compile in about the same time. */
+
+/* Along each of `count` lines (`gap` apart) of n cells (`step` apart) of
+ * the grids lo and hi, each cell's min (of lo) or max (of hi) over the
+ * cells within `reach` of it on the line, clamped to it, into olo and
+ * ohi. */
+void reach_lines(const double *lo, const double *hi, double *olo, double *ohi, ptrdiff_t count,
+                 ptrdiff_t gap, ptrdiff_t n, ptrdiff_t step, ptrdiff_t reach);
+
+/* The mass of the taps of pixel `at` on each tile of TILE pixels that
+ * they read along an axis of n pixels, from the taps' prefix sums P: into
+ * mass[0 ..] for the tiles *first and on; returns the tiles' number. */
+ptrdiff_t tap_mass(const double *P, ptrdiff_t radius, ptrdiff_t at, ptrdiff_t n, double *mass,
+                   ptrdiff_t *first);
+
+/* Over the nr x nc tiles whose extremes start at lo and hi (rows tw
+ * apart), with row masses mass_r and column masses mass_c: the
+ * mass-weighted sums of (min - m) into *above_m and of (M - max) into
+ * *below_M. */
+void tile_sums(const double *lo, const double *hi, ptrdiff_t tw, const double *mass_r, ptrdiff_t nr,
+               const double *mass_c, ptrdiff_t nc, double m, double M, double *above_m,
+               double *below_M);
+
 /* The axis-1 pass of row `row` (w values) at column c alone. */
 double correlate_point(const double *restrict row, ptrdiff_t w, const double *restrict wt,
                        ptrdiff_t radius, ptrdiff_t c);
