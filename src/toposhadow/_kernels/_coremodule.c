@@ -8,12 +8,12 @@
  * rounds once where the twin rounds twice.
  *
  * The dense loops (the axis-0 and axis-1 passes, the stack std, the
- * salient scan and a deviation map's part) live in ``_dense.c``, which
- * includes no Python header, so that setup.py compiles both units at
- * the same time; they are built at two vector widths into the `Simd`
- * tables of ``_dense.h``.  Module init picks one width and names it in
- * ``SIMD``, and ``_force`` runs the 2-wide instances on any host, for
- * tests.
+ * salient scan, the salient bounds' loops and a deviation map's part) live
+ * in ``_dense.c``, which includes no Python header, so that setup.py
+ * compiles both units at the same time; the vector loops are built at two
+ * widths into the `Simd` tables of ``_dense.h``.  Module init picks one
+ * width and names it in ``SIMD``, and ``_force`` runs the 2-wide instances
+ * on any host, for tests.
  *
  * Every kernel releases the GIL around its loops.  The deviation map
  * splits a large call into two parts, the second run by a thread started

@@ -2,9 +2,10 @@
  *
  * ``_dense.c`` holds the numeric loops: the axis-0 and axis-1 passes, the
  * stack std, the salient scan (the salient points and the tile extremes),
- * each at two vector widths, and a deviation map's column part.  It includes no Python or
- * numpy header, so it compiles apart from, and at the same time as,
- * ``_coremodule.c``, which holds the bindings and calls the loops through
+ * each at two vector widths, the salient thinning's bound loops, and a
+ * deviation map's column part.  It includes no Python or numpy header, so
+ * it compiles apart from, and at the same time as, ``_coremodule.c``,
+ * which holds the bindings and calls the loops, the vector ones through
  * the `Simd` tables declared here.  Sizes are ptrdiff_t, which
  * ``_coremodule.c`` checks is Py_ssize_t's width.
  */
