@@ -910,9 +910,11 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
     Py_ssize_t n = 0, cap = h * W / 4 + TILE * W < h * W ? h * W / 4 + TILE * W : h * W;
     /* the raw allocator, so that tracemalloc sees these frame-sized buffers;
      * the grid holds the tiles' extremes, their regions' and their spacing
-     * bounds, and the taps' prefix sums and a point's masses */
-    const Py_ssize_t masses = 2 * radius / TILE + 2;
-    grid = PyMem_RawMalloc((size_t)(6 * tiles + 2 * radius + 2 + 2 * masses) * sizeof(double));
+     * bounds, the taps' prefix sums and a point's masses, and the scratch
+     * of reach_lines */
+    const Py_ssize_t masses = 2 * radius / TILE + 2, line = th > tw ? th : tw;
+    grid = PyMem_RawMalloc((size_t)(6 * tiles + 2 * radius + 2 + 2 * masses + 2 * line)
+                           * sizeof(double));
     pts = PyMem_RawMalloc((size_t)(cap > 0 ? 2 * cap : 1) * sizeof(i64));
     if (grid == NULL || pts == NULL) {
         PyErr_NoMemory();
@@ -977,8 +979,9 @@ static PyObject *thin_salient(PyObject *self, PyObject *args, PyObject *kwds)
         for (Py_ssize_t cell = 0; cell < 2 * tiles; cell++)
             tile_lo[cell] /= 255.0;
         const Py_ssize_t reach = radius / TILE + (radius % TILE != 0);
-        reach_lines(tile_lo, tile_hi, lo, hi, tw, 1, th, tw, reach);
-        reach_lines(lo, hi, reg_lo, reg_hi, th, tw, tw, 1, reach);
+        double *scratch = P + 2 * radius + 2 + 2 * masses;
+        reach_lines(tile_lo, tile_hi, lo, hi, tw, 1, th, tw, reach, scratch);
+        reach_lines(lo, hi, reg_lo, reg_hi, th, tw, tw, 1, reach, scratch);
         /* a region's extremes, widened and mapped, bound the spacing of
          * each point of its tile */
         for (Py_ssize_t cell = 0; cell < tiles; cell++) {

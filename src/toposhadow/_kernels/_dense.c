@@ -400,22 +400,61 @@ double correlate_point(const double *restrict row, ptrdiff_t w, const double *re
 
 /* reach_lines: see ``_dense.h``.  Down the columns of a tile grid and
  * then along its rows, it gives each tile the extremes of the tiles within
- * `reach` on both axes. */
+ * `reach` on both axes, as a running window (van Herk, Gil-Werman): a
+ * line splits into blocks of k = 2 reach + 1 cells, and each cell gets
+ * the extremes of its block up to it (the head, kept in the output until
+ * the window pass overwrites it) and from it on (the rest, in `scratch`).
+ * A window [a, b] spans at most two blocks, so its extremes are the rest
+ * at a and the head at b, or the head at b alone when a starts b's block,
+ * or the rest at a alone when b ends the line in a's block.  So a cell
+ * costs a few picks, whatever the reach. */
 void reach_lines(const double *lo, const double *hi, double *olo, double *ohi, ptrdiff_t count,
-                 ptrdiff_t gap, ptrdiff_t n, ptrdiff_t step, ptrdiff_t reach)
+                 ptrdiff_t gap, ptrdiff_t n, ptrdiff_t step, ptrdiff_t reach, double *scratch)
 {
-    for (ptrdiff_t l = 0; l < count; l++)
-        for (ptrdiff_t i = 0; i < n; i++) {
-            const ptrdiff_t a = i - reach < 0 ? 0 : i - reach;
-            const ptrdiff_t b = n - 1 - i < reach ? n - 1 : i + reach;
-            double mn = lo[l * gap + a * step], mx = hi[l * gap + a * step];
-            for (ptrdiff_t k = a + 1; k <= b; k++) {
-                mn = EXT_MIN(mn, lo[l * gap + k * step]);
-                mx = EXT_MAX(mx, hi[l * gap + k * step]);
+    const ptrdiff_t k = 2 * reach + 1;
+    double *rest_lo = scratch, *rest_hi = scratch + n;
+    for (ptrdiff_t l = 0; l < count; l++) {
+        const double *x = lo + l * gap, *y = hi + l * gap;
+        double *hl = olo + l * gap, *hh = ohi + l * gap;
+        for (ptrdiff_t start = 0; start < n; start += k) {
+            const ptrdiff_t end = n - start < k ? n : start + k;
+            hl[start * step] = x[start * step];
+            hh[start * step] = y[start * step];
+            for (ptrdiff_t i = start + 1; i < end; i++) {
+                hl[i * step] = EXT_MIN(hl[(i - 1) * step], x[i * step]);
+                hh[i * step] = EXT_MAX(hh[(i - 1) * step], y[i * step]);
             }
-            olo[l * gap + i * step] = mn;
-            ohi[l * gap + i * step] = mx;
+            rest_lo[end - 1] = x[(end - 1) * step];
+            rest_hi[end - 1] = y[(end - 1) * step];
+            for (ptrdiff_t i = end - 2; i >= start; i--) {
+                rest_lo[i] = EXT_MIN(rest_lo[i + 1], x[i * step]);
+                rest_hi[i] = EXT_MAX(rest_hi[i + 1], y[i * step]);
+            }
         }
+        /* cell i's window [a, b], and the places of a and b in their
+         * blocks; b >= i, so the head at b is read before it is written */
+        ptrdiff_t a = 0, at = 0, b = n - 1 < reach ? n - 1 : reach, bt = b;
+        for (ptrdiff_t i = 0; i < n; i++) {
+            double mn = hl[b * step], mx = hh[b * step];
+            if (bt < at) {
+                mn = EXT_MIN(rest_lo[a], mn);
+                mx = EXT_MAX(rest_hi[a], mx);
+            } else if (at != 0) {
+                mn = rest_lo[a];
+                mx = rest_hi[a];
+            }
+            hl[i * step] = mn;
+            hh[i * step] = mx;
+            if (i >= reach) {
+                a++;
+                at = at + 1 == k ? 0 : at + 1;
+            }
+            if (b < n - 1) {
+                b++;
+                bt = bt + 1 == k ? 0 : bt + 1;
+            }
+        }
+    }
 }
 
 /* tap_mass: see ``_dense.h``. */

@@ -86,11 +86,12 @@ extern const Simd simd_avx512;
  * compile in about the same time. */
 
 /* Along each of `count` lines (`gap` apart) of n cells (`step` apart) of
- * the grids lo and hi, each cell's min (of lo) or max (of hi) over the
- * cells within `reach` of it on the line, clamped to it, into olo and
- * ohi. */
+ * the grids lo and hi, which hold no NaN, each cell's min (of lo) or max
+ * (of hi) over the cells within `reach` of it on the line, clamped to it,
+ * into olo and ohi, in time linear in the cells; `scratch` holds 2n
+ * doubles. */
 void reach_lines(const double *lo, const double *hi, double *olo, double *ohi, ptrdiff_t count,
-                 ptrdiff_t gap, ptrdiff_t n, ptrdiff_t step, ptrdiff_t reach);
+                 ptrdiff_t gap, ptrdiff_t n, ptrdiff_t step, ptrdiff_t reach, double *scratch);
 
 /* The mass of the taps of pixel `at` on each tile of TILE pixels that
  * they read along an axis of n pixels, from the taps' prefix sums P: into

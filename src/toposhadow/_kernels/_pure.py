@@ -14,11 +14,14 @@ rasterized rows; thinning and rasterizing never loop per candidate or
 per triangle row, and no loop runs per pixel.  A dense pass works on
 blocks of about _ROW_BLOCK doubles, which stay in cache across its taps
 or layers, and reads the image in its own row-major layout along either
-axis: no pass transposes.  ``thin_salient`` stays on the dense reference:
+axis: no pass transposes.  The deviation map and the spacing's axis-0
+pass also loop over column strips of about _STRIP and _SPACING_STRIP
+doubles, so their memory is a few frames whatever the stack's depth; a
+deviation map's strip carries the halo a compiled part carries.  ``thin_salient`` stays on the dense reference:
 the threshold, the axis-0 pass over the columns the points read (the map
-over 255 written straight into its edge-padded buffer), the point pass,
-then ``thin_points``, where the compiled twin finds the points in one
-scan and computes a point's spacing only where bounds on it cannot
+over 255 written straight into its edge-padded strip buffers), the point
+pass, then ``thin_points``, where the compiled twin finds the points in
+one scan and computes a point's spacing only where bounds on it cannot
 decide the point.  Both backends rasterize
 with one integer rule: each edge that meets row r crosses it at the
 exact column num/den, a flat edge at its first end (den = 1; its other
@@ -37,6 +40,9 @@ from ..errors import TriangleCapError
 
 _BLOCK = 1 << 16  # (triangle, row) or neighbour pairs per numpy pass
 _ROW_BLOCK = 1 << 14  # doubles per block of output rows in the dense passes
+_STRIP = 1 << 18  # doubles per column strip of a deviation map, with its buffers
+_SPACING_STRIP = 1 << 17  # doubles per padded axis-0 buffer of a spacing strip
+_SPLIT_HALOS = 4  # a deviation map's strip is at least this many halos wide
 
 
 def _quiet(kernel):
@@ -91,20 +97,23 @@ def _correlate_into(img, weights, axis, out):
 
 def _axis0_padded(padded, weights, out):
     """The axis-0 pass of the image held in rows [radius, -radius) of
-    `padded`, written into `out`, for a radius of at least 1: the edge
-    rows are replicated here, in place, and the taps run as
-    ``_correlate_into`` runs them."""
+    `padded`, written into `out`: the edge rows are replicated here, in
+    place, and the taps run as ``_correlate_into`` runs them."""
     radius = (len(weights) - 1) // 2
-    padded[:radius] = padded[radius]
-    padded[-radius:] = padded[-radius - 1]
+    if radius:
+        padded[:radius] = padded[radius]
+        padded[-radius:] = padded[-radius - 1]
     return _taps_into(padded, weights, 0, out)
 
 
 def _taps_into(padded, weights, axis, out):
     """The tap loop of ``_correlate_into`` over an edge-padded image:
     `padded` holds 2 radius more rows (axis 0) or columns (axis 1) than
-    `out`."""
+    `out`.  A radius-0 kernel copies, as ``_correlate_into`` does."""
     radius = (len(weights) - 1) // 2
+    if radius == 0:
+        np.copyto(out, padded)
+        return out
     height, width = out.shape
     if axis == 0:
 
@@ -141,9 +150,30 @@ def _pad_rows(img, pad):
     height, width = img.shape
     padded = np.empty((height, width + 2 * pad))
     padded[:, pad : pad + width] = img
-    padded[:, :pad] = img[:, :1]
-    padded[:, pad + width :] = img[:, -1:]
+    return _replicate_columns(padded, pad)
+
+
+def _replicate_columns(padded, pad):
+    """Fill the `pad` columns on either side of `padded` with its first and
+    last inner column, in place; returns `padded`."""
+    padded[:, :pad] = padded[:, pad : pad + 1]
+    padded[:, padded.shape[1] - pad :] = padded[:, -pad - 1 : -pad]
     return padded
+
+
+def _strip_cuts(width, column_doubles, budget, halo=0):
+    """The first columns of the strips that `width` columns split into,
+    and `width`: strips of about `budget` doubles, counting
+    `column_doubles` per column and `halo` more columns on either side,
+    each at least _SPLIT_HALOS halos wide, as a compiled part must be
+    (narrower, its halo columns cost more than the strip saves).  A frame
+    too narrow for two such strips is one strip."""
+    own = max(1, budget // column_doubles - 2 * halo)
+    strips = -(-width // own)
+    if halo:
+        strips = min(strips, width // (_SPLIT_HALOS * halo))
+    strips = max(1, strips)
+    return [width * i // strips for i in range(strips + 1)]
 
 
 def _correlate_points(img, weights, points, col0):
@@ -153,7 +183,9 @@ def _correlate_points(img, weights, points, col0):
     so `img` may be a column slice of a frame whose first column is frame
     column `col0`; taps clamp to the slice.  Each value is the same sum,
     in the same order, as the dense pass at that pixel.  Raises IndexError
-    for a point outside `img`.
+    for a point outside `img`.  The pass runs on a row-padded copy of
+    `img` (``_points_padded``); ``_spacing_at`` writes its axis-0 pass
+    into such a buffer and calls that directly, with no copy.
     """
     img = np.asarray(img, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -165,12 +197,21 @@ def _correlate_points(img, weights, points, col0):
     radius = (len(weights) - 1) // 2
     if radius == 0 or len(pts) == 0:
         return img[rows, cols]
-    # each row edge-replicated by `pad` columns on either side, so that every
-    # tap gathers at the points' one base index from an offset view: tap
-    # +-k reads flat[pad +- min(k, pad):], which holds the clamped column,
-    # as a tap `width` or more columns away reads the row end either way
     pad = min(radius, width)
-    padded = _pad_rows(img, pad)
+    return _points_padded(_pad_rows(img, pad), pad, weights, rows, cols)
+
+
+def _points_padded(padded, pad, weights, rows, cols):
+    """The point pass of ``_correlate_points`` over the image held in
+    columns [pad, -pad) of the C-contiguous `padded`, its rows
+    edge-replicated by ``pad = min(radius, width)`` columns on either
+    side, at in-range points (rows, cols) of the image, for a radius of at
+    least 1."""
+    radius = (len(weights) - 1) // 2
+    # every tap gathers at the points' one base index from an offset view:
+    # tap +-k reads flat[pad +- min(k, pad):], which holds the clamped
+    # column, as a tap `width` or more columns away reads the row end
+    # either way
     flat = padded.ravel()
     at = rows * padded.shape[1] + cols
     center = flat[pad:].take(at)
@@ -191,23 +232,26 @@ def _correlate_points(img, weights, points, col0):
     return center + acc
 
 
-def _stack_std(stack):
+def _stack_std(stack, out, first=0):
     """Per-pixel population standard deviation across the layers of a
-    C-contiguous float64 (L, H, W) stack of at least one pixel.
+    float64 (L, H, W) stack of at least one pixel whose layers hold
+    contiguous rows, at its columns [first, first + w), written into the
+    (H, w) float64 `out`; returns `out`.
 
     Layer by layer, which is numpy's order for a contiguous stack of more
     than one pixel per layer: the mean sums the layers from layer 0 and
     divides by L; the variance sums the squared deviations in the same
-    order and divides by L.  Blocks of rows are reduced one at a time, so
-    only two block-sized buffers are allocated besides the result.
+    order and divides by L.  Blocks of whole rows are reduced one at a
+    time through three block-sized buffers, so every step but the root
+    runs on contiguous rows.
     """
     layers, height, width = stack.shape
-    out = np.empty((height, width))
+    cols = slice(first, first + out.shape[1])
     rows = max(1, _ROW_BLOCK // width)
-    mean, dev = (np.empty((min(rows, height), width)) for _ in range(2))
+    mean, dev, var = (np.empty((min(rows, height), width)) for _ in range(3))
     for r0 in range(0, height, rows):
         r1 = min(r0 + rows, height)
-        m, d, o = mean[: r1 - r0], dev[: r1 - r0], out[r0:r1]
+        m, d, o = mean[: r1 - r0], dev[: r1 - r0], var[: r1 - r0]
         np.copyto(m, stack[0, r0:r1])
         for layer in stack[1:, r0:r1]:
             m += layer
@@ -219,7 +263,7 @@ def _stack_std(stack):
             d *= d
             o += d
         o /= layers
-        np.sqrt(o, out=o)
+        np.sqrt(o[:, cols], out=out[r0:r1])
     return out
 
 
@@ -229,9 +273,19 @@ def deviation_map(img, ku, kv, layers):
     `img`: layer 0 is the image, each later layer the previous one
     correlated along axis 0 by `ku` and then along axis 1 by `kv`.  Equal
     to ``saliency.std_map`` of that stack on a frame of more than one
-    pixel.  The layers are built in place in the stack, through one
-    scratch frame.  Raises MemoryError when the stack's size does not fit
-    an address.
+    pixel.  Raises MemoryError when the stack's size does not fit an
+    address.
+
+    The map is built one column strip at a time (``_strip_cuts``), as the
+    compiled core builds a column part: a strip's stack of about _STRIP
+    doubles holds its own columns and a halo of ``(layers - 1) *
+    radius(kv)`` columns on either side, clamped to the frame.  A layer's
+    axis-1 pass clamps at the band's inner edge, so the radius(kv)
+    columns nearest that edge go wrong once per layer, and the halo keeps
+    every owned column exact; the strip writes only its own columns.  A
+    layer's axis-0 pass reads it from one buffer padded by rows and
+    writes into the inner columns of one buffer padded by columns, which
+    the axis-1 pass reads; both are reused for every layer and strip.
     """
     img = np.asarray(img)
     ku = np.asarray(ku, dtype=np.float64)
@@ -244,15 +298,32 @@ def deviation_map(img, ku, kv, layers):
     height, width = img.shape
     if (layers + 1) * height * width > sys.maxsize // 8:
         raise MemoryError("the filter stack does not fit in memory")
+    out = np.empty((height, width))
     if img.size == 0:
-        return np.empty((height, width))
-    stack = np.empty((layers, height, width))
-    stack[0] = img
-    scratch = np.empty((height, width))
-    for f in range(1, layers):
-        _correlate_into(stack[f - 1], ku, 0, scratch)
-        _correlate_into(scratch, kv, 1, stack[f])
-    return _stack_std(stack)
+        return out
+    ru, rv = (len(ku) - 1) // 2, (len(kv) - 1) // 2
+    halo = min((layers - 1) * rv, width)
+    # per column: the stack, and the two pass buffers
+    cuts = _strip_cuts(width, (layers + 2) * height + 2 * ru, _STRIP, halo)
+    bands = [(c0, c1, max(0, c0 - halo), min(width, c1 + halo)) for c0, c1 in zip(cuts, cuts[1:])]
+    # for the widest band, reshaped to each band: the stack, and the buffers
+    # that the axis-0 and axis-1 passes read, padded by rows and by columns
+    widest = max(b1 - b0 for _, _, b0, b1 in bands)
+    stack_cells = np.empty(layers * height * widest)
+    down_cells = np.empty((height + 2 * ru) * widest)
+    across_cells = np.empty(height * (widest + 2 * rv))
+    for c0, c1, b0, b1 in bands:
+        band = b1 - b0
+        stack = stack_cells[: layers * height * band].reshape(layers, height, band)
+        down = down_cells[: (height + 2 * ru) * band].reshape(height + 2 * ru, band)
+        across = across_cells[: height * (band + 2 * rv)].reshape(height, band + 2 * rv)
+        stack[0] = img[:, b0:b1]
+        for f in range(1, layers):
+            down[ru : ru + height] = stack[f - 1]
+            _axis0_padded(down, ku, across[:, rv : rv + band])
+            _taps_into(_replicate_columns(across, rv), kv, 1, stack[f])
+        _stack_std(stack, out[:, c0:c1], c0 - b0)
+    return out
 
 
 def _salient_points(saliency, threshold):
@@ -275,7 +346,10 @@ def _spacing_at(saliency, weights, points, phi1, phi2):
     saliency gives the minimum spacing phi1.  The axis-0 pass runs over
     the columns within the kernel radius of a point only: columns are
     independent in it, and a point's axis-1 taps clamp inside that slice
-    exactly where they clamp in the frame.  Raises IndexError for a point
+    exactly where they clamp in the frame.  It runs one column strip of
+    about _SPACING_STRIP doubles at a time, each strip's map over 255 in
+    one padded strip buffer, and writes into the inner columns of the
+    row-padded buffer the point pass reads.  Raises IndexError for a point
     outside the map.  The one statement of the spacing formula in
     Python: ``sparsify.density_field`` calls it too.
     """
@@ -289,18 +363,24 @@ def _spacing_at(saliency, weights, points, phi1, phi2):
         raise IndexError("point outside the image")
     weights = np.asarray(weights, dtype=np.float64)
     radius = (len(weights) - 1) // 2
-    c0 = max(0, int(cols.min()) - radius)
-    c1 = min(width, int(cols.max()) + radius + 1)
-    # the map over 255 straight into the axis-0 pass's padded buffer: no
-    # scaled copy of the slice is made
-    padded = np.empty((height + 2 * radius, c1 - c0))
-    np.divide(s[:, c0:c1], 255.0, out=padded[radius : radius + height])
     if radius == 0:
-        scaled = padded
+        blurred = s[rows, cols] / 255.0
     else:
-        scaled = _axis0_padded(padded, weights, np.empty((height, c1 - c0)))
-        del padded
-    blurred = _correlate_points(scaled, weights, pts, c0)
+        c0 = max(0, int(cols.min()) - radius)
+        c1 = min(width, int(cols.max()) + radius + 1)
+        pad = min(radius, c1 - c0)
+        # the axis-0 pass, strip by strip, into the inner columns of the
+        # point pass's row-padded buffer; each strip's map over 255 goes
+        # straight into the pass's padded strip buffer
+        scaled = np.empty((height, c1 - c0 + 2 * pad))
+        cuts = _strip_cuts(c1 - c0, height + 2 * radius, _SPACING_STRIP)
+        cells = np.empty((height + 2 * radius) * max(b - a for a, b in zip(cuts, cuts[1:])))
+        for a, b in zip(cuts, cuts[1:]):
+            padded = cells[: (height + 2 * radius) * (b - a)].reshape(height + 2 * radius, b - a)
+            np.divide(s[:, c0 + a : c0 + b], 255.0, out=padded[radius : radius + height])
+            _axis0_padded(padded, weights, scaled[:, pad + a : pad + b])
+        del cells, padded
+        blurred = _points_padded(_replicate_columns(scaled, pad), pad, weights, rows, cols - c0)
     np.clip(blurred, 0.0, 1.0, out=blurred)
     return phi1 + phi2 * (1.0 - blurred)
 

@@ -120,9 +120,9 @@ def test_correlate_identical_property(h, w, sigma, axis, seed):
 
 
 def test_pure_dense_passes_allocate_block_buffers():
-    # pure deviation_map builds its layers in place in the stack through
-    # one scratch frame; each correlation pass adds one padded copy and
-    # three row-block buffers, and the reduction two row-block buffers
+    # pure deviation_map builds one column strip's stack at a time, through
+    # two padded pass buffers of a strip; each correlation pass adds three
+    # row-block buffers, and the reduction three more
     img = np.random.default_rng(114).uniform(0.0, 255.0, size=(200, 600))
     params = Params()
     ku, kv = taps(params)
@@ -1028,6 +1028,76 @@ def test_deviation_map_identical_across_row_blocks(block, monkeypatch):
             assert got == expected, (layers, shape)
 
 
+def box_taps(radius):
+    """Symmetric taps of `radius`, any width: a box of 2 radius + 1."""
+    return np.full(2 * radius + 1, 1.0 / (2 * radius + 1))
+
+
+# pure strip budgets, in doubles: 1, which makes every strip as narrow as
+# its 4 halos allow (a 60-column frame builds up to 15 strips), and 5000,
+# a few strips of a 60-column frame
+SMALL_STRIPS = (1, 5000)
+
+
+@pytest.mark.parametrize("strip", SMALL_STRIPS)
+def test_deviation_map_identical_across_strips(strip, monkeypatch):
+    monkeypatch.setattr(_pure, "_STRIP", strip)
+    strips = []
+    cuts = _pure._strip_cuts
+
+    def counted(*args):
+        built = cuts(*args)
+        strips.append(len(built) - 1)
+        return built
+
+    monkeypatch.setattr(_pure, "_strip_cuts", counted)
+    rng = np.random.default_rng(124)
+    most = 0
+    for layers, ku in zip(range(1, 9), [gaussian_kernel_1d(1.8), np.ones(1)] * 4):
+        for shape in ((45, 60), (71, 1), (45, 3), (1, 17)):
+            width = shape[1]
+            img = rng.uniform(-255.0, 255.0, size=shape)
+            # radius-0 taps, which copy, sigma_v radii of 1 and 6, and radii
+            # at and above the frame width, where the halo covers the frame
+            # and the map is one strip
+            for kv in (np.ones(1), gaussian_kernel_1d(0.2), gaussian_kernel_1d(1.8),
+                       box_taps(width), box_taps(width + 1), box_taps(2 * width)):
+                strips.clear()
+                expected = _core.deviation_map(img, ku, kv, layers).tobytes()
+                got = _pure.deviation_map(img, ku, kv, layers).tobytes()
+                assert got == expected, (layers, shape, len(kv))
+                if layers > 1 and len(kv) > 2 * width:
+                    assert strips == [1], (layers, shape, strips)
+                most = max(most, strips[0])
+    assert most >= (15 if strip == 1 else 3), most
+
+
+def test_spacing_identical_across_strips(monkeypatch):
+    # the axis-0 pass of the pure spacing runs strip by strip; strips of
+    # every width from 1 column up end on the points' first and last
+    # columns and on every column between, and the spacings keep the
+    # bytes of the dense passes on the compiled core.  Radius 60 reaches
+    # past the map on both sides
+    rng = np.random.default_rng(707)
+    sal = rng.uniform(0.0, 255.0, size=(9, 40))
+    for sigma in (0.9, 1.8, 20.0):
+        weights = gaussian_kernel_1d(sigma)
+        radius = (len(weights) - 1) // 2
+        pts = np.stack([rng.integers(0, 9, 30), rng.integers(10, 26, 30)], axis=1)
+        pts[:2, 1] = (10, 25)
+        dense = _core.correlate1d_replicate(sal / 255.0, weights, 0)
+        dense = _core.correlate1d_replicate(dense, weights, 1)[pts[:, 0], pts[:, 1]]
+        expected = (15.0 + 20.0 * (1.0 - np.clip(dense, 0.0, 1.0))).tobytes()
+        c0, c1 = max(0, 10 - radius), min(40, 26 + radius)
+        ends = set()
+        for own in range(1, c1 - c0 + 1):
+            budget = own * (9 + 2 * radius)
+            monkeypatch.setattr(_pure, "_SPACING_STRIP", budget)
+            assert _pure._spacing_at(sal, weights, pts, 15.0, 20.0).tobytes() == expected, own
+            ends |= {c0 + cut - 1 for cut in _pure._strip_cuts(c1 - c0, 9 + 2 * radius, budget)[1:]}
+        assert {10, 25} <= ends, sigma
+
+
 def test_deviation_map_stack_too_large_is_memory_error():
     img = np.zeros((200, 600))
     ku = gaussian_kernel_1d(1.8)
@@ -1039,19 +1109,24 @@ def test_deviation_map_stack_too_large_is_memory_error():
             deviation_map(img, Params(stack_size=layers))
 
 
-@pytest.mark.parametrize("parts", [1, 2])
-def test_compiled_detect_peak_memory(parts):
-    # a deviation map keeps layer 0 and a window of rows of each later
-    # layer, not whole planes: compiled detect on a 300 x 600 frame peaks
-    # below 4.5 cropped float64 frames.  At sigma_u 40 the window is the
-    # whole plane: the map holds its stack_size planes and the output, and
-    # stays exact
+@pytest.mark.parametrize("backend, parts", [("compiled", 1), ("compiled", 2), ("pure", 0)])
+def test_detect_peak_memory(backend, parts):
+    # a compiled map keeps layer 0 and a window of rows of each later
+    # layer, and a pure map builds one column strip's stack at a time, not
+    # whole planes: detect on a 300 x 600 frame peaks below 4.5 cropped
+    # float64 frames on either backend.  At sigma_u 40 the compiled window
+    # is the whole plane: the map holds its stack_size planes and the
+    # output, and stays exact.  At stack_size 12 the compiled windows hold
+    # more rows, while a pure strip narrows, so its bound stays 4.5 frames
     from toposhadow.synth import PhantomSpec, synth_phantom
 
+    impl = _core if backend == "compiled" else _pure
     img, _ = synth_phantom(PhantomSpec(seed=7))
-    for params, frames in ((Params(), 4.5), (Params(sigma_u=40.0), Params().stack_size + 1.5)):
+    cases = [(Params(), 4.5), (Params(sigma_u=40.0), Params().stack_size + 1.5)]
+    cases.append((Params(stack_size=12), 4.5 if impl is _pure else 12 + 1.5))
+    for params, frames in cases:
         crop = np.ascontiguousarray(img[params.crop_rows:], dtype=np.float64)
-        with on_backend(_core), forced(parts=parts):
+        with on_backend(impl), forced(parts=parts):
             classify.detect(img, params)
             tracemalloc.start()
             try:
@@ -1059,7 +1134,7 @@ def test_compiled_detect_peak_memory(parts):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < frames * crop.nbytes, (params.sigma_u, parts, peak / crop.nbytes)
+        assert peak < frames * crop.nbytes, (params, parts, peak / crop.nbytes)
     assert_deviation_identical(crop, params)
 
 

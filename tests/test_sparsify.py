@@ -144,10 +144,10 @@ def test_thin_pairwise_spacing_respected():
 
 
 def test_density_field_allocates_two_frames():
-    # the axis-0 pass cannot run in place, so its input (the map over 255)
-    # and its output are alive together; the pure pass, which density_field
-    # runs on either backend, adds its padded copy of the input (height +
-    # 2 radius rows) and its row-block buffers
+    # the axis-0 pass cannot run in place, so its input (the map) and its
+    # output are alive together; the pure pass, which density_field runs
+    # on either backend, adds the padded buffer of one column strip of the
+    # map over 255 (height + 2 radius rows) and its row-block buffers
     img, _ = synth_phantom(PhantomSpec(seed=123))
     p = Params()
     sal = texture(img, p)
@@ -166,8 +166,8 @@ def test_pure_thin_salient_scales_the_map_into_the_padded_pass():
     # the map over 255 is written straight into the axis-0 pass's padded
     # buffer, with no scaled copy of the map beside it: on the seed-123
     # phantom pure thin_salient peaks below 3.6 frames besides the cloud
-    # it finds, where the copy made it 4.0 (the point pass's row-padded
-    # copy of the pass output and its per-point buffers now set the peak)
+    # it finds, where the copy made it 4.0 (the row-padded pass output,
+    # which the point pass reads, and its per-point buffers set the peak)
     img, _ = synth_phantom(PhantomSpec(seed=123))
     p = Params()
     sal = texture(img, p)
