@@ -1053,6 +1053,8 @@ def test_deviation_map_identical_across_strips(strip, monkeypatch):
     monkeypatch.setattr(_pure, "_strip_cuts", counted)
     rng = np.random.default_rng(124)
     most = 0
+    # sigma_u taps of radius 6 at an odd layer count, radius-0 taps at an
+    # even one
     for layers, ku in zip(range(1, 9), [gaussian_kernel_1d(1.8), np.ones(1)] * 4):
         for shape in ((45, 60), (71, 1), (45, 3), (1, 17)):
             width = shape[1]
@@ -1122,9 +1124,9 @@ def test_detect_peak_memory(backend, parts):
 
     impl = _core if backend == "compiled" else _pure
     img, _ = synth_phantom(PhantomSpec(seed=7))
-    cases = [(Params(), 4.5), (Params(sigma_u=40.0), Params().stack_size + 1.5)]
-    cases.append((Params(stack_size=12), 4.5 if impl is _pure else 12 + 1.5))
-    for params, frames in cases:
+    deep = 4.5 if impl is _pure else 12 + 1.5
+    tall = Params().stack_size + 1.5
+    for params, frames in ((Params(), 4.5), (Params(stack_size=12), deep), (Params(sigma_u=40.0), tall)):
         crop = np.ascontiguousarray(img[params.crop_rows:], dtype=np.float64)
         with on_backend(impl), forced(parts=parts):
             classify.detect(img, params)
