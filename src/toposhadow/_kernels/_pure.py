@@ -17,16 +17,16 @@ or layers, and reads the image in its own row-major layout along either
 axis: no pass transposes.  The deviation map and the spacing's axis-0
 pass also loop over column strips of about _STRIP and _SPACING_STRIP
 doubles, so their memory is a few frames whatever the stack's depth; a
-deviation map's strip carries the halo a compiled part carries.  ``thin_salient`` stays on the dense reference:
-the threshold, the axis-0 pass over the columns the points read (the map
-over 255 written straight into its edge-padded strip buffers), the point
-pass, then ``thin_points``, where the compiled twin finds the points in
-one scan and computes a point's spacing only where bounds on it cannot
-decide the point.  Both backends rasterize
-with one integer rule: each edge that meets row r crosses it at the
-exact column num/den, a flat edge at its first end (den = 1; its other
-end starts the next edge), and the row's span is [min ceil, max floor]
-over those crossings.
+deviation map's strip carries the halo a compiled part carries.
+``thin_salient`` stays on the dense reference: the threshold, the axis-0
+pass over the columns the points read (the map over 255 written straight
+into its edge-padded strip buffers), the point pass, then
+``thin_points``, where the compiled twin finds the points in one scan
+and computes a point's spacing only where bounds on it cannot decide the
+point.  Both backends rasterize with one integer rule: each edge that
+meets row r crosses it at the exact column num/den, a flat edge at its
+first end (den = 1; its other end starts the next edge), and the row's
+span is [min ceil, max floor] over those crossings.
 """
 
 import functools
@@ -277,9 +277,10 @@ def deviation_map(img, ku, kv, layers):
     address.
 
     The map is built one column strip at a time (``_strip_cuts``), as the
-    compiled core builds a column part: a strip's stack of about _STRIP
-    doubles holds its own columns and a halo of ``(layers - 1) *
-    radius(kv)`` columns on either side, clamped to the frame.  A layer's
+    compiled core builds a column part: a strip holds its own columns
+    and a halo of ``(layers - 1) * radius(kv)`` columns on either side,
+    clamped to the frame, and its stack and pass buffers about _STRIP
+    doubles.  A layer's
     axis-1 pass clamps at the band's inner edge, so the radius(kv)
     columns nearest that edge go wrong once per layer, and the halo keeps
     every owned column exact; the strip writes only its own columns.  A
