@@ -5,9 +5,14 @@ and ``_coremodule.c``, the bindings and the other kernels) is preferred
 when it was built; otherwise the pure numpy twins take over.  Both produce
 bit-identical results, so the choice only affects speed.  The detector
 and the dataset commands call four of the kernels: ``deviation_map``,
-``thin_salient``, ``rips_triangles`` and ``occurrence_counts``; the
-public references (``saliency.filter_stack``, ``sparsify.thin``) call
-``correlate1d_replicate`` and ``thin_points``.  On the compiled core
+``thin_salient``, ``rips_triangles`` and ``occurrence_confidence``; the
+public references call the other three: ``saliency.filter_stack``
+calls ``correlate1d_replicate``, ``sparsify.thin`` calls ``thin_points``
+and ``topology.occurrence_map`` calls ``occurrence_counts``.
+``occurrence_confidence`` rasterizes as ``occurrence_counts`` does and
+writes each pixel's entry of a table indexed by its count, so ``detect``
+builds no count map; the compiled kernel writes the entries in its
+prefix pass over the difference rows.  On the compiled core
 ``deviation_map`` splits a large call over two cores when its caller is
 the process's only Python thread; while the dataset commands run their
 own threads (a pool of N at ``--workers N >= 2``, and at ``--workers 1``
@@ -56,6 +61,7 @@ KERNELS = (
     "thin_salient",
     "rips_triangles",
     "occurrence_counts",
+    "occurrence_confidence",
 )
 globals().update((name, getattr(_impl, name)) for name in KERNELS)
 NAME = f"compiled/{_impl.SIMD}" if BACKEND == "compiled" else BACKEND

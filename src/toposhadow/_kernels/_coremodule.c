@@ -1213,13 +1213,14 @@ static void rasterize(const i64 r0[3], const i64 c0[3], i32 *diff, Py_ssize_t w)
     }
 }
 
-static PyObject *occurrence_counts(PyObject *self, PyObject *args, PyObject *kwds)
+/* Check the inputs of an occurrence kernel and rasterize every triangle
+ * into (h, w + 1) difference rows; the two kernels differ only in what
+ * their prefix pass over the rows writes.  Returns the rows, from the raw
+ * allocator so that tracemalloc sees them, or NULL with an error set, and
+ * sets *triangles to their number. */
+static i32 *occurrence_diff(PyObject *p_obj, PyObject *t_obj, Py_ssize_t h, Py_ssize_t w,
+                            Py_ssize_t *triangles)
 {
-    static char *kwlist[] = {"points", "triangles", "height", "width", NULL};
-    PyObject *p_obj, *t_obj;
-    Py_ssize_t h, w;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOnn", kwlist, &p_obj, &t_obj, &h, &w))
-        return NULL;
     if (h < 0 || w < 0) {
         PyErr_SetString(PyExc_ValueError, "negative dimensions are not allowed");
         return NULL;
@@ -1229,7 +1230,6 @@ static PyObject *occurrence_counts(PyObject *self, PyObject *args, PyObject *kwd
     if (pts == NULL)
         return NULL;
     PyArrayObject *tri = AS_ARRAY(t_obj, NPY_INT64);
-    PyArrayObject *out = NULL;
     i32 *diff = NULL;
     if (tri == NULL)
         goto done;
@@ -1246,18 +1246,12 @@ static PyObject *occurrence_counts(PyObject *self, PyObject *args, PyObject *kwd
             goto done;
         }
     }
-    npy_intp dims[2] = {h, w};
-    out = (PyArrayObject *)PyArray_SimpleNew(2, dims, NPY_INT32);
-    if (out == NULL)
-        goto done;
-    /* the raw allocator, so that tracemalloc sees it */
     diff = PyMem_RawCalloc((size_t)(h * (w + 1)) + 1, sizeof(i32));
     if (diff == NULL) {
-        Py_CLEAR(out);
         PyErr_NoMemory();
         goto done;
     }
-    i32 *o = PyArray_DATA(out);
+    *triangles = m;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t k = 0; k < m; k++) {
         i64 r0[3], c0[3];
@@ -1267,18 +1261,81 @@ static PyObject *occurrence_counts(PyObject *self, PyObject *args, PyObject *kwd
         }
         rasterize(r0, c0, diff, w);
     }
+    Py_END_ALLOW_THREADS
+done:
+    Py_DECREF(pts);
+    Py_XDECREF(tri);
+    return diff;
+}
+
+static PyObject *occurrence_counts(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"points", "triangles", "height", "width", NULL};
+    PyObject *p_obj, *t_obj;
+    Py_ssize_t h, w, m;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOnn", kwlist, &p_obj, &t_obj, &h, &w))
+        return NULL;
+    i32 *diff = occurrence_diff(p_obj, t_obj, h, w, &m);
+    if (diff == NULL)
+        return NULL;
+    npy_intp dims[2] = {h, w};
+    PyArrayObject *out = (PyArrayObject *)PyArray_SimpleNew(2, dims, NPY_INT32);
+    if (out != NULL) {
+        i32 *o = PyArray_DATA(out);
+        Py_BEGIN_ALLOW_THREADS
+        for (Py_ssize_t r = 0; r < h; r++) {
+            i32 run = 0;
+            for (Py_ssize_t c = 0; c < w; c++) {
+                run += diff[r * (w + 1) + c];
+                o[r * w + c] = run;
+            }
+        }
+        Py_END_ALLOW_THREADS
+    }
+    PyMem_RawFree(diff);
+    return (PyObject *)out;
+}
+
+/* The counts' confidence, table[count] per pixel, with no count map: a
+ * count never exceeds the number of triangles, so a table with more
+ * entries than that covers every pixel. */
+static PyObject *occurrence_confidence(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"points", "triangles", "height", "width", "table", NULL};
+    PyObject *p_obj, *t_obj, *tab_obj;
+    Py_ssize_t h, w, m;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOnnO", kwlist, &p_obj, &t_obj, &h, &w,
+                                     &tab_obj))
+        return NULL;
+    i32 *diff = occurrence_diff(p_obj, t_obj, h, w, &m);
+    if (diff == NULL)
+        return NULL;
+    PyArrayObject *tab = AS_ARRAY(tab_obj, NPY_DOUBLE), *out = NULL;
+    if (tab == NULL)
+        goto done;
+    if (PyArray_NDIM(tab) != 1 || PyArray_DIM(tab, 0) <= m) {
+        PyErr_SetString(PyExc_ValueError,
+                        "table must be one-dimensional with more entries than triangles");
+        goto done;
+    }
+    npy_intp dims[2] = {h, w};
+    out = (PyArrayObject *)PyArray_SimpleNew(2, dims, NPY_DOUBLE);
+    if (out == NULL)
+        goto done;
+    const double *tb = PyArray_DATA(tab);
+    double *o = PyArray_DATA(out);
+    Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t r = 0; r < h; r++) {
         i32 run = 0;
         for (Py_ssize_t c = 0; c < w; c++) {
             run += diff[r * (w + 1) + c];
-            o[r * w + c] = run;
+            o[r * w + c] = tb[run];
         }
     }
     Py_END_ALLOW_THREADS
 done:
     PyMem_RawFree(diff);
-    Py_DECREF(pts);
-    Py_XDECREF(tri);
+    Py_XDECREF(tab);
     return (PyObject *)out;
 }
 
@@ -1320,6 +1377,11 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "Per-pixel count of closed triangles containing the pixel center;\n"
      "exact integer scanline rasterization accumulated via difference rows."},
+    {"occurrence_confidence", (PyCFunction)(void (*)(void))occurrence_confidence,
+     METH_VARARGS | METH_KEYWORDS,
+     "table[count] per pixel, where count is occurrence_counts' value; the\n"
+     "table needs more entries than there are triangles.  Returns (height,\n"
+     "width) float64 with no count map in between."},
     {NULL, NULL, 0, NULL},
 };
 

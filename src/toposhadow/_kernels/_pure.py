@@ -543,3 +543,16 @@ def _add_spans(r, rows, cols, diff):
     # int32 increments, as diff holds, keep np.add.at off its casting path
     np.add.at(diff, (r[ok], cmin[ok]), np.int32(1))
     np.add.at(diff, (r[ok], cmax[ok] + 1), np.int32(-1))
+
+
+def occurrence_confidence(points, triangles, height, width, table):
+    """``table[count]`` per pixel, for the counts of ``occurrence_counts``.
+
+    No count exceeds the number of triangles, so a one-dimensional table
+    with more entries than that covers every pixel.
+    """
+    counts = occurrence_counts(points, triangles, height, width)
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 1 or len(table) <= np.size(triangles) // 3:
+        raise ValueError("table must be one-dimensional with more entries than triangles")
+    return table[counts]

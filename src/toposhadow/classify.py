@@ -7,13 +7,7 @@ import numpy as np
 from . import _kernels
 from .frame_io import crop_top
 from .saliency import Params, as_real, deviation_map, gaussian_kernel_1d, salient_threshold
-from .topology import (
-    Complex,
-    confidence_map,
-    mean_confidence,
-    occurrence_map,
-    rips_triangles,
-)
+from .topology import Complex, mean_confidence, occurrence_confidence, rips_triangles
 
 
 # the Params fields each stage reads; together they cover every field once
@@ -123,16 +117,18 @@ def back_end(sparse, width, params):
 def detect(img, params=None):
     """Run the full pipeline on one uncropped frame.
 
-    ``texture`` -> ``salient_cloud`` -> ``back_end`` -> occurrence and
-    confidence maps.  Deterministic: identical inputs give bit-identical
-    results.
+    ``texture`` -> ``salient_cloud`` -> ``back_end`` -> confidence map.
+    The map is written straight from the triangles by
+    ``topology.occurrence_confidence``, with no count map in between, and
+    has the bytes of ``confidence_map(occurrence_map(...))``.
+    Deterministic: identical inputs give bit-identical results.
     """
     if params is None:
         params = Params()
     sparse = salient_cloud(texture(img, params), params)
     height, width = np.shape(img)
     cx, counts, labels = back_end(sparse, width, params)
-    conf = confidence_map(occurrence_map(cx, width, height - params.crop_rows))
+    conf = occurrence_confidence(cx, width, height - params.crop_rows)
     return DetectionResult(
         labels=labels,
         confidence=conf,

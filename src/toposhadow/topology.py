@@ -1,4 +1,10 @@
-"""Proximity triangles over the sparse cloud and their pixel coverage."""
+"""Proximity triangles over the sparse cloud and their pixel coverage.
+
+``occurrence_map`` counts the triangles over each pixel and
+``confidence_map`` turns counts into ln(count + 1); ``detect`` takes both
+steps in one kernel call through ``occurrence_confidence``, which gives
+the same bytes.
+"""
 
 from dataclasses import dataclass, field
 
@@ -44,6 +50,22 @@ def occurrence_map(cx, width, height):
     Returns (height, width) int32.
     """
     return _kernels.occurrence_counts(cx.vertices, cx.triangles, int(height), int(width))
+
+
+def occurrence_confidence(cx, width, height):
+    """``confidence_map(occurrence_map(cx, width, height))``, bit for bit,
+    with no count map in between: the kernel writes each pixel's entry of
+    a table of ln(k + 1) over the counts k from 0 to the number of
+    triangles, which no count exceeds.  The table has the bytes of
+    ``confidence_map`` at each count, since the int32 to float64 cast is
+    exact and log1p acts element by element.  The table takes 8 bytes per
+    triangle, less than the triangles themselves.  Returns (height, width)
+    float64.
+    """
+    table = np.log1p(np.arange(len(cx.triangles) + 1, dtype=np.float64))
+    return _kernels.occurrence_confidence(
+        cx.vertices, cx.triangles, int(height), int(width), table
+    )
 
 
 def confidence_map(occurrence):

@@ -31,6 +31,7 @@ from toposhadow.saliency import (
     std_map,
     threshold_points,
 )
+from toposhadow.topology import confidence_map
 
 _core = pytest.importorskip("toposhadow._kernels._core")
 
@@ -728,6 +729,64 @@ def test_occurrence_identical_degenerate():
     a = _core.occurrence_counts(cloud, tris, 12, 12)
     b = _pure.occurrence_counts(cloud, tris, 12, 12)
     assert np.array_equal(a, b)
+
+
+def test_occurrence_confidence_is_the_confidence_of_the_counts():
+    # both backends write the bytes of confidence_map(occurrence_map(...)):
+    # no triangles, collinear and single-point triangles, 1x1 frames and
+    # frames with no rows or no columns, and counts past 255
+    rng = np.random.default_rng(2801)
+    none = np.zeros((0, 2), dtype=np.int64)
+    cases = [(none, np.zeros((0, 3), dtype=np.int32), h, w)
+             for h, w in ((0, 0), (0, 7), (7, 0), (1, 1), (9, 9))]
+    lines = np.array(
+        [[2, 1], [2, 5], [2, 9], [1, 4], [5, 4], [9, 4], [0, 0], [1, 2], [2, 5], [4, 4]],
+        dtype=np.int64,
+    )
+    cases.append((lines, [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 9, 9], [0, 0, 1]], 12, 12))
+    cases.append((np.zeros((1, 2), dtype=np.int64), [[0, 0, 0]] * 3, 1, 1))
+    # 400 triangles that all cover the middle of a 24 x 24 frame
+    corners = np.array([[0, 0], [0, 23], [23, 12]])
+    pts = (corners + rng.integers(-3, 4, size=(400, 3, 2))).clip(0, 23).reshape(-1, 2)
+    cases.append((pts, np.arange(len(pts)).reshape(-1, 3), 24, 24))
+    for _ in range(6):
+        cloud = random_cloud(rng, int(rng.integers(4, 40)), extent=60)
+        cases.append((cloud, _pure.rips_triangles(cloud, 25.0, 2_000_000), 70, 61))
+    peak = 0
+    for trial, (pts, tris, h, w) in enumerate(cases):
+        m = len(np.reshape(tris, (-1, 3)))
+        expect = confidence_map(_pure.occurrence_counts(pts, tris, h, w))
+        for mod in (_core, _pure):
+            for table in (np.log1p(np.arange(m + 1.0)), np.log1p(np.arange(m + 9.0))):
+                got = mod.occurrence_confidence(pts, tris, h, w, table)
+                assert got.dtype == np.float64 and got.shape == (h, w), (trial, mod.__name__)
+                assert got.flags.c_contiguous, (trial, mod.__name__)
+                assert got.tobytes() == expect.tobytes(), (trial, mod.__name__)
+        peak = max(peak, int(_core.occurrence_counts(pts, tris, h, w).max(initial=0)))
+    assert peak > 255
+    # a vertex outside the points or the frame raises the IndexError of
+    # occurrence_counts before the table is read; a table with no more
+    # entries than triangles, or not one-dimensional, raises one ValueError
+    cloud = np.array([[0, 0], [1, 1], [2, 2]], dtype=np.int64)
+    messages = set()
+    for mod in (_core, _pure):
+        for tris in ([[0, 1, 5]], [[0, 1, 2]]):
+            with pytest.raises(IndexError) as counted:
+                mod.occurrence_counts(cloud, tris, 2, 2)
+            for table in (np.zeros(2), np.zeros(0)):
+                with pytest.raises(IndexError) as caught:
+                    mod.occurrence_confidence(cloud, tris, 2, 2, table)
+                assert str(caught.value) == str(counted.value), mod.__name__
+        for tris, table in (
+            ([[0, 1, 0]], np.zeros(1)),
+            (np.zeros((0, 3)), np.zeros(0)),
+            ([[0, 1, 1], [1, 1, 0]], np.zeros(2)),
+            ([[0, 1, 0]], np.zeros((2, 2))),
+        ):
+            with pytest.raises(ValueError) as caught:
+                mod.occurrence_confidence(cloud, tris, 2, 2, table)
+            messages.add(str(caught.value))
+    assert len(messages) == 1, messages
 
 
 def test_full_pipeline_identical(monkeypatch):

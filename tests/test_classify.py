@@ -1,7 +1,9 @@
 from dataclasses import fields
 
 import numpy as np
+import pytest
 
+from toposhadow import _kernels
 from toposhadow.classify import (
     BACK_END_FIELDS,
     CLOUD_FIELDS,
@@ -15,7 +17,7 @@ from toposhadow.classify import (
 )
 from toposhadow.saliency import Params
 from toposhadow.synth import PhantomSpec, synth_phantom
-from toposhadow.topology import Complex
+from toposhadow.topology import Complex, confidence_map, mean_confidence, occurrence_map
 
 
 def _cx(vertices, triangles):
@@ -97,6 +99,28 @@ def test_detect_counts_consistent():
     img, _ = synth_phantom(spec)
     res = detect(img)
     assert np.array_equal(res.labels, (res.simplex_counts < 2).astype(np.uint8))
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_detect_confidence_is_the_two_step_path(backend, monkeypatch):
+    # detect writes the confidence straight from the rasterized triangles;
+    # it must give the bytes of the public occurrence and confidence maps,
+    # also at a triangle-heavy epsilon: 200 gives about 21,000 triangles,
+    # a table past numpy's 8,192-element cast buffer and counts past 255
+    try:
+        impl = _kernels.get_backend(backend)
+    except ImportError:
+        pytest.skip("compiled core not built")
+    for name in _kernels.KERNELS:
+        monkeypatch.setattr(_kernels, name, getattr(impl, name))
+    img, _ = synth_phantom(PhantomSpec(seed=123))
+    for p in (Params(), Params(epsilon=200.0)):
+        res = detect(img, p)
+        counts = occurrence_map(res.triangle_complex, img.shape[1], img.shape[0] - p.crop_rows)
+        conf = confidence_map(counts)
+        assert res.confidence.tobytes() == conf.tobytes(), p.epsilon
+        assert res.mean_confidence == mean_confidence(conf), p.epsilon
+    assert counts.max() > 255
 
 
 # ---------------------------------------------------------------- stages

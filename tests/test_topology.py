@@ -275,6 +275,19 @@ def test_confidence_matches_log1p_of_float64_counts():
         expect = np.log1p(np.asarray(counts, dtype=np.float64))
         assert conf.dtype == np.float64 and conf.shape == counts.shape
         assert conf.tobytes() == expect.tobytes()
+    # and a table of ln(k + 1) over 0..N, as detect's kernel reads it,
+    # gives those bytes at every count: tables shorter than one vector,
+    # past numpy's 8,192-element cast buffer, and counts in long, strided,
+    # transposed and short arrays
+    for n in (*range(10), 8_191, 8_192, 8_193, 3 * 8_192 + 5, 300_000):
+        table = np.log1p(np.arange(n + 1.0))
+        every = np.arange(n + 1, dtype=np.int32)
+        drawn = rng.integers(0, n + 1, size=(60, 410), dtype=np.int32)
+        for counts in (every, every[::-1], drawn, drawn[::3, 1::2], drawn.T, *(
+            every[:k] for k in range(1, 9)
+        ), *(drawn[0, :k] for k in range(1, 9))):
+            expect = np.log1p(counts, dtype=np.float64)
+            assert table[counts].tobytes() == expect.tobytes(), (n, counts.shape)
 
 
 def test_mean_confidence():
