@@ -755,14 +755,15 @@ def test_occurrence_confidence_is_the_confidence_of_the_counts():
     peak = 0
     for trial, (pts, tris, h, w) in enumerate(cases):
         m = len(np.reshape(tris, (-1, 3)))
-        expect = confidence_map(_pure.occurrence_counts(pts, tris, h, w))
+        counts = _pure.occurrence_counts(pts, tris, h, w)
+        expect = confidence_map(counts)
+        peak = max(peak, counts.max(initial=0))
         for mod in (_core, _pure):
             for table in (np.log1p(np.arange(m + 1.0)), np.log1p(np.arange(m + 9.0))):
                 got = mod.occurrence_confidence(pts, tris, h, w, table)
                 assert got.dtype == np.float64 and got.shape == (h, w), (trial, mod.__name__)
                 assert got.flags.c_contiguous, (trial, mod.__name__)
                 assert got.tobytes() == expect.tobytes(), (trial, mod.__name__)
-        peak = max(peak, int(_core.occurrence_counts(pts, tris, h, w).max(initial=0)))
     assert peak > 255
     # a vertex outside the points or the frame raises the IndexError of
     # occurrence_counts before the table is read; a table with no more

@@ -283,9 +283,8 @@ def test_confidence_matches_log1p_of_float64_counts():
         table = np.log1p(np.arange(n + 1.0))
         every = np.arange(n + 1, dtype=np.int32)
         drawn = rng.integers(0, n + 1, size=(60, 410), dtype=np.int32)
-        for counts in (every, every[::-1], drawn, drawn[::3, 1::2], drawn.T, *(
-            every[:k] for k in range(1, 9)
-        ), *(drawn[0, :k] for k in range(1, 9))):
+        short = [every[:k] for k in range(1, 9)] + [drawn[0, :k] for k in range(1, 9)]
+        for counts in (every, every[::-1], drawn, drawn[::3, 1::2], drawn.T, *short):
             expect = np.log1p(counts, dtype=np.float64)
             assert table[counts].tobytes() == expect.tobytes(), (n, counts.shape)
 
